@@ -389,6 +389,13 @@ func BenchmarkProfileHookOverhead(b *testing.B) {
 	})
 }
 
+// uncachedSweep runs the full Table IV suite sweep straight through the
+// engine, bypassing the keyed sweep cache.
+func uncachedSweep(opts core.SweepOptions) (report.Characterization, error) {
+	recs, err := core.CharacterizeSuiteOpts(core.Suite(), mcu.TableIVSet(), opts)
+	return report.Characterization{Records: recs}, err
+}
+
 // BenchmarkRunCharacterization times the full >400-datapoint suite
 // sweep — the repo's hottest path — serially and across the worker
 // pool, so the parallel speedup stays visible in the bench trajectory.
@@ -404,7 +411,7 @@ func BenchmarkRunCharacterization(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c, err := report.RunCharacterizationUncached(cfg.workers)
+				c, err := uncachedSweep(core.SweepOptions{Workers: cfg.workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -429,12 +436,12 @@ func BenchmarkSweepWarm(b *testing.B) {
 	}
 	opts := core.SweepOptions{Workers: 1, CellCache: cache}
 	// One cold sweep fills the store; the measured loop is all hits.
-	if _, err := report.RunCharacterizationUncachedOpts(opts); err != nil {
+	if _, err := uncachedSweep(opts); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := report.RunCharacterizationUncachedOpts(opts)
+		c, err := uncachedSweep(opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -12,10 +13,10 @@ const exampleBoardFile = "../../examples/custom-board/m85.json"
 // The -boards/-archs plumbing: files load through the registry and the
 // query resolves the sweep's board selection.
 func TestResolveSweepArchs(t *testing.T) {
-	// No flags: nil keeps the memoized default-sweep path.
+	// No flags: the Table IV set, passed explicitly like every selection.
 	archs, err := resolveSweepArchs("", "")
-	if err != nil || archs != nil {
-		t.Fatalf("resolveSweepArchs(\"\",\"\") = %v, %v; want nil (default path)", archs, err)
+	if err != nil || !reflect.DeepEqual(names(archs), names(mcu.TableIVSet())) {
+		t.Fatalf("resolveSweepArchs(\"\",\"\") = %v, %v; want the Table IV set", names(archs), err)
 	}
 	// -boards alone: the customs ride alongside the Table IV set.
 	archs, err = resolveSweepArchs(exampleBoardFile, "")
@@ -51,18 +52,20 @@ func TestResolveSweepArchs(t *testing.T) {
 }
 
 func TestLoadBoardFilesList(t *testing.T) {
-	// Empty list: nothing to do.
-	if archs, err := loadBoardFiles(""); err != nil || archs != nil {
-		t.Fatalf("loadBoardFiles(\"\") = %v, %v", archs, err)
+	// Empty list (or only blanks): nothing to do.
+	for _, list := range []string{"", " , "} {
+		if archs, err := mcu.LoadFiles(list); err != nil || archs != nil {
+			t.Fatalf("mcu.LoadFiles(%q) = %v, %v", list, archs, err)
+		}
 	}
 	// Re-loading the same file collides on the board name — the registry
 	// is process-global, so the second load reports the duplicate.
 	if _, ok := mcu.ByName("M85"); !ok {
-		if _, err := loadBoardFiles(exampleBoardFile); err != nil {
+		if _, err := mcu.LoadFiles(exampleBoardFile); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, err := loadBoardFiles(exampleBoardFile)
+	_, err := mcu.LoadFiles(exampleBoardFile)
 	if err == nil || !strings.Contains(err.Error(), "already registered") {
 		t.Errorf("re-loading a board file: err = %v, want a name collision", err)
 	}

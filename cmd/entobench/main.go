@@ -229,27 +229,6 @@ func reorderArgs(fs *flag.FlagSet, args []string) []string {
 	return append(flags, pos...)
 }
 
-// loadBoardFiles registers every board file in a comma-separated list
-// and returns the boards they defined, in file order.
-func loadBoardFiles(list string) ([]mcu.Arch, error) {
-	if list == "" {
-		return nil, nil
-	}
-	var loaded []mcu.Arch
-	for _, path := range strings.Split(list, ",") {
-		path = strings.TrimSpace(path)
-		if path == "" {
-			continue
-		}
-		archs, err := mcu.LoadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		loaded = append(loaded, archs...)
-	}
-	return loaded, nil
-}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	arch := fs.String("arch", "M4", "target core: M0+, M4, M33, M7, or a custom board")
@@ -259,7 +238,7 @@ func run(args []string) error {
 	if err := fs.Parse(reorderArgs(fs, args)); err != nil {
 		return err
 	}
-	if _, err := loadBoardFiles(*boards); err != nil {
+	if _, err := mcu.LoadFiles(*boards); err != nil {
 		return err
 	}
 	if fs.NArg() < 1 {
@@ -334,20 +313,16 @@ func closedLoop() error {
 }
 
 // resolveSweepArchs loads any -boards files and resolves the -archs
-// query into the sweep's board selection. A nil result means the
-// default Table IV set, which keeps the memoized sweep path; with
-// -boards but no -archs the loaded customs ride alongside the default
-// set so a bare `sweep -boards custom.json` characterizes them too.
+// query into the sweep's board selection: the Table IV set by default,
+// and with -boards but no -archs the loaded customs ride alongside it
+// so a bare `sweep -boards custom.json` characterizes them too.
 func resolveSweepArchs(boardFiles, query string) ([]mcu.Arch, error) {
-	loaded, err := loadBoardFiles(boardFiles)
+	loaded, err := mcu.LoadFiles(boardFiles)
 	if err != nil {
 		return nil, err
 	}
 	if query != "" {
 		return mcu.ResolveArchs(query)
-	}
-	if len(loaded) == 0 {
-		return nil, nil
 	}
 	return append(mcu.TableIVSet(), loaded...), nil
 }
@@ -388,7 +363,7 @@ func sweep(args []string) error {
 	if err != nil {
 		return err
 	}
-	be, err := resolveBackend(*backendName, *traceFile)
+	be, err := harness.ResolveBackend(*backendName, *traceFile)
 	if err != nil {
 		return err
 	}
@@ -463,11 +438,7 @@ func sweep(args []string) error {
 		// so the in-memory sweep cache must not retain it), bundle to
 		// stdout. Any owned-cell failure aborts with no bundle — merge
 		// inputs are healthy by construction.
-		sel := archs
-		if sel == nil {
-			sel = mcu.TableIVSet()
-		}
-		sr, serr := report.RunShard(core.Suite(), sel, opts)
+		sr, serr := report.RunShard(core.Suite(), archs, opts)
 		if prog != nil {
 			prog.Done()
 		}
@@ -481,12 +452,7 @@ func sweep(args []string) error {
 		}
 		return report.WriteShardReport(os.Stdout, sr)
 	}
-	var c report.Characterization
-	if archs == nil {
-		c, err = report.RunCharacterizationOpts(opts)
-	} else {
-		c, err = report.RunCharacterizationForArchs(archs, opts)
-	}
+	c, err := report.RunSweepQuery(core.Suite(), archs, opts)
 	if prog != nil {
 		prog.Done()
 	}
@@ -516,34 +482,6 @@ func sweep(args []string) error {
 	return nil
 }
 
-// resolveBackend turns the -backend/-tracefile pair into the sweep's
-// measurement backend. No flags means the classic simulator path (nil,
-// byte-identical to pre-backend sweeps); -tracefile loads its captures
-// into the trace backend; any other name resolves through the registry.
-// "sim" resolves too — the sweep engine normalizes it back to the
-// classic path, so `-backend sim` is a spelled-out default.
-func resolveBackend(name, traceFile string) (harness.Backend, error) {
-	name = strings.ToLower(strings.TrimSpace(name))
-	if traceFile != "" {
-		if name != "" && name != "trace" {
-			return nil, fmt.Errorf("-tracefile feeds the trace backend and cannot combine with -backend %s", name)
-		}
-		return harness.LoadTraceBackend(traceFile)
-	}
-	switch name {
-	case "":
-		return nil, nil
-	case "trace":
-		return nil, errors.New("-backend trace needs -tracefile FILE (the captures to replay)")
-	default:
-		be, ok := harness.BackendByName(name)
-		if !ok {
-			return nil, fmt.Errorf("unknown backend %q (registered: %s)", name, strings.Join(harness.BackendNames(), ", "))
-		}
-		return be, nil
-	}
-}
-
 // traceExport writes one kernel's synthesized capture — cache on and
 // cache off — as a trace-capture CSV, the file format the trace backend
 // replays. It doubles as the reference producer for lab captures: match
@@ -557,7 +495,7 @@ func traceExport(args []string) error {
 	if err := fs.Parse(reorderArgs(fs, args)); err != nil {
 		return err
 	}
-	if _, err := loadBoardFiles(*boards); err != nil {
+	if _, err := mcu.LoadFiles(*boards); err != nil {
 		return err
 	}
 	if fs.NArg() < 1 {

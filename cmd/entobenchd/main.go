@@ -60,7 +60,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -128,7 +127,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := loadBoardFiles(cfg.boards); err != nil {
+	if _, err := mcu.LoadFiles(cfg.boards); err != nil {
 		return err
 	}
 	report.SetSweepCacheCapacity(cfg.cacheCap)
@@ -157,9 +156,17 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			logf("persistent cell cache at %s", cc.Dir())
 		}
 	}
-	be, err := resolveBackend(cfg.backend, cfg.traceFile)
+	be, err := harness.ResolveBackend(cfg.backend, cfg.traceFile)
 	if err != nil {
 		return err
+	}
+	// A trace backend loaded from -tracefile is also registered, so wire
+	// requests can select it with "backend": "trace" even when it is not
+	// the default.
+	if cfg.traceFile != "" {
+		if err := harness.RegisterBackend(be); err != nil {
+			return err
+		}
 	}
 	if be != nil {
 		opts.Backend = be
@@ -207,56 +214,5 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("drain: %w", err)
 	}
 	logf("stopped")
-	return nil
-}
-
-// resolveBackend turns -backend/-tracefile into the server's default
-// measurement backend, with the same semantics as `entobench sweep`. A
-// trace backend loaded from -tracefile is additionally registered in
-// the process backend registry, so wire requests can select it with
-// `"backend": "trace"` even when it is not the default.
-func resolveBackend(name, traceFile string) (harness.Backend, error) {
-	name = strings.ToLower(strings.TrimSpace(name))
-	if traceFile != "" {
-		if name != "" && name != "trace" {
-			return nil, fmt.Errorf("-tracefile feeds the trace backend and cannot combine with -backend %s", name)
-		}
-		tb, err := harness.LoadTraceBackend(traceFile)
-		if err != nil {
-			return nil, err
-		}
-		if err := harness.RegisterBackend(tb); err != nil {
-			return nil, err
-		}
-		return tb, nil
-	}
-	switch name {
-	case "", "sim":
-		return nil, nil // classic simulator path
-	case "trace":
-		return nil, errors.New("-backend trace needs -tracefile FILE (the captures to replay)")
-	default:
-		be, ok := harness.BackendByName(name)
-		if !ok {
-			return nil, fmt.Errorf("unknown backend %q (registered: %s)", name, strings.Join(harness.BackendNames(), ", "))
-		}
-		return be, nil
-	}
-}
-
-// loadBoardFiles registers every board file in a comma-separated list.
-func loadBoardFiles(list string) error {
-	if list == "" {
-		return nil
-	}
-	for _, path := range strings.Split(list, ",") {
-		path = strings.TrimSpace(path)
-		if path == "" {
-			continue
-		}
-		if _, err := mcu.LoadFile(path); err != nil {
-			return err
-		}
-	}
 	return nil
 }

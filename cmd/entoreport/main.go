@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"time"
 
 	"repro/ento"
@@ -70,7 +69,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	be, err := resolveBackend(*backendName, *traceFile)
+	be, err := harness.ResolveBackend(*backendName, *traceFile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "entoreport:", err)
 		os.Exit(1)
@@ -114,17 +113,19 @@ func main() {
 	}
 }
 
-// runSweep resolves the board selection and runs (or reuses) the suite
-// characterization: the memoized default sweep when no -boards/-archs
-// were given, an uncached explicit-arch sweep otherwise. The context
-// cancels the sweep; the partial characterization comes back alongside
-// the error.
+// runSweep loads any -boards files, resolves the -archs selection (the
+// Table IV set by default), and runs — or reuses — the suite
+// characterization through the keyed sweep cache. The context cancels
+// the sweep; the partial characterization comes back alongside the
+// error.
 func runSweep(ctx context.Context, boardFiles, archsQ string, workers int, cache *report.PersistentCellCache, be harness.Backend) (report.Characterization, error) {
-	for _, path := range strings.Split(boardFiles, ",") {
-		if path = strings.TrimSpace(path); path == "" {
-			continue
-		}
-		if _, err := mcu.LoadFile(path); err != nil {
+	if _, err := mcu.LoadFiles(boardFiles); err != nil {
+		return report.Characterization{}, err
+	}
+	archs := mcu.TableIVSet()
+	if archsQ != "" {
+		var err error
+		if archs, err = mcu.ResolveArchs(archsQ); err != nil {
 			return report.Characterization{}, err
 		}
 	}
@@ -132,40 +133,7 @@ func runSweep(ctx context.Context, boardFiles, archsQ string, workers int, cache
 	if cache != nil {
 		opts.CellCache = cache
 	}
-	if archsQ == "" {
-		return report.RunCharacterizationOpts(opts)
-	}
-	archs, err := mcu.ResolveArchs(archsQ)
-	if err != nil {
-		return report.Characterization{}, err
-	}
-	return report.RunCharacterizationForArchs(archs, opts)
-}
-
-// resolveBackend turns the -backend/-tracefile pair into the sweep's
-// measurement backend, with the same semantics as `entobench sweep`:
-// no flags → the classic simulator path, -tracefile → the trace
-// backend, any other name → the process registry.
-func resolveBackend(name, traceFile string) (harness.Backend, error) {
-	name = strings.ToLower(strings.TrimSpace(name))
-	if traceFile != "" {
-		if name != "" && name != "trace" {
-			return nil, fmt.Errorf("-tracefile feeds the trace backend and cannot combine with -backend %s", name)
-		}
-		return harness.LoadTraceBackend(traceFile)
-	}
-	switch name {
-	case "":
-		return nil, nil
-	case "trace":
-		return nil, fmt.Errorf("-backend trace needs -tracefile FILE (the captures to replay)")
-	default:
-		be, ok := harness.BackendByName(name)
-		if !ok {
-			return nil, fmt.Errorf("unknown backend %q (registered: %s)", name, strings.Join(harness.BackendNames(), ", "))
-		}
-		return be, nil
-	}
+	return report.RunSweepQuery(core.Suite(), archs, opts)
 }
 
 // writeJSON saves the characterization export of the sweep the report

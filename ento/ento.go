@@ -223,56 +223,39 @@ func Characterize(kernel string) (Record, error) {
 	if !ok {
 		return Record{}, fmt.Errorf("ento: unknown kernel %q", kernel)
 	}
-	return core.Characterize(spec, mcu.TableIVSet())
+	recs, err := core.CharacterizeSuiteOpts([]Spec{spec}, mcu.TableIVSet(), SweepOptions{Workers: 1})
+	return recs[0], err
 }
 
 // Characterization is the full Table III + IV dataset for the suite.
 type Characterization = report.Characterization
 
-// Sweep returns the full >400-datapoint suite characterization, fanning
-// the (kernel × arch × cache) cells across a worker pool of the given
-// size (workers <= 0 means GOMAXPROCS). The result is served through
-// the keyed sweep cache — repeated calls, the table writers below,
-// concurrent identical callers (who coalesce onto one run), and every
-// entobenchd client share one sweep — and is identical for every
-// worker count.
-func Sweep(workers int) (Characterization, error) {
-	return report.RunCharacterizationWorkers(workers)
+// Sweep characterizes the full suite across a board selection — the
+// Table IV cores (ArchSet("tableiv")), the result of LoadBoards, any
+// mix — and is the library's one sweep entry point. The result is
+// served through the keyed sweep cache: repeated calls, the table
+// writers below, concurrent identical callers (who coalesce onto one
+// run), and every entobenchd client share one sweep per distinct
+// selection, and the result is identical for every worker count.
+//
+// opts carries the worker count, progress reporting, FailFast, the
+// per-cell watchdog, a cancellation context, a persistent cell cache,
+// and a measurement backend. With the default options a registered
+// kernel that panics or errors costs exactly its own cells — the sweep
+// completes, healthy records are intact, and the error aggregates one
+// CellError per failed cell (extract them with CellErrors). A partial
+// result is returned to its caller but never retained in the cache;
+// see Characterization.Partial.
+func Sweep(archs []Arch, opts SweepOptions) (Characterization, error) {
+	return report.RunSweepQuery(core.Suite(), archs, opts)
 }
 
 // InvalidateSweep empties the keyed sweep cache — every retained
-// query, not just the default sweep — so the next Sweep, SweepOn, or
-// table writer recomputes. Call it after mutating modeled cost
-// parameters; plain kernel/board registration doesn't need it (a
-// changed registry changes the cache key).
+// query, not just the default sweep — so the next Sweep or table
+// writer recomputes. Call it after mutating modeled cost parameters;
+// plain kernel/board registration doesn't need it (a changed registry
+// changes the cache key).
 func InvalidateSweep() { report.InvalidateCharacterization() }
-
-// SweepOn characterizes the full suite across an explicit board
-// selection — e.g. the result of ArchSet or LoadBoards — through the
-// same keyed cache (the selection is part of the key, so distinct
-// selections never collide and identical ones share one run). Like
-// Sweep, the result is identical for every worker count.
-func SweepOn(archs []Arch, workers int) (Characterization, error) {
-	return report.RunCharacterizationForArchs(archs, core.SweepOptions{Workers: workers})
-}
-
-// SweepOnOpts is SweepOn with full sweep options: progress reporting,
-// FailFast, the per-cell watchdog, and a cancellation context. With the
-// default options a registered kernel that panics or errors costs
-// exactly its own cells — the sweep completes, healthy records are
-// intact, and the error aggregates one CellError per failed cell
-// (extract them with CellErrors).
-func SweepOnOpts(archs []Arch, opts SweepOptions) (Characterization, error) {
-	return report.RunCharacterizationForArchs(archs, opts)
-}
-
-// SweepOpts is Sweep (the cached default-board sweep) with full sweep
-// options. A partial result — contained failures, cancellation — is
-// returned to its caller but never retained in the cache, so the cache
-// can only ever serve the full dataset; see Characterization.Partial.
-func SweepOpts(opts SweepOptions) (Characterization, error) {
-	return report.RunCharacterizationOpts(opts)
-}
 
 // OpenCellCache opens (creating if needed) the persistent per-cell
 // result cache rooted at dir — the on-disk content-addressed store
@@ -309,7 +292,7 @@ func CellErrors(err error) []*CellError { return core.CellErrors(err) }
 // any worker count and byte-stable under an unmarshal/re-marshal round
 // trip.
 func WriteJSON(w io.Writer) error {
-	c, err := report.RunCharacterization()
+	c, err := Sweep(mcu.TableIVSet(), SweepOptions{})
 	if err != nil {
 		return err
 	}
@@ -328,7 +311,7 @@ const (
 // WriteTable3 characterizes the whole suite and writes the static
 // metrics (Table III).
 func WriteTable3(w io.Writer) error {
-	c, err := report.RunCharacterization()
+	c, err := Sweep(mcu.TableIVSet(), SweepOptions{})
 	if err != nil {
 		return err
 	}
@@ -339,7 +322,7 @@ func WriteTable3(w io.Writer) error {
 // WriteTable4 characterizes the whole suite and writes the dynamic
 // metrics (Table IV).
 func WriteTable4(w io.Writer) error {
-	c, err := report.RunCharacterization()
+	c, err := Sweep(mcu.TableIVSet(), SweepOptions{})
 	if err != nil {
 		return err
 	}

@@ -91,7 +91,7 @@ func TestLoadBoardsAndArchSet(t *testing.T) {
 	}
 }
 
-func TestSweepOnCustomBoard(t *testing.T) {
+func TestSweepCustomBoard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite sweep")
 	}
@@ -103,7 +103,7 @@ func TestSweepOnCustomBoard(t *testing.T) {
 		}
 		arch, _ = ento.ArchByName("M85")
 	}
-	c, err := ento.SweepOn([]ento.Arch{arch}, 2)
+	c, err := ento.Sweep([]ento.Arch{arch}, ento.SweepOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

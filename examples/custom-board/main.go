@@ -55,7 +55,7 @@ func main() {
 
 	// Characterize the full suite on that selection. With 2048 KB of
 	// SRAM the M85 even fits sift, which the reference M33/M4 cannot run.
-	c, err := ento.SweepOn(archs, 0)
+	c, err := ento.Sweep(archs, ento.SweepOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -114,7 +114,7 @@ func containedFailureDemo() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	c, err := ento.SweepOnOpts(archs, ento.SweepOptions{Workers: 2})
+	c, err := ento.Sweep(archs, ento.SweepOptions{Workers: 2})
 	if err == nil {
 		log.Fatal("expected the broken kernel to surface cell errors")
 	}

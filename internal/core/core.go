@@ -143,14 +143,6 @@ type Record struct {
 	StaticErr    error
 }
 
-// Characterize measures a kernel across the given cores with caches on
-// and off — one row of Tables III and IV. It is the single-kernel,
-// single-worker form of CharacterizeSuite.
-func Characterize(spec Spec, archs []mcu.Arch) (Record, error) {
-	recs, err := CharacterizeSuite([]Spec{spec}, archs, 1)
-	return recs[0], err
-}
-
 // compressStatic maps the reduced-input dynamic mix onto a
 // static-instruction-count scale: loops re-execute the same sites, so
 // the number of distinct instructions grows sublinearly with the

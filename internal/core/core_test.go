@@ -76,11 +76,18 @@ func TestEveryKernelRunsAndValidates(t *testing.T) {
 	}
 }
 
-// Characterize must populate every (arch, cache) cell and the static
-// proxy, for a representative cheap kernel.
+// characterize runs the sweep engine serially over one kernel: one
+// row of Tables III and IV.
+func characterize(spec core.Spec, archs []mcu.Arch) (core.Record, error) {
+	recs, err := core.CharacterizeSuiteOpts([]core.Spec{spec}, archs, core.SweepOptions{Workers: 1})
+	return recs[0], err
+}
+
+// A one-kernel sweep must populate every (arch, cache) cell and the
+// static proxy, for a representative cheap kernel.
 func TestCharacterize(t *testing.T) {
 	spec, _ := core.ByName("mahony")
-	rec, err := core.Characterize(spec, mcu.TableIVSet())
+	rec, err := characterize(spec, mcu.TableIVSet())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,12 +147,12 @@ func TestCharacterizeSuiteDeterministicAcrossWorkers(t *testing.T) {
 		}
 		specs = append(specs, spec)
 	}
-	base, err := core.CharacterizeSuite(specs, mcu.TableIVSet(), 1)
+	base, err := core.CharacterizeSuiteOpts(specs, mcu.TableIVSet(), core.SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		got, err := core.CharacterizeSuite(specs, mcu.TableIVSet(), workers)
+		got, err := core.CharacterizeSuiteOpts(specs, mcu.TableIVSet(), core.SweepOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +180,7 @@ func TestCharacterizeSuiteDeterministicAcrossWorkers(t *testing.T) {
 // not whichever cell ran last.
 func TestCharacterizeReferenceCell(t *testing.T) {
 	spec, _ := core.ByName("mahony")
-	rec, err := core.Characterize(spec, mcu.TableIVSet())
+	rec, err := characterize(spec, mcu.TableIVSet())
 	if err != nil {
 		t.Fatal(err)
 	}

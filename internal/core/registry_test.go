@@ -45,7 +45,7 @@ func TestRegisterExternalKernel(t *testing.T) {
 		t.Error("registered kernel missing from Suite()")
 	}
 	// It characterizes through the identical sweep path.
-	rec, err := core.Characterize(got, []mcu.Arch{mcu.M4})
+	rec, err := characterize(got, []mcu.Arch{mcu.M4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestSweepOverCustomBoard(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg, _ := mcu.ByName("sweepbig")
-	recs, err := core.CharacterizeSuite(core.Suite(), []mcu.Arch{reg}, 1)
+	recs, err := core.CharacterizeSuiteOpts(core.Suite(), []mcu.Arch{reg}, core.SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

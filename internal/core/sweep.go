@@ -382,21 +382,17 @@ func CellErrors(err error) []*CellError {
 	return out
 }
 
-// CharacterizeSuite characterizes specs across archs using a bounded
-// worker pool and returns one Record per spec, in specs order, with
-// cells in the serial (arch-major, cache on/off) order. workers <= 0
-// means runtime.GOMAXPROCS(0). Output is identical for every worker
-// count.
+// CharacterizeSuiteOpts is the sweep engine, uncached: it
+// characterizes specs across archs using a bounded worker pool
+// (opts.Workers <= 0 means runtime.GOMAXPROCS(0)) and returns one
+// Record per spec, in specs order, with cells in the serial
+// (arch-major, cache on/off) order — one row of Tables III and IV per
+// spec. Output is identical for every worker count.
 //
 // Failures are contained per cell: every healthy record is returned in
 // full, failed cells carry their CellStatus, and the error aggregates
-// one CellError per failed job in serial order (see
-// CharacterizeSuiteOpts for fail-fast and watchdog variants).
-func CharacterizeSuite(specs []Spec, archs []mcu.Arch, workers int) ([]Record, error) {
-	return CharacterizeSuiteOpts(specs, archs, SweepOptions{Workers: workers})
-}
-
-// CharacterizeSuiteOpts is CharacterizeSuite with full sweep options.
+// one CellError per failed job in serial order (opts.FailFast and
+// opts.CellTimeout select fail-fast and watchdog variants).
 func CharacterizeSuiteOpts(specs []Spec, archs []mcu.Arch, opts SweepOptions) ([]Record, error) {
 	if opts.ShardCount > 0 && (opts.ShardIndex < 1 || opts.ShardIndex > opts.ShardCount) {
 		return nil, fmt.Errorf("core: shard index %d out of range 1..%d", opts.ShardIndex, opts.ShardCount)

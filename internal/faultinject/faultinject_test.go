@@ -336,7 +336,7 @@ func TestFaultInjectZZCacheNeverMemoizesPartial(t *testing.T) {
 	report.InvalidateCharacterization()
 	obs.ResetCounters()
 	for i := 0; i < 2; i++ {
-		c, err := report.RunCharacterization()
+		c, err := report.RunSweepQuery(core.Suite(), mcu.TableIVSet(), core.SweepOptions{})
 		if err == nil {
 			t.Fatalf("call %d: registered panicker produced no error", i)
 		}

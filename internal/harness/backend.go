@@ -143,6 +143,36 @@ func BackendNames() []string {
 	return out
 }
 
+// ResolveBackend turns a -backend/-tracefile flag pair into a sweep's
+// measurement backend, the one resolver every CLI shares. No flags and
+// "sim" both mean the classic simulator path (nil, byte-identical to
+// pre-backend sweeps); a trace file loads its captures into a
+// TraceBackend; any other name resolves through the registry.
+func ResolveBackend(name, traceFile string) (Backend, error) {
+	name = strings.ToLower(strings.TrimSpace(name))
+	if traceFile != "" {
+		if name != "" && name != "trace" {
+			return nil, fmt.Errorf("-tracefile feeds the trace backend and cannot combine with -backend %s", name)
+		}
+		tb, err := LoadTraceBackend(traceFile)
+		if err != nil {
+			return nil, err // not a typed-nil Backend
+		}
+		return tb, nil
+	}
+	switch name {
+	case "", "sim":
+		return nil, nil
+	case "trace":
+		return nil, fmt.Errorf("-backend trace needs -tracefile FILE (the captures to replay)")
+	}
+	be, ok := BackendByName(name)
+	if !ok {
+		return nil, fmt.Errorf("unknown backend %q (registered: %s)", name, strings.Join(BackendNames(), ", "))
+	}
+	return be, nil
+}
+
 // BackendSalt is the cache-key contribution of a backend selection: the
 // empty string for the classic path (nil, or the canonical simulator),
 // otherwise the backend name plus its data fingerprint. Modeled and

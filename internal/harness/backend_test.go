@@ -133,3 +133,56 @@ func TestRegisterBackendErrorNamesTheProblem(t *testing.T) {
 		t.Errorf("bad-source error does not name the label: %v", err)
 	}
 }
+
+// The -backend/-tracefile flag matrix every CLI resolves through
+// ResolveBackend: nil means the classic simulator path.
+func TestResolveBackend(t *testing.T) {
+	if err := harness.RegisterBackend(fakeBackend{name: "resolve-lab", source: harness.SourceMeasured}); err != nil {
+		t.Fatal(err)
+	}
+	const traceFile = "testdata/madgwick_m4_trace.csv"
+	for _, tc := range []struct {
+		name, backend, traceFile string
+		want                     string   // resolved backend name; "" means nil
+		errHas                   []string // non-empty: must fail, naming each
+	}{
+		{name: "no-flags"},
+		{name: "sim", backend: "sim"},
+		{name: "sim-spelled-loosely", backend: " SIM "},
+		{name: "registered", backend: "Resolve-Lab", want: "resolve-lab"},
+		{name: "trace-without-file", backend: "trace", errHas: []string{"-tracefile"}},
+		{name: "tracefile-plus-sim", backend: "sim", traceFile: traceFile, errHas: []string{"cannot combine", "sim"}},
+		{name: "tracefile-plus-lab", backend: "resolve-lab", traceFile: traceFile, errHas: []string{"cannot combine", "resolve-lab"}},
+		{name: "unknown", backend: "warp9", errHas: []string{`"warp9"`, "sim", "resolve-lab"}},
+		{name: "tracefile", traceFile: traceFile, want: "trace"},
+		{name: "tracefile-explicit-trace", backend: "trace", traceFile: traceFile, want: "trace"},
+		{name: "missing-tracefile", traceFile: "testdata/no-such.csv", errHas: []string{"no-such.csv"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			be, err := harness.ResolveBackend(tc.backend, tc.traceFile)
+			if len(tc.errHas) > 0 {
+				if err == nil {
+					t.Fatalf("resolved %v, want an error", be)
+				}
+				if be != nil {
+					t.Errorf("error path returned non-nil backend %v", be)
+				}
+				for _, s := range tc.errHas {
+					if !strings.Contains(err.Error(), s) {
+						t.Errorf("error %q does not mention %q", err, s)
+					}
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case tc.want == "" && be != nil:
+				t.Errorf("resolved %s, want nil (classic path)", be.Name())
+			case tc.want != "" && (be == nil || be.Name() != tc.want):
+				t.Errorf("resolved %v, want %s", be, tc.want)
+			}
+		})
+	}
+}

@@ -231,6 +231,24 @@ func LoadFile(path string) ([]Arch, error) {
 	return Load(f, path)
 }
 
+// LoadFiles loads every board file in a comma-separated list (blank
+// entries are skipped) and returns the boards they defined, in file
+// order — the -boards flag of every CLI.
+func LoadFiles(list string) ([]Arch, error) {
+	var loaded []Arch
+	for _, path := range strings.Split(list, ",") {
+		if path = strings.TrimSpace(path); path == "" {
+			continue
+		}
+		archs, err := LoadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		loaded = append(loaded, archs...)
+	}
+	return loaded, nil
+}
+
 // All returns every registered board in registration order (the four
 // reference cores first, then customs as they were added).
 func All() []Arch {

@@ -7,7 +7,7 @@ package obs
 
 // Span names emitted by the sweep engine.
 const (
-	// SpanSweep covers one whole CharacterizeSuite call, coordinator
+	// SpanSweep covers one whole CharacterizeSuiteOpts call, coordinator
 	// goroutine (tid 0), from job construction to record assembly.
 	SpanSweep = "sweep"
 	// SpanSweepStatic is one per-kernel static-proxy job.
@@ -19,8 +19,8 @@ const (
 // Counter names.
 const (
 	// CounterSweepCacheHit counts queries served from a completed entry
-	// of the keyed sweep cache (report.RunCharacterization and friends,
-	// and every entobenchd sweep request).
+	// of the keyed sweep cache (report.RunSweepQuery: ento.Sweep, the
+	// CLIs, and every entobenchd sweep request).
 	CounterSweepCacheHit = "sweep.cache.hit"
 	// CounterSweepCacheMiss counts cache-filling sweep runs — queries
 	// whose key had no completed or in-flight entry.
@@ -29,8 +29,9 @@ const (
 	// identical in-flight sweep instead of starting their own
 	// (singleflight coalescing in the keyed sweep cache).
 	CounterSweepCacheCoalesced = "sweep.cache.coalesced"
-	// CounterSweepCacheEvicted counts completed cache entries dropped
-	// by the capacity bound (report.SetSweepCacheCapacity).
+	// CounterSweepCacheEvicted counts completed cache entries dropped,
+	// least recently hit first, by the capacity bound that
+	// report.SetSweepCacheCapacity sets (entobenchd -cachecap).
 	CounterSweepCacheEvicted = "sweep.cache.evicted"
 	// CounterServerRequests counts HTTP requests the entobenchd handler
 	// served, across all routes.

@@ -128,7 +128,7 @@ func TestCustomBoardSweepDeterminism(t *testing.T) {
 	archs := append(mcu.TableIVSet(), reg)
 
 	render := func(workers int) []byte {
-		c, err := report.RunCharacterizationForArchs(archs, core.SweepOptions{Workers: workers})
+		c, err := report.RunSweepQuery(core.Suite(), archs, core.SweepOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"container/list"
 	"context"
 	"sync"
 	"time"
@@ -11,10 +12,10 @@ import (
 	"repro/internal/obs"
 )
 
-// Keyed, sharded characterization cache. The suite sweep is the most
-// expensive computation in the repo and its result is deterministic in
-// its inputs, so every consumer — the table writers, the ento wrappers,
-// the CLIs, and every entobenchd HTTP client — shares one cache keyed
+// Keyed characterization cache. The suite sweep is the most expensive
+// computation in the repo and its result is deterministic in its
+// inputs, so every consumer — the table writers, ento.Sweep, the CLIs,
+// and every entobenchd HTTP client — shares one cache keyed
 // by a content digest of the query (SweepKey: kernel set × board
 // models × harness config). Identical queries coalesce: the first
 // caller leads the run, concurrent identical callers subscribe to the
@@ -22,13 +23,12 @@ import (
 // and later identical callers are served the completed result without
 // re-sweeping.
 //
-// Replacing the old single process-global memo, the cache is sharded
-// (key-hashed shards, each with its own lock) so a server handling
-// many distinct queries never serializes them on one mutex, and
-// bounded: completed entries beyond the capacity (SetSweepCacheCapacity)
-// are evicted oldest-hit-first, so a long-running entobenchd holds a
-// predictable amount of result memory however many distinct queries it
-// has answered.
+// The cache is bounded: completed entries beyond the capacity
+// (SetSweepCacheCapacity) are evicted least-recently-hit first, so a
+// long-running entobenchd holds a predictable amount of result memory
+// however many distinct queries it has answered. One mutex guards the
+// whole cache; it is held only for map and list updates, never across
+// a sweep.
 //
 // Cancellation is reference-counted per entry: every caller joined to a
 // run holds a subscription, a caller whose context ends merely drops
@@ -53,13 +53,10 @@ var (
 	ctrCacheEvicted   = obs.NewCounter(obs.CounterSweepCacheEvicted)
 )
 
-// sweepShards is the shard count; keys spread by their digest bytes.
-const sweepShards = 8
-
 // DefaultSweepCacheCapacity is the default bound on retained completed
-// sweeps across all shards. Each entry holds one Characterization
-// (records plus cells — tens of kilobytes), so the default keeps a
-// long-running server's result memory in the low megabytes.
+// sweeps. Each entry holds one Characterization (records plus cells —
+// tens of kilobytes), so the default keeps a long-running server's
+// result memory in the low megabytes.
 const DefaultSweepCacheCapacity = 64
 
 // sweepEntry is one keyed query: in flight until ready is closed, then
@@ -76,6 +73,8 @@ type sweepEntry struct {
 	nextSub int
 	done    bool
 	cancel  context.CancelFunc // cancels the run when the last subscriber leaves
+
+	elem *list.Element // position in sweepCache.lru once retained; guarded by sweepCache.mu
 }
 
 // subscribe registers a waiter (its progress hook may be nil) and
@@ -127,73 +126,33 @@ func (e *sweepEntry) broadcast(done, skipped, total int) {
 	}
 }
 
-// cacheShard is one lock domain of the sweep cache. order lists the
-// completed (retained) keys oldest-hit-first for eviction; in-flight
-// entries live in the map but not in order.
-type cacheShard struct {
-	mu      sync.Mutex
-	entries map[string]*sweepEntry
-	order   []string
-}
-
-// promoteLocked moves a hit key to the back of the eviction order.
-func (sh *cacheShard) promoteLocked(key string) {
-	for i, k := range sh.order {
-		if k == key {
-			sh.order = append(append(sh.order[:i:i], sh.order[i+1:]...), key)
-			return
-		}
-	}
-}
-
-// keepLocked retains a completed entry and evicts the oldest retained
-// keys beyond the shard's share of the capacity.
-func (sh *cacheShard) keepLocked(key string, perShard int) {
-	sh.order = append(sh.order, key)
-	for len(sh.order) > perShard {
-		victim := sh.order[0]
-		sh.order = sh.order[1:]
-		delete(sh.entries, victim)
-		ctrCacheEvicted.Inc()
-	}
-}
-
-// sweepCache is the process-wide sharded cache.
+// sweepCache is the process-wide keyed cache. entries holds in-flight
+// and retained entries; lru lists the retained (completed) keys, most
+// recently hit at the front, and is never longer than capacity.
 type sweepCache struct {
-	shards [sweepShards]cacheShard
-
-	capMu    sync.Mutex
+	mu       sync.Mutex
+	entries  map[string]*sweepEntry
+	lru      *list.List // of string keys
 	capacity int
 }
 
 var globalSweepCache = newSweepCache()
 
 func newSweepCache() *sweepCache {
-	c := &sweepCache{capacity: DefaultSweepCacheCapacity}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[string]*sweepEntry)
+	return &sweepCache{
+		entries:  make(map[string]*sweepEntry),
+		lru:      list.New(),
+		capacity: DefaultSweepCacheCapacity,
 	}
-	return c
 }
 
-// shard maps a key to its shard by the digest's tail byte (keys are
-// hex SHA-256 strings, so any byte is uniformly distributed).
-func (c *sweepCache) shard(key string) *cacheShard {
-	if len(key) == 0 {
-		return &c.shards[0]
+// evictLocked drops least-recently-hit retained entries until the
+// capacity bound holds.
+func (c *sweepCache) evictLocked() {
+	for c.lru.Len() > c.capacity {
+		delete(c.entries, c.lru.Remove(c.lru.Back()).(string))
+		ctrCacheEvicted.Inc()
 	}
-	return &c.shards[int(key[len(key)-1])%sweepShards]
-}
-
-// perShardCap returns each shard's share of the configured capacity.
-func (c *sweepCache) perShardCap() int {
-	c.capMu.Lock()
-	defer c.capMu.Unlock()
-	per := (c.capacity + sweepShards - 1) / sweepShards
-	if per < 1 {
-		per = 1
-	}
-	return per
 }
 
 // runFunc computes one characterization; the cache supplies the
@@ -210,21 +169,19 @@ func (c *sweepCache) do(ctx context.Context, key string, opts core.SweepOptions,
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	sh := c.shard(key)
-	sh.mu.Lock()
-	if e, ok := sh.entries[key]; ok {
-		select {
-		case <-e.ready: // completed, retained: a pure cache hit
+	c.mu.Lock()
+	if e, ok := c.entries[key]; ok {
+		if e.elem != nil { // completed, retained: a pure cache hit
 			ctrCacheHit.Inc()
-			sh.promoteLocked(key)
-			sh.mu.Unlock()
+			c.lru.MoveToFront(e.elem)
+			c.mu.Unlock()
 			return e.c, e.err
-		default: // identical query in flight: coalesce onto it
-			ctrCacheCoalesced.Inc()
-			id := e.subscribe(opts.Progress)
-			sh.mu.Unlock()
-			return waitEntry(ctx, e, id)
 		}
+		// Identical query in flight: coalesce onto it.
+		ctrCacheCoalesced.Inc()
+		id := e.subscribe(opts.Progress)
+		c.mu.Unlock()
+		return waitEntry(ctx, e, id)
 	}
 	ctrCacheMiss.Inc()
 	runCtx, cancel := context.WithCancel(context.Background())
@@ -234,9 +191,9 @@ func (c *sweepCache) do(ctx context.Context, key string, opts core.SweepOptions,
 		cancel: cancel,
 	}
 	id := e.subscribe(opts.Progress) // before the leader starts: the run must not outlive zero subscribers
-	sh.entries[key] = e
-	sh.mu.Unlock()
-	go c.lead(sh, key, e, runCtx, opts, run)
+	c.entries[key] = e
+	c.mu.Unlock()
+	go c.lead(key, e, runCtx, opts, run)
 	return waitEntry(ctx, e, id)
 }
 
@@ -245,7 +202,7 @@ func (c *sweepCache) do(ctx context.Context, key string, opts core.SweepOptions,
 // or failed runs are dropped from the map so the next identical query
 // re-sweeps. The caller's own cancellation context is ignored here —
 // the run obeys runCtx, which ends when the last subscriber leaves.
-func (c *sweepCache) lead(sh *cacheShard, key string, e *sweepEntry, runCtx context.Context, opts core.SweepOptions, run runFunc) {
+func (c *sweepCache) lead(key string, e *sweepEntry, runCtx context.Context, opts core.SweepOptions, run runFunc) {
 	ropts := opts
 	ropts.Context = runCtx
 	ropts.Progress = e.broadcast
@@ -255,15 +212,16 @@ func (c *sweepCache) lead(sh *cacheShard, key string, e *sweepEntry, runCtx cont
 	e.mu.Unlock()
 	e.c, e.err = res, err
 	keep := err == nil && !res.Partial()
-	sh.mu.Lock()
-	if sh.entries[key] == e { // not invalidated mid-run
+	c.mu.Lock()
+	if c.entries[key] == e { // not invalidated mid-run
 		if keep {
-			sh.keepLocked(key, c.perShardCap())
+			e.elem = c.lru.PushFront(key)
+			c.evictLocked()
 		} else {
-			delete(sh.entries, key)
+			delete(c.entries, key)
 		}
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	close(e.ready)
 	e.cancel() // release the context; the run has already returned
 }
@@ -299,34 +257,31 @@ func waitEntry(ctx context.Context, e *sweepEntry, id int) (Characterization, er
 // for its canceled run to land a partial result in waitEntry.
 const cancelCollectGrace = 2 * time.Second
 
-// invalidate empties every shard. In-flight entries are detached — the
+// invalidate empties the cache. In-flight entries are detached — the
 // callers waiting on them still get their results, but the results are
 // not retained.
 func (c *sweepCache) invalidate() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.entries = make(map[string]*sweepEntry)
-		sh.order = nil
-		sh.mu.Unlock()
-	}
+	c.mu.Lock()
+	c.entries = make(map[string]*sweepEntry)
+	c.lru = list.New()
+	c.mu.Unlock()
 }
 
 // SetSweepCacheCapacity bounds how many completed sweeps the keyed
-// cache retains across all shards (minimum one per shard). Lowering it
-// takes effect as new results are retained; it never interrupts
-// in-flight runs. entobenchd exposes this as -cachecap.
+// cache retains (minimum one). Lowering it evicts the least recently
+// hit entries at once; it never interrupts in-flight runs. entobenchd
+// exposes this as -cachecap.
 func SetSweepCacheCapacity(n int) {
-	globalSweepCache.capMu.Lock()
-	if n < 1 {
-		n = 1
-	}
-	globalSweepCache.capacity = n
-	globalSweepCache.capMu.Unlock()
+	c := globalSweepCache
+	c.mu.Lock()
+	c.capacity = max(n, 1)
+	c.evictLocked()
+	c.mu.Unlock()
 }
 
-// RunSweepQuery returns the characterization of the given kernel set
-// on the given boards through the keyed cache: served from a completed
+// RunSweepQuery is the cached way to characterize: it returns the
+// characterization of the given kernel set on the given boards (the
+// default is core.Suite() on mcu.TableIVSet()) through the keyed cache: served from a completed
 // entry when an identical query already ran, coalesced onto an
 // identical in-flight run, or computed fresh. Options shape only a
 // cache-filling run (the worker count never changes the result); a
@@ -352,62 +307,10 @@ func RunSweepQuery(specs []core.Spec, archs []mcu.Arch, opts core.SweepOptions) 
 // admission capacity.
 func SweepQueryPresent(specs []core.Spec, archs []mcu.Arch, be harness.Backend) bool {
 	key := SweepKey(specs, archs, harness.DefaultConfig(), harness.BackendSalt(be))
-	sh := globalSweepCache.shard(key)
-	sh.mu.Lock()
-	_, ok := sh.entries[key]
-	sh.mu.Unlock()
+	globalSweepCache.mu.Lock()
+	_, ok := globalSweepCache.entries[key]
+	globalSweepCache.mu.Unlock()
 	return ok
-}
-
-// RunCharacterization returns the full Table III/IV suite sweep,
-// computing it at most once per identical suite/board state with the
-// default worker count (GOMAXPROCS).
-func RunCharacterization() (Characterization, error) {
-	return RunCharacterizationWorkers(0)
-}
-
-// RunCharacterizationWorkers is RunCharacterization with an explicit
-// worker-pool size for a cache-filling run; workers <= 0 means
-// GOMAXPROCS. The worker count never changes the result (see
-// core.CharacterizeSuite), so later callers share the cached sweep
-// regardless of the count they ask for.
-func RunCharacterizationWorkers(workers int) (Characterization, error) {
-	return RunCharacterizationOpts(core.SweepOptions{Workers: workers})
-}
-
-// RunCharacterizationOpts is the cached default-board sweep with full
-// options. Options only shape a cache-filling run: a cache hit returns
-// the shared result without invoking opts.Progress.
-//
-// Only complete, healthy sweeps are retained. A partial run — contained
-// kernel failures, a watchdog timeout, cancellation — is returned to
-// its caller but never cached, so the cache can only ever serve the
-// full dataset and the next identical query retries from scratch.
-func RunCharacterizationOpts(opts core.SweepOptions) (Characterization, error) {
-	return RunSweepQuery(core.Suite(), mcu.TableIVSet(), opts)
-}
-
-// RunCharacterizationForArchs sweeps the whole suite over an explicit
-// board selection — user boards, a named set, any mix — through the
-// same keyed cache (the selection is part of the key, so distinct
-// selections never collide and identical ones share one run). Output
-// is deterministic for any worker count, like every sweep.
-func RunCharacterizationForArchs(archs []mcu.Arch, opts core.SweepOptions) (Characterization, error) {
-	return RunSweepQuery(core.Suite(), archs, opts)
-}
-
-// RunCharacterizationUncached always recomputes the sweep, bypassing
-// and leaving untouched the keyed cache. Benchmarks and determinism
-// tests use it; everything else should go through RunCharacterization.
-func RunCharacterizationUncached(workers int) (Characterization, error) {
-	return RunCharacterizationUncachedOpts(core.SweepOptions{Workers: workers})
-}
-
-// RunCharacterizationUncachedOpts is RunCharacterizationUncached with
-// full sweep options.
-func RunCharacterizationUncachedOpts(opts core.SweepOptions) (Characterization, error) {
-	recs, err := core.CharacterizeSuiteOpts(core.Suite(), mcu.TableIVSet(), opts)
-	return Characterization{Records: recs}, err
 }
 
 // InvalidateCharacterization empties the keyed sweep cache so the next

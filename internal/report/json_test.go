@@ -126,7 +126,7 @@ func TestJSONRoundTrips(t *testing.T) {
 		}
 	}
 	check("synthetic", syntheticCharacterization())
-	full, err := report.RunCharacterization()
+	full, err := tableIVSweep(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +139,11 @@ func TestJSONParallelByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two uncached full sweeps")
 	}
-	serial, err := report.RunCharacterizationUncached(1)
+	serial, err := uncachedSweep(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := report.RunCharacterizationUncached(8)
+	parallel, err := uncachedSweep(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,12 +170,12 @@ func TestJSONReferenceByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two uncached full sweeps")
 	}
-	fast, err := report.RunCharacterizationUncached(1)
+	fast, err := uncachedSweep(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := mat.SetReferenceKernels(true)
-	ref, err := report.RunCharacterizationUncached(1)
+	ref, err := uncachedSweep(1)
 	mat.SetReferenceKernels(prev)
 	if err != nil {
 		t.Fatal(err)

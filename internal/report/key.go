@@ -118,9 +118,3 @@ func StaticCellKey(spec core.Spec) string {
 	hashKernel(h, spec)
 	return "cell-" + hex.EncodeToString(h.Sum(nil))
 }
-
-// defaultSweepKey keys the canonical full-suite Table IV sweep — the
-// query RunCharacterization serves and the entobenchd default.
-func defaultSweepKey() string {
-	return SweepKey(core.Suite(), mcu.TableIVSet(), harness.DefaultConfig(), "")
-}

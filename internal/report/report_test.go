@@ -5,8 +5,22 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/mcu"
 	"repro/internal/report"
 )
+
+// tableIVSweep is the full-suite Table IV sweep through the keyed cache.
+func tableIVSweep(workers int) (report.Characterization, error) {
+	return report.RunSweepQuery(core.Suite(), mcu.TableIVSet(), core.SweepOptions{Workers: workers})
+}
+
+// uncachedSweep recomputes the full-suite Table IV sweep straight
+// through the engine, bypassing and leaving untouched the keyed cache.
+func uncachedSweep(workers int) (report.Characterization, error) {
+	recs, err := core.CharacterizeSuiteOpts(core.Suite(), mcu.TableIVSet(), core.SweepOptions{Workers: workers})
+	return report.Characterization{Records: recs}, err
+}
 
 func TestTable5Renders(t *testing.T) {
 	var buf bytes.Buffer
@@ -20,7 +34,7 @@ func TestTable5Renders(t *testing.T) {
 }
 
 func TestCharacterizationSweep(t *testing.T) {
-	c, err := report.RunCharacterization()
+	c, err := tableIVSweep(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,13 +298,13 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 		c.WriteTable4(&buf)
 		return buf.String()
 	}
-	base, err := report.RunCharacterizationUncached(1)
+	base, err := uncachedSweep(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := render(base)
 	for _, workers := range []int{2, 8} {
-		c, err := report.RunCharacterizationUncached(workers)
+		c, err := uncachedSweep(workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,14 +317,14 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// One process pays for one sweep: repeated RunCharacterization calls
+// One process pays for one sweep: repeated identical queries
 // must share the memoized records until explicitly invalidated.
 func TestSweepCacheMemoizes(t *testing.T) {
-	a, err := report.RunCharacterization()
+	a, err := tableIVSweep(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := report.RunCharacterizationWorkers(4)
+	b, err := tableIVSweep(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +332,7 @@ func TestSweepCacheMemoizes(t *testing.T) {
 		t.Fatal("second call did not reuse the cached sweep records")
 	}
 	report.InvalidateCharacterization()
-	c, err := report.RunCharacterization()
+	c, err := tableIVSweep(0)
 	if err != nil {
 		t.Fatal(err)
 	}

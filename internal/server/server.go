@@ -13,7 +13,7 @@
 //
 // The server is a thin shell over the same machinery the CLIs use: a
 // sweep request resolves through the registries (internal/mcu,
-// internal/core), runs through the keyed sharded cache
+// internal/core), runs through the keyed sweep cache
 // (report.RunSweepQuery) — so identical in-flight queries coalesce via
 // singleflight and repeated queries are served from memory — and
 // renders through the deterministic v1 JSON encoder, which is what

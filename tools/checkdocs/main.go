@@ -20,7 +20,12 @@
 //  6. the backend guide (docs/backends.md) must document every
 //     trace-capture CSV column, both provenance labels, every method
 //     of the harness.Backend interface, and every field of the
-//     export's backends block (report.JSONBackend).
+//     export's backends block (report.JSONBackend);
+//  7. every backticked `pkg.Name` in README.md, DESIGN.md, and
+//     docs/*.md — inline code spans and fenced code blocks alike —
+//     whose pkg is ento or a package under internal/ must name an
+//     exported top-level declaration of that package, so no doc can
+//     keep naming a deleted or never-written entry point.
 //
 // It prints one line per violation and exits non-zero if any exist.
 // Run it from the repository root: go run ./tools/checkdocs
@@ -28,6 +33,7 @@ package main
 
 import (
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
@@ -53,6 +59,7 @@ func main() {
 	problems = append(problems, checkServerDocs("docs/server.md")...)
 	problems = append(problems, checkCounterDocs("docs/observability.md")...)
 	problems = append(problems, checkBackendDocs("docs/backends.md")...)
+	problems = append(problems, checkDocIdentifiers([]string{"ento", "internal"}, []string{"README.md", "DESIGN.md", "docs/*.md"})...)
 	for _, p := range problems {
 		fmt.Fprintln(os.Stderr, p)
 	}
@@ -300,6 +307,109 @@ func checkCounterDocs(path string) []string {
 		}
 	}
 	return problems
+}
+
+// docIdent matches a qualified identifier `pkg.Name` inside code: a
+// lowercase package name not itself preceded by a selector or
+// identifier character, then an exported name.
+var docIdent = regexp.MustCompile(`(?:^|[^\w.])([a-z]\w*)\.([A-Z]\w*)`)
+
+// codeSpan matches one inline markdown code span.
+var codeSpan = regexp.MustCompile("`([^`]+)`")
+
+// checkDocIdentifiers reports every qualified identifier in the code of
+// the given markdown files whose package is one of the repo's own
+// (declared under roots) but which names no exported top-level
+// declaration of that package. Identifiers of other packages (the
+// standard library, locals in examples) are not checked.
+func checkDocIdentifiers(roots, globs []string) []string {
+	var problems []string
+	exported := map[string]map[string]bool{} // package name → exported names
+	for _, root := range roots {
+		filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
+			if err != nil || !info.IsDir() {
+				return nil
+			}
+			fset := token.NewFileSet()
+			notTest := func(fi os.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
+			pkgs, err := parser.ParseDir(fset, path, notTest, parser.SkipObjectResolution)
+			if err != nil {
+				problems = append(problems, fmt.Sprintf("%s: %v", path, err))
+				return nil
+			}
+			for name, pkg := range pkgs {
+				if exported[name] == nil {
+					exported[name] = map[string]bool{}
+				}
+				for _, f := range pkg.Files {
+					for _, decl := range f.Decls {
+						for _, id := range declNames(decl) {
+							if id.IsExported() {
+								exported[name][id.Name] = true
+							}
+						}
+					}
+				}
+			}
+			return nil
+		})
+	}
+	var files []string
+	for _, glob := range globs {
+		m, _ := filepath.Glob(glob)
+		files = append(files, m...)
+	}
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			problems = append(problems, fmt.Sprintf("%s: %v", file, err))
+			continue
+		}
+		inFence := false
+		for i, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				inFence = !inFence
+				continue
+			}
+			code := []string{line}
+			if !inFence {
+				code = code[:0]
+				for _, m := range codeSpan.FindAllStringSubmatch(line, -1) {
+					code = append(code, m[1])
+				}
+			}
+			for _, c := range code {
+				for _, m := range docIdent.FindAllStringSubmatch(c, -1) {
+					if names, ok := exported[m[1]]; ok && !names[m[2]] {
+						problems = append(problems, fmt.Sprintf("%s:%d: `%s.%s` is not an exported declaration of package %s", file, i+1, m[1], m[2], m[1]))
+					}
+				}
+			}
+		}
+	}
+	return problems
+}
+
+// declNames lists the identifiers a top-level declaration introduces:
+// a function (not a method), or every type, const, and var it specs.
+func declNames(decl ast.Decl) []*ast.Ident {
+	var out []*ast.Ident
+	switch d := decl.(type) {
+	case *ast.FuncDecl:
+		if d.Recv == nil {
+			out = append(out, d.Name)
+		}
+	case *ast.GenDecl:
+		for _, spec := range d.Specs {
+			switch sp := spec.(type) {
+			case *ast.TypeSpec:
+				out = append(out, sp.Name)
+			case *ast.ValueSpec:
+				out = append(out, sp.Names...)
+			}
+		}
+	}
+	return out
 }
 
 // jsonTags lists the serialized field names of a struct type, skipping
