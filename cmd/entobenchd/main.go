@@ -1,8 +1,9 @@
 // Command entobenchd serves characterization-as-a-service: a
 // long-running HTTP daemon that answers sweep queries — the full suite
 // × Table IV grid or any kernel-subset × board-set selection — to many
-// concurrent clients, with singleflight coalescing of identical
-// in-flight queries and an in-memory keyed result cache behind them.
+// concurrent clients, with an in-memory memo of completed results and
+// one shared kernel-execution table behind them, so concurrent or
+// overlapping queries execute each kernel once.
 // A served sweep is byte-identical to `entobench sweep -json` for the
 // same query; docs/server.md is the operations guide and the complete
 // wire reference.

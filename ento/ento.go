@@ -232,11 +232,11 @@ type Characterization = report.Characterization
 
 // Sweep characterizes the full suite across a board selection — the
 // Table IV cores (ArchSet("tableiv")), the result of LoadBoards, any
-// mix — and is the library's one sweep entry point. The result is
-// served through the keyed sweep cache: repeated calls, the table
-// writers below, concurrent identical callers (who coalesce onto one
-// run), and every entobenchd client share one sweep per distinct
-// selection, and the result is identical for every worker count.
+// mix — and is the library's one sweep entry point. It goes through
+// report.RunSweepQuery: repeated calls, the table writers below, and
+// every entobenchd client share one memoized result per distinct
+// selection, concurrent callers execute each kernel once between them,
+// and the result is identical for every worker count.
 //
 // opts carries the worker count, progress reporting, FailFast, the
 // per-cell watchdog, a cancellation context, a persistent cell cache,
@@ -250,11 +250,11 @@ func Sweep(archs []Arch, opts SweepOptions) (Characterization, error) {
 	return report.RunSweepQuery(core.Suite(), archs, opts)
 }
 
-// InvalidateSweep empties the keyed sweep cache — every retained
-// query, not just the default sweep — so the next Sweep or table
-// writer recomputes. Call it after mutating modeled cost parameters;
-// plain kernel/board registration doesn't need it (a changed registry
-// changes the cache key).
+// InvalidateSweep empties the sweep memo — every retained query, not
+// just the default sweep — and the kernel-execution table, so the next
+// Sweep or table writer executes every kernel again. Call it after
+// mutating modeled cost parameters; plain kernel/board registration
+// doesn't need it (a changed registry changes the cache key).
 func InvalidateSweep() { report.InvalidateCharacterization() }
 
 // OpenCellCache opens (creating if needed) the persistent per-cell

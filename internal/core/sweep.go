@@ -27,9 +27,9 @@ import (
 //
 // Same-kernel cells are batched: the kernel execution itself — problem
 // build, warm-up, the profiled ROI invocation, validation — runs once
-// per spec (kernelPrep), and every (arch, cache) cell derives its
-// measurement from the shared counts with pure arithmetic
-// (harness.Prepared.MeasureOn). Counts and validity are
+// per kernel through the execution table (ExecTable), and every (arch,
+// cache) cell derives its measurement from the shared counts with pure
+// arithmetic (harness.Prepared.MeasureOn). Counts and validity are
 // arch-independent, so batching changes no assembled byte; the job
 // graph, progress accounting, spans, and per-cell fault containment are
 // exactly those of the unbatched engine.
@@ -42,9 +42,9 @@ import (
 // job. SweepOptions.FailFast restores the historical
 // stop-at-first-failure behavior, with abandoned jobs explicitly marked
 // CellSkipped instead of left as zero-valued cells. A context
-// (SweepOptions.Context) cancels the sweep between jobs — and mid-job
-// when the watchdog is armed — which is how the CLIs turn SIGINT into a
-// flushed partial result.
+// (SweepOptions.Context) cancels the sweep between jobs and mid-job, so
+// the engine returns promptly when it ends — which is how the CLIs turn
+// SIGINT into a flushed partial result.
 //
 // Determinism: every job writes into a pre-assigned slot of the
 // pre-sized records slice, so the assembled output is identical — byte
@@ -167,71 +167,6 @@ func resolveCellBackend(be harness.Backend, kernel, archName string, cacheOn boo
 // an (arch, cache) measurement cell.
 const jobStatic = -1
 
-// kernelPrep is the lazily-computed shared half of one kernel's
-// measurement cells: problem build, warm-up, the profiled ROI
-// invocation, and validation run once per kernel (harness.Prepare), and
-// every (arch, cache) cell derives its measurement from the shared
-// result with pure arithmetic (harness.MeasureOn). Counts and validity
-// are arch-independent — see the reference-cell comment in commit — so
-// sharing changes no assembled byte.
-//
-// The first cell job of a kernel to reach get pays for the prepare;
-// concurrent same-kernel cells block in the Once until it lands.
-// Fault containment is preserved per cell: a panic or error inside the
-// shared prepare is captured here and re-surfaced to every cell job
-// that asks, so each affected cell is classified, counted, and reported
-// individually, exactly as when every cell ran the kernel itself. Under
-// a watchdog (SweepOptions.CellTimeout) a hung prepare strands its
-// waiters in the Once; each waiter's own watchdog abandons it
-// individually, and a late-finishing prepare only ever publishes
-// through this struct — never into sweep state directly.
-type kernelPrep struct {
-	once sync.Once
-	ref  mcu.Arch // first fitting arch: the reference cell's core
-	pp   *harness.Prepared
-	err  error
-}
-
-// get returns the kernel's shared prepared state, computing it on the
-// first call. A recovered panic is stored as a PanicError so every
-// sharing cell sees the same failure.
-//
-// When a cell cache is in play the prepare is rehydrated from the
-// kernel's cached reference cell when one exists: the prepared state is
-// only {name, counts, verdict}, all stored in every cached cell, and
-// MeasureOn is a pure function of them — so an incremental sweep (one
-// new board against a warm cache) measures the new cells without
-// executing the kernel at all, byte-identically.
-func (kp *kernelPrep) get(ctx context.Context, spec Spec, cc CellCache, be harness.Backend) (*harness.Prepared, error) {
-	kp.once.Do(func() {
-		defer func() {
-			if r := recover(); r != nil {
-				kp.err = &PanicError{Value: r, Stack: debug.Stack()}
-			}
-		}()
-		if cc != nil {
-			// The reference cell is (ref arch, cache on); its cache key
-			// carries whatever backend salt that cell earns this sweep.
-			// The rehydrated fields (name, counts, verdict) are backend-
-			// independent, so any healthy cached copy serves.
-			refCB := resolveCellBackend(be, spec.Name, kp.ref.Name, true)
-			if mr, ok := cc.LoadCell(spec, kp.ref, true, refCB.salt); ok && mr.Name != "" {
-				var validE error
-				if mr.ValidErr != "" {
-					validE = errors.New(mr.ValidErr)
-				}
-				kp.pp = harness.RehydratePrepared(mr.Name, mr.Counts, mr.Valid, validE)
-				return
-			}
-		}
-		// The reference cell's schedule: first fitting arch, cache on
-		// (cells are ordered arch-major, cache on/off), so the validation
-		// reps match what cell 0 executed when it ran the kernel itself.
-		kp.pp, kp.err = harness.PrepareContext(ctx, spec.Factory(), kp.ref, spec.Prec, harness.DefaultConfig())
-	})
-	return kp.pp, kp.err
-}
-
 // job is one unit of sweep work: either the static-proxy run of a
 // kernel (cell == jobStatic) or one (arch, cache) measurement cell.
 type job struct {
@@ -268,13 +203,13 @@ type SweepOptions struct {
 	// sweep. The abandoned computation's goroutine is left to finish
 	// (or block) on its own — Go cannot kill it — but it computes on
 	// private state and its late result is discarded, never committed.
-	// Zero disables the watchdog (jobs run inline on the worker).
+	// Zero disables the watchdog.
 	CellTimeout time.Duration
 	// Context, when non-nil, cancels the sweep: jobs not yet started
-	// are marked CellSkipped, and with CellTimeout armed a running job
-	// is abandoned mid-flight. The aggregate error then includes
-	// ctx.Err(), so callers can distinguish cancellation from kernel
-	// failures. Nil means context.Background().
+	// are marked CellSkipped and running jobs are abandoned mid-flight.
+	// The aggregate error then includes ctx.Err(), so callers can
+	// distinguish cancellation from kernel failures. Nil means
+	// context.Background().
 	Context context.Context
 	// CellCache, when non-nil, serves jobs whose content-identical
 	// result a prior run persisted (loaded cells are byte-identical to
@@ -393,6 +328,9 @@ func CellErrors(err error) []*CellError {
 // full, failed cells carry their CellStatus, and the error aggregates
 // one CellError per failed job in serial order (opts.FailFast and
 // opts.CellTimeout select fail-fast and watchdog variants).
+//
+// Each call executes its kernels against a private ExecTable unless
+// opts.Context carries one (WithExecTable).
 func CharacterizeSuiteOpts(specs []Spec, archs []mcu.Arch, opts SweepOptions) ([]Record, error) {
 	if opts.ShardCount > 0 && (opts.ShardIndex < 1 || opts.ShardIndex > opts.ShardCount) {
 		return nil, fmt.Errorf("core: shard index %d out of range 1..%d", opts.ShardIndex, opts.ShardCount)
@@ -407,8 +345,9 @@ func CharacterizeSuiteOpts(specs []Spec, archs []mcu.Arch, opts SweepOptions) ([
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	tbl := execTableOf(ctx)
 	records := make([]Record, len(specs))
-	preps := make([]kernelPrep, len(specs))
+	refs := make([]mcu.Arch, len(specs)) // each kernel's first fitting arch: its reference core
 	var jobs []job
 	for i, spec := range specs {
 		records[i] = Record{Spec: spec}
@@ -419,7 +358,7 @@ func CharacterizeSuiteOpts(specs []Spec, archs []mcu.Arch, opts SweepOptions) ([
 				continue
 			}
 			if n == 0 {
-				preps[i].ref = arch
+				refs[i] = arch
 			}
 			for _, cache := range []bool{true, false} {
 				jobs = append(jobs, job{spec: i, cell: n, arch: arch, cache: cache})
@@ -483,7 +422,7 @@ func CharacterizeSuiteOpts(specs []Spec, archs []mcu.Arch, opts SweepOptions) ([
 				}
 				traced := obs.TraceEnabled()
 				start := time.Now()
-				res, status, err := executeJob(ctx, spec, &jobs[j], &preps[jobs[j].spec], opts.CellTimeout, opts.CellCache, opts.Backend)
+				res, status, err := executeJob(ctx, tbl, spec, refs[jobs[j].spec], &jobs[j], opts)
 				if traced {
 					recordJobSpan(&jobs[j], records, start, sweepStart, lane, status)
 				}
@@ -578,14 +517,15 @@ type jobResult struct {
 	prepName string // the prepared problem's name (trace-synthesis seed)
 }
 
-// executeJob runs one job with panic isolation and, when timeout > 0,
-// a watchdog: the computation moves to a child goroutine and the worker
-// waits for its result, the deadline, or cancellation — whichever is
-// first. The returned status classifies the outcome; err is nil exactly
-// when status is CellOK.
-func executeJob(ctx context.Context, spec Spec, j *job, prep *kernelPrep, timeout time.Duration, cc CellCache, be harness.Backend) (jobResult, CellStatus, error) {
-	if timeout <= 0 {
-		res, err := computeJob(ctx, spec, j, prep, cc, be)
+// executeJob runs one job with panic isolation. A job whose context can
+// end, or that has a watchdog (opts.CellTimeout), computes on a child
+// goroutine while the worker waits for its result, the deadline, or
+// cancellation — whichever is first — so the sweep returns promptly
+// even when a kernel does not. The returned status classifies the
+// outcome; err is nil exactly when status is CellOK.
+func executeJob(ctx context.Context, tbl *ExecTable, spec Spec, ref mcu.Arch, j *job, opts SweepOptions) (jobResult, CellStatus, error) {
+	if opts.CellTimeout <= 0 && ctx.Done() == nil {
+		res, err := computeJob(ctx, tbl, spec, ref, j, opts)
 		return classify(ctx, res, err)
 	}
 	type outcome struct {
@@ -597,17 +537,21 @@ func executeJob(ctx context.Context, spec Spec, j *job, prep *kernelPrep, timeou
 	// channel, and its late result is garbage-collected with it.
 	ch := make(chan outcome, 1)
 	go func() {
-		res, err := computeJob(ctx, spec, j, prep, cc, be)
+		res, err := computeJob(ctx, tbl, spec, ref, j, opts)
 		ch <- outcome{res, err}
 	}()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+	var expired <-chan time.Time
+	if opts.CellTimeout > 0 {
+		timer := time.NewTimer(opts.CellTimeout)
+		defer timer.Stop()
+		expired = timer.C
+	}
 	select {
 	case o := <-ch:
 		return classify(ctx, o.res, o.err)
-	case <-timer.C:
+	case <-expired:
 		ctrCellsTimedOut.Inc()
-		return jobResult{}, CellTimedOut, fmt.Errorf("core: watchdog: no result after %v", timeout)
+		return jobResult{}, CellTimedOut, fmt.Errorf("core: watchdog: no result after %v", opts.CellTimeout)
 	case <-ctx.Done():
 		return jobResult{}, CellSkipped, ctx.Err()
 	}
@@ -641,35 +585,27 @@ func isPanic(err error) bool {
 // computeJob executes one sweep job and returns its result without
 // touching shared state. A panicking kernel — a mat shape mismatch, a
 // buggy user kernel registered via core.Register — is recovered here
-// (or inside the shared prepare) and converted into a PanicError
-// carrying the captured stack. Cell jobs share one kernel execution
-// through prep and only run the arch-specific modeling themselves.
-func computeJob(ctx context.Context, spec Spec, j *job, prep *kernelPrep, cc CellCache, be harness.Backend) (res jobResult, err error) {
+// (or inside the execution table) and converted into a PanicError
+// carrying the captured stack. Jobs take their kernel executions from
+// tbl; cell jobs only run the arch-specific modeling themselves.
+func computeJob(ctx context.Context, tbl *ExecTable, spec Spec, ref mcu.Arch, j *job, opts SweepOptions) (res jobResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
 	if j.cell == jobStatic {
-		sf := spec.StaticFactory
-		if sf == nil {
-			sf = spec.Factory
-		}
-		sp := sf()
-		if err := sp.Setup(); err != nil {
-			return res, fmt.Errorf("core: static setup %s: %w", spec.Name, err)
-		}
-		res.static = compressStatic(profile.Collect(sp.Solve))
-		res.flash = mcu.FlashBytes(res.static)
-		return res, nil
+		sr, err := tbl.static(ctx, spec)
+		res.static, res.flash = sr.Static, sr.Flash
+		return res, err
 	}
-	pp, err := prep.get(ctx, spec, cc, be)
+	pp, err := tbl.prepare(ctx, spec, ref, opts.CellCache, opts.Backend)
 	if err != nil {
 		return res, fmt.Errorf("core: run %s on %s: %w", spec.Name, j.arch.Name, err)
 	}
 	cfg := harness.DefaultConfig()
 	cfg.CacheOn = j.cache
-	cb := resolveCellBackend(be, spec.Name, j.arch.Name, j.cache)
+	cb := resolveCellBackend(opts.Backend, spec.Name, j.arch.Name, j.cache)
 	r, err := pp.MeasureOnBackend(j.arch, spec.Prec, cfg, cb.be)
 	if err != nil {
 		return res, fmt.Errorf("core: run %s on %s: %w", spec.Name, j.arch.Name, err)

@@ -22,12 +22,12 @@ const (
 	// of the keyed sweep cache (report.RunSweepQuery: ento.Sweep, the
 	// CLIs, and every entobenchd sweep request).
 	CounterSweepCacheHit = "sweep.cache.hit"
-	// CounterSweepCacheMiss counts cache-filling sweep runs — queries
-	// whose key had no completed or in-flight entry.
+	// CounterSweepCacheMiss counts queries the memo had no completed
+	// entry for, each of which ran its own sweep.
 	CounterSweepCacheMiss = "sweep.cache.miss"
-	// CounterSweepCacheCoalesced counts queries that joined an
-	// identical in-flight sweep instead of starting their own
-	// (singleflight coalescing in the keyed sweep cache).
+	// CounterSweepCacheCoalesced counts kernel executions (static-proxy
+	// runs and prepares) a sweep job joined in flight or was served from
+	// the kernel-execution table (core.ExecTable) instead of running.
 	CounterSweepCacheCoalesced = "sweep.cache.coalesced"
 	// CounterSweepCacheEvicted counts completed cache entries dropped,
 	// least recently hit first, by the capacity bound that

@@ -2,9 +2,7 @@ package report
 
 import (
 	"container/list"
-	"context"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -12,45 +10,23 @@ import (
 	"repro/internal/obs"
 )
 
-// Keyed characterization cache. The suite sweep is the most expensive
-// computation in the repo and its result is deterministic in its
-// inputs, so every consumer — the table writers, ento.Sweep, the CLIs,
-// and every entobenchd HTTP client — shares one cache keyed
-// by a content digest of the query (SweepKey: kernel set × board
-// models × harness config). Identical queries coalesce: the first
-// caller leads the run, concurrent identical callers subscribe to the
-// same in-flight entry (singleflight) and share its progress stream,
-// and later identical callers are served the completed result without
-// re-sweeping.
-//
-// The cache is bounded: completed entries beyond the capacity
-// (SetSweepCacheCapacity) are evicted least-recently-hit first, so a
-// long-running entobenchd holds a predictable amount of result memory
-// however many distinct queries it has answered. One mutex guards the
-// whole cache; it is held only for map and list updates, never across
-// a sweep.
-//
-// Cancellation is reference-counted per entry: every caller joined to a
-// run holds a subscription, a caller whose context ends merely drops
-// its subscription, and only when the last subscriber is gone does the
-// entry cancel the underlying sweep (which then lands partial and is
-// discarded). A disconnected client therefore cancels only its own
-// cells — never a run other clients are still waiting on.
-//
-// Only complete, healthy sweeps are retained. A partial run — contained
-// kernel failures, a watchdog timeout, cancellation — is returned to
-// the callers that waited on it but never cached, so the cache can only
-// ever serve the full dataset and the next identical query re-sweeps.
+// Cached characterization, shared by every consumer — the table
+// writers, ento.Sweep, the CLIs, every entobenchd request — in two
+// layers: a memo of completed results keyed by SweepKey, which answers
+// a repeated query without sweeping, and one process-wide
+// kernel-execution table (core.ExecTable), which every sweep on a memo
+// miss runs against, on its caller's own context and progress hook, so
+// concurrent and overlapping queries execute each kernel once. The
+// memo is bounded (SetSweepCacheCapacity, least-recently-hit evicted
+// first), its one mutex is never held across a sweep, and it retains
+// only complete, healthy sweeps: a partial run is returned to its
+// caller but never memoized.
 
-// Cache observability counters (docs/observability.md): how often a
-// query was answered from a completed entry, how often a sweep actually
-// ran, how often identical in-flight queries coalesced, and how many
-// completed entries the capacity bound dropped.
+// Memo counters (docs/observability.md).
 var (
-	ctrCacheHit       = obs.NewCounter(obs.CounterSweepCacheHit)
-	ctrCacheMiss      = obs.NewCounter(obs.CounterSweepCacheMiss)
-	ctrCacheCoalesced = obs.NewCounter(obs.CounterSweepCacheCoalesced)
-	ctrCacheEvicted   = obs.NewCounter(obs.CounterSweepCacheEvicted)
+	ctrCacheHit     = obs.NewCounter(obs.CounterSweepCacheHit)
+	ctrCacheMiss    = obs.NewCounter(obs.CounterSweepCacheMiss)
+	ctrCacheEvicted = obs.NewCounter(obs.CounterSweepCacheEvicted)
 )
 
 // DefaultSweepCacheCapacity is the default bound on retained completed
@@ -59,265 +35,131 @@ var (
 // result memory in the low megabytes.
 const DefaultSweepCacheCapacity = 64
 
-// sweepEntry is one keyed query: in flight until ready is closed, then
-// a completed result. Result fields are written by the leading
-// goroutine before close(ready) and read only after observing the
-// close, so they need no lock.
-type sweepEntry struct {
-	ready chan struct{}
-	c     Characterization
-	err   error
+// executions is the kernel-execution table every RunSweepQuery sweep
+// shares.
+var executions core.ExecTable
 
-	mu      sync.Mutex
-	subs    map[int]func(done, skipped, total int)
-	nextSub int
-	done    bool
-	cancel  context.CancelFunc // cancels the run when the last subscriber leaves
-
-	elem *list.Element // position in sweepCache.lru once retained; guarded by sweepCache.mu
+// memoEntry is one completed query in the memo's LRU list.
+type memoEntry struct {
+	key string
+	c   Characterization
 }
 
-// subscribe registers a waiter (its progress hook may be nil) and
-// returns its id, or -1 when the entry already completed.
-func (e *sweepEntry) subscribe(progress func(done, skipped, total int)) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.done {
-		return -1
-	}
-	id := e.nextSub
-	e.nextSub++
-	e.subs[id] = progress
-	return id
-}
-
-// unsubscribe drops a waiter; when the last one leaves a still-running
-// entry, the underlying sweep is canceled. Reports whether this call
-// was the one that canceled the run.
-func (e *sweepEntry) unsubscribe(id int) bool {
-	if id < 0 {
-		return false
-	}
-	e.mu.Lock()
-	delete(e.subs, id)
-	last := len(e.subs) == 0 && !e.done
-	e.mu.Unlock()
-	if last {
-		e.cancel()
-	}
-	return last
-}
-
-// broadcast fans one progress update out to every subscribed waiter.
-// It is the entry's SweepOptions.Progress hook, so it is called
-// concurrently from pool workers; subscriber hooks must be
-// goroutine-safe, exactly as SweepOptions.Progress demands.
-func (e *sweepEntry) broadcast(done, skipped, total int) {
-	e.mu.Lock()
-	hooks := make([]func(int, int, int), 0, len(e.subs))
-	for _, h := range e.subs {
-		if h != nil {
-			hooks = append(hooks, h)
-		}
-	}
-	e.mu.Unlock()
-	for _, h := range hooks {
-		h(done, skipped, total)
-	}
-}
-
-// sweepCache is the process-wide keyed cache. entries holds in-flight
-// and retained entries; lru lists the retained (completed) keys, most
-// recently hit at the front, and is never longer than capacity.
-type sweepCache struct {
+// sweepMemo maps keys to elements of lru (most recently hit first),
+// never longer than capacity. gen counts invalidations, so a sweep
+// that straddles one is not memoized.
+type sweepMemo struct {
 	mu       sync.Mutex
-	entries  map[string]*sweepEntry
-	lru      *list.List // of string keys
+	entries  map[string]*list.Element
+	lru      *list.List
 	capacity int
+	gen      uint64
 }
 
-var globalSweepCache = newSweepCache()
+var memo = &sweepMemo{
+	entries:  make(map[string]*list.Element),
+	lru:      list.New(),
+	capacity: DefaultSweepCacheCapacity,
+}
 
-func newSweepCache() *sweepCache {
-	return &sweepCache{
-		entries:  make(map[string]*sweepEntry),
-		lru:      list.New(),
-		capacity: DefaultSweepCacheCapacity,
+// get returns key's completed result, promoting it, plus the
+// generation a miss should memoize under.
+func (m *sweepMemo) get(key string) (Characterization, bool, uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	el, ok := m.entries[key]
+	if !ok {
+		return Characterization{}, false, m.gen
 	}
+	m.lru.MoveToFront(el)
+	return el.Value.(*memoEntry).c, true, m.gen
 }
 
-// evictLocked drops least-recently-hit retained entries until the
-// capacity bound holds.
-func (c *sweepCache) evictLocked() {
-	for c.lru.Len() > c.capacity {
-		delete(c.entries, c.lru.Remove(c.lru.Back()).(string))
+// put memoizes a completed result unless the memo was invalidated
+// since gen or a concurrent identical query landed first.
+func (m *sweepMemo) put(key string, gen uint64, c Characterization) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, landed := m.entries[key]; landed || gen != m.gen {
+		return
+	}
+	m.entries[key] = m.lru.PushFront(&memoEntry{key: key, c: c})
+	m.evictLocked()
+}
+
+// evictLocked drops least-recently-hit entries until the capacity
+// bound holds.
+func (m *sweepMemo) evictLocked() {
+	for m.lru.Len() > m.capacity {
+		delete(m.entries, m.lru.Remove(m.lru.Back()).(*memoEntry).key)
 		ctrCacheEvicted.Inc()
 	}
 }
 
-// runFunc computes one characterization; the cache supplies the
-// options (context and progress rewired to the shared entry).
-type runFunc func(core.SweepOptions) (Characterization, error)
-
-// do serves key from the cache: a completed entry is returned
-// immediately (hit), an in-flight identical query is joined
-// (coalesced), and a missing key starts a run led by a cache-owned
-// goroutine (miss). ctx bounds only this caller's wait — abandoning it
-// drops one subscription, and the run itself is canceled only when no
-// subscriber remains.
-func (c *sweepCache) do(ctx context.Context, key string, opts core.SweepOptions, run runFunc) (Characterization, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		if e.elem != nil { // completed, retained: a pure cache hit
-			ctrCacheHit.Inc()
-			c.lru.MoveToFront(e.elem)
-			c.mu.Unlock()
-			return e.c, e.err
-		}
-		// Identical query in flight: coalesce onto it.
-		ctrCacheCoalesced.Inc()
-		id := e.subscribe(opts.Progress)
-		c.mu.Unlock()
-		return waitEntry(ctx, e, id)
-	}
-	ctrCacheMiss.Inc()
-	runCtx, cancel := context.WithCancel(context.Background())
-	e := &sweepEntry{
-		ready:  make(chan struct{}),
-		subs:   make(map[int]func(int, int, int)),
-		cancel: cancel,
-	}
-	id := e.subscribe(opts.Progress) // before the leader starts: the run must not outlive zero subscribers
-	c.entries[key] = e
-	c.mu.Unlock()
-	go c.lead(key, e, runCtx, opts, run)
-	return waitEntry(ctx, e, id)
-}
-
-// lead executes the sweep for a fresh entry and publishes the result:
-// healthy complete runs are retained (evicting over capacity), partial
-// or failed runs are dropped from the map so the next identical query
-// re-sweeps. The caller's own cancellation context is ignored here —
-// the run obeys runCtx, which ends when the last subscriber leaves.
-func (c *sweepCache) lead(key string, e *sweepEntry, runCtx context.Context, opts core.SweepOptions, run runFunc) {
-	ropts := opts
-	ropts.Context = runCtx
-	ropts.Progress = e.broadcast
-	res, err := run(ropts)
-	e.mu.Lock()
-	e.done = true
-	e.mu.Unlock()
-	e.c, e.err = res, err
-	keep := err == nil && !res.Partial()
-	c.mu.Lock()
-	if c.entries[key] == e { // not invalidated mid-run
-		if keep {
-			e.elem = c.lru.PushFront(key)
-			c.evictLocked()
-		} else {
-			delete(c.entries, key)
-		}
-	}
-	c.mu.Unlock()
-	close(e.ready)
-	e.cancel() // release the context; the run has already returned
-}
-
-// waitEntry blocks until the entry completes or the caller's context
-// ends, whichever is first. A caller whose departure cancels the run
-// (it was the last subscriber) collects the canceled run's partial
-// result instead of discarding it: the sweep returns promptly once its
-// context ends, carrying every cell completed before the cutoff, which
-// is what lets a deadline_ms request still render a partial report.
-func waitEntry(ctx context.Context, e *sweepEntry, id int) (Characterization, error) {
-	select {
-	case <-e.ready:
-		e.unsubscribe(id)
-		return e.c, e.err
-	case <-ctx.Done():
-		if e.unsubscribe(id) {
-			// Bounded: a healthy sweep returns within one job's tail of
-			// cancellation, but a kernel hung with no watchdog armed never
-			// returns — fall back to the bare context error rather than
-			// wedging this caller alongside the stuck worker.
-			select {
-			case <-e.ready:
-				return e.c, e.err
-			case <-time.After(cancelCollectGrace):
-			}
-		}
-		return Characterization{}, ctx.Err()
-	}
-}
-
-// cancelCollectGrace bounds how long a departing last subscriber waits
-// for its canceled run to land a partial result in waitEntry.
-const cancelCollectGrace = 2 * time.Second
-
-// invalidate empties the cache. In-flight entries are detached — the
-// callers waiting on them still get their results, but the results are
-// not retained.
-func (c *sweepCache) invalidate() {
-	c.mu.Lock()
-	c.entries = make(map[string]*sweepEntry)
-	c.lru = list.New()
-	c.mu.Unlock()
-}
-
-// SetSweepCacheCapacity bounds how many completed sweeps the keyed
-// cache retains (minimum one). Lowering it evicts the least recently
-// hit entries at once; it never interrupts in-flight runs. entobenchd
-// exposes this as -cachecap.
+// SetSweepCacheCapacity bounds how many completed sweeps the memo
+// retains (minimum one). Lowering it evicts the least recently hit
+// entries at once. entobenchd exposes this as -cachecap.
 func SetSweepCacheCapacity(n int) {
-	c := globalSweepCache
-	c.mu.Lock()
-	c.capacity = max(n, 1)
-	c.evictLocked()
-	c.mu.Unlock()
+	memo.mu.Lock()
+	memo.capacity = max(n, 1)
+	memo.evictLocked()
+	memo.mu.Unlock()
 }
 
 // RunSweepQuery is the cached way to characterize: it returns the
-// characterization of the given kernel set on the given boards (the
-// default is core.Suite() on mcu.TableIVSet()) through the keyed cache: served from a completed
-// entry when an identical query already ran, coalesced onto an
-// identical in-flight run, or computed fresh. Options shape only a
-// cache-filling run (the worker count never changes the result); a
-// caller's Progress hook is honored for in-flight runs it leads or
-// joins, and not invoked on a pure cache hit. Callers must treat the
-// shared records as read-only.
+// characterization of the given kernel set on the given boards from
+// the memo when an identical query already completed, and otherwise
+// sweeps against the process-wide execution table, sharing every
+// kernel execution another sweep holds or has in flight. Options shape
+// only a sweep (the worker count never changes the result); the
+// caller's Progress hook is not invoked on a memo hit. Callers must
+// treat the shared records as read-only.
 func RunSweepQuery(specs []core.Spec, archs []mcu.Arch, opts core.SweepOptions) (Characterization, error) {
-	// The backend is part of the query identity: a trace-backed sweep
-	// and the classic sweep of the same grid must never share an entry.
-	// The classic path (nil or canonical simulator) contributes nothing,
-	// preserving every pre-seam key.
-	key := SweepKey(specs, archs, harness.DefaultConfig(), harness.BackendSalt(opts.Backend))
-	return globalSweepCache.do(opts.Context, key, opts, func(ropts core.SweepOptions) (Characterization, error) {
-		recs, err := core.CharacterizeSuiteOpts(specs, archs, ropts)
-		return Characterization{Records: recs}, err
-	})
+	key := queryKey(specs, archs, opts.Backend)
+	c, ok, gen := memo.get(key)
+	if ok {
+		ctrCacheHit.Inc()
+		return c, nil
+	}
+	ctrCacheMiss.Inc()
+	opts.Context = core.WithExecTable(opts.Context, &executions)
+	recs, err := core.CharacterizeSuiteOpts(specs, archs, opts)
+	c = Characterization{Records: recs}
+	if err == nil && !c.Partial() {
+		memo.put(key, gen, c)
+	}
+	return c, err
 }
 
-// SweepQueryPresent reports whether the keyed cache already holds an
-// entry — completed or in flight — for the given query. The server's
-// admission controller uses it to let warm and coalescible requests
-// through for free: only queries that would start a fresh sweep consume
-// admission capacity.
-func SweepQueryPresent(specs []core.Spec, archs []mcu.Arch, be harness.Backend) bool {
-	key := SweepKey(specs, archs, harness.DefaultConfig(), harness.BackendSalt(be))
-	globalSweepCache.mu.Lock()
-	_, ok := globalSweepCache.entries[key]
-	globalSweepCache.mu.Unlock()
-	return ok
+// queryKey is a query's memo key. The backend salt keeps trace-backed
+// and classic sweeps of one grid apart; the classic path adds nothing.
+func queryKey(specs []core.Spec, archs []mcu.Arch, be harness.Backend) string {
+	return SweepKey(specs, archs, harness.DefaultConfig(), harness.BackendSalt(be))
 }
 
-// InvalidateCharacterization empties the keyed sweep cache so the next
-// identical query recomputes — the explicit invalidation hook for
-// tests and for callers that mutate the modeled cost parameters.
-// Queries already in flight complete for their waiters but are not
-// retained.
+// AdmissionWeight is the compute a query would pin, in sweep-engine
+// jobs: 0 when the memo holds it (a probe that counts as a hit for
+// recency), otherwise the job count of the
+// kernels whose executions the process-wide table neither holds nor
+// has in flight (core.ExecTable.PendingJobs). The server's admission
+// controller charges it; a query weighing 0 is admission-exempt.
+func AdmissionWeight(specs []core.Spec, archs []mcu.Arch, be harness.Backend) int {
+	if _, ok, _ := memo.get(queryKey(specs, archs, be)); ok {
+		return 0
+	}
+	return executions.PendingJobs(specs, archs)
+}
+
+// InvalidateCharacterization empties the memo and the execution table,
+// so the next query executes every kernel again — the explicit
+// invalidation hook for tests and for callers that mutate the modeled
+// cost parameters. Sweeps already running complete for their callers
+// but are not retained.
 func InvalidateCharacterization() {
-	globalSweepCache.invalidate()
+	memo.mu.Lock()
+	memo.entries = make(map[string]*list.Element)
+	memo.lru = list.New()
+	memo.gen++
+	memo.mu.Unlock()
+	executions.Reset()
 }

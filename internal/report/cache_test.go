@@ -33,7 +33,13 @@ func TestSweepCacheCapacityBound(t *testing.T) {
 		}
 	}
 	evicted := func() uint64 { return obs.Counters()[obs.CounterSweepCacheEvicted] }
-	present := func(specs []core.Spec) bool { return report.SweepQueryPresent(specs, m4, nil) }
+	// present re-asks a query and reports whether the memo answered it;
+	// a miss re-memoizes it, so callers probe the dropped query last.
+	present := func(specs []core.Spec) bool {
+		before := obs.Counters()[obs.CounterSweepCacheHit]
+		query(specs)
+		return obs.Counters()[obs.CounterSweepCacheHit] > before
+	}
 
 	for _, tc := range []struct {
 		name      string
@@ -67,5 +73,34 @@ func TestSweepCacheCapacityBound(t *testing.T) {
 				t.Errorf("%s still retained past capacity 2", tc.dropped[0].Name)
 			}
 		})
+	}
+}
+
+// InvalidateCharacterization empties both the memo and the execution
+// table: after it a query weighs its full job count again and executes
+// its kernel again, however often it ran before.
+func TestInvalidateEmptiesMemoAndTable(t *testing.T) {
+	defer report.InvalidateCharacterization()
+	spec, ok := core.ByName("madgwick")
+	if !ok {
+		t.Fatal("madgwick missing from suite")
+	}
+	specs, m4 := []core.Spec{spec}, []mcu.Arch{mcu.M4}
+	hostReps := func() uint64 { return obs.Counters()[obs.CounterHarnessHostReps] }
+	for i := 0; i < 2; i++ {
+		report.InvalidateCharacterization()
+		if w := report.AdmissionWeight(specs, m4, nil); w != 3 {
+			t.Fatalf("round %d: weight after invalidation = %d, want 3 (nothing retained)", i, w)
+		}
+		before := hostReps()
+		if _, err := report.RunSweepQuery(specs, m4, core.SweepOptions{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if hostReps() == before {
+			t.Fatalf("round %d: the query executed no kernel reps after invalidation", i)
+		}
+		if w := report.AdmissionWeight(specs, m4, nil); w != 0 {
+			t.Fatalf("round %d: weight after the query = %d, want 0", i, w)
+		}
 	}
 }

@@ -5,24 +5,22 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/mcu"
 	"repro/internal/obs"
 )
 
 // Weighted admission control for the sweep path (docs/server.md
-// "Overload & degraded mode"). Every request that would start a fresh
-// cache-filling sweep carries a weight — its measurement-cell count, a
-// direct proxy for the compute it will pin — and must acquire that
-// weight from a global in-flight budget before running. Requests whose
-// query is already warm or in flight in the keyed sweep cache bypass
-// admission entirely: hits and coalescing joins are nearly free, so
-// shedding them would only throw away work the server has already paid
-// for. Synchronous submissions that do not fit are refused on the spot
-// with 429; asynchronous submissions park in a bounded FIFO queue and
-// the oldest queued job is evicted (answered 503 on poll) when the
-// queue overflows. Both sheds carry Retry-After and a machine-readable
-// error body, and both count on server.shed_total.
+// "Overload & degraded mode"). Every sweep request carries a weight —
+// report.AdmissionWeight: the sweep-engine job count of the kernels
+// whose executions are neither retained nor in flight, a direct proxy
+// for the compute it will pin — and must acquire that weight from a
+// global in-flight budget before running. A request weighing 0 (a memo
+// hit, or every kernel already executed or executing) always fits: it
+// is nearly free, so shedding it would only throw away work the server
+// has already paid for. Synchronous submissions that do not fit are
+// refused on the spot with 429; asynchronous submissions park in a
+// bounded FIFO queue and the oldest queued job is evicted (answered 503
+// on poll) when the queue overflows. Both sheds carry Retry-After and a
+// machine-readable error body, and both count on server.shed_total.
 
 // Admission counters (docs/observability.md): sheds are monotone,
 // queue depth is gauge-valued (see obs.Counter.Dec).
@@ -46,26 +44,6 @@ const (
 	retryAfterMin = 1 * time.Second
 	retryAfterMax = 60 * time.Second
 )
-
-// sweepWeight is a request's admission weight: one unit per static job
-// plus two per fitting (kernel, arch) pair — the cache-on and
-// cache-off measurement cells — which is exactly the sweep engine's
-// job count for the query.
-func sweepWeight(specs []core.Spec, archs []mcu.Arch) int {
-	w := 0
-	for _, sp := range specs {
-		w++
-		for _, a := range archs {
-			if sp.Fits(a) {
-				w += 2
-			}
-		}
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
 
 // queuedSweep is one async job parked in the admission queue: its
 // weight, the closure that runs it once dispatched, and the closure
@@ -101,11 +79,11 @@ func newAdmission(capacity, maxQueue int) *admission {
 	return &admission{capacity: capacity, maxQueue: maxQueue}
 }
 
-// fitsLocked reports whether weight can start now. An idle controller
-// always admits — a single query heavier than the whole budget must
-// run eventually, not be refused forever.
+// fitsLocked reports whether weight can start now. Weight 0 always
+// fits, and an idle controller always admits — a single query heavier
+// than the whole budget must run eventually, not be refused forever.
 func (a *admission) fitsLocked(weight int) bool {
-	return a.inflight == 0 || a.inflight+weight <= a.capacity
+	return weight == 0 || a.inflight == 0 || a.inflight+weight <= a.capacity
 }
 
 // tryAcquire claims weight for a synchronous sweep; the caller must
@@ -153,9 +131,12 @@ func (a *admission) submitAsync(q *queuedSweep) (ok bool) {
 }
 
 // release returns weight to the budget, records the sweep's wall time
-// for Retry-After sizing, and dispatches queued jobs that now fit.
+// for Retry-After sizing (weight-0 requests sweep nothing worth timing),
+// and dispatches queued jobs that now fit.
 func (a *admission) release(weight int, took time.Duration) {
-	a.observe(took)
+	if weight > 0 {
+		a.observe(took)
+	}
 	var starts []*queuedSweep
 	a.mu.Lock()
 	a.inflight -= weight

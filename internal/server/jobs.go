@@ -20,17 +20,19 @@ import (
 
 // Sweep submission and retrieval. Every POST /v1/sweep creates a job —
 // a server-side handle with an id, live progress, and (when done) the
-// rendered v1 JSON report. Jobs are handles, not computations: the
-// computation itself lives in the keyed sweep cache, so ten jobs for
-// identical queries share one characterization and each still streams
-// its own progress to its own SSE clients.
+// rendered v1 JSON report. Each job runs its own sweep through
+// report.RunSweepQuery on its own context and progress hook; repeated
+// queries are served from the memo, and concurrent or overlapping
+// queries share kernel executions through the process-wide execution
+// table, so ten jobs for identical queries execute each kernel once.
 
 // SweepRequest is the POST /v1/sweep body. The zero value (or an empty
 // body) requests the canonical full-suite default-board sweep — the
 // exact query `entobench sweep -json` runs, with byte-identical output.
 type SweepRequest struct {
 	// Kernels names the kernels to characterize; empty means the full
-	// suite in Table III order. Unknown names are a 400.
+	// suite in Table III order. Unknown names are a 400; a repeated name
+	// counts once.
 	Kernels []string `json:"kernels,omitempty"`
 	// Archs is a board-selection query resolved exactly like the CLI's
 	// -archs flag: comma-separated set names and board names, resolved
@@ -324,18 +326,23 @@ func (t *jobTable) retire(id string) {
 }
 
 // resolveSweep turns a request into the kernel and board selections,
-// reporting the first unresolvable name.
+// reporting the first unresolvable name. Repeated kernels are dropped
+// in first-appearance order, as mcu.ResolveArchs drops repeated boards.
 func resolveSweep(req SweepRequest) ([]core.Spec, []mcu.Arch, error) {
 	var specs []core.Spec
 	if len(req.Kernels) == 0 {
 		specs = core.Suite()
 	} else {
+		seen := make(map[string]bool, len(req.Kernels))
 		for _, name := range req.Kernels {
 			sp, ok := core.ByName(name)
 			if !ok {
 				return nil, nil, fmt.Errorf("unknown kernel %q", name)
 			}
-			specs = append(specs, sp)
+			if !seen[sp.Name] {
+				seen[sp.Name] = true
+				specs = append(specs, sp)
+			}
 		}
 	}
 	if req.Archs == "" {
@@ -378,12 +385,12 @@ func (s *Server) sweepDeadline(req SweepRequest) time.Duration {
 }
 
 // handleSweep is POST /v1/sweep: decode, validate, resolve, pass
-// admission, run through the keyed cache, respond. Synchronous
+// admission, run through report.RunSweepQuery, respond. Synchronous
 // requests block until the report is ready and stream nothing; async
 // requests return 202 immediately and are watched via /v1/sweep/{id}
-// and its /events stream. Requests whose query is already warm or in
-// flight in the sweep cache bypass admission — only work that would
-// start a fresh sweep consumes the in-flight budget.
+// and its /events stream. Requests weighing 0 (report.AdmissionWeight)
+// bypass admission — only kernels that still need executing consume
+// the in-flight budget.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	dec := json.NewDecoder(r.Body)
@@ -417,39 +424,26 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		opts.Backend = be
 	}
 	deadline := s.sweepDeadline(req)
-	weight := sweepWeight(specs, archs)
-	// Admission-exempt when the cache already holds the query (warm hit
-	// or coalescing join): serving it is nearly free, shedding it would
-	// discard paid-for work. The check is advisory — an entry evicted
-	// between check and run just makes this one unadmitted miss.
-	free := report.SweepQueryPresent(specs, archs, opts.Backend)
+	// The weight is advisory: an entry evicted between weighing and
+	// running just makes this one an unadmitted sweep.
+	weight := report.AdmissionWeight(specs, archs, opts.Backend)
 
 	if req.Async {
-		s.handleSweepAsync(w, specs, archs, opts, deadline, weight, free)
+		s.handleSweepAsync(w, specs, archs, opts, deadline, weight)
 		return
 	}
-	if !free && !s.adm.tryAcquire(weight) {
+	if !s.adm.tryAcquire(weight) {
 		ctrShed.Inc()
 		s.writeShed(w, http.StatusTooManyRequests,
 			"server at capacity: sweep weight %d exceeds the available in-flight budget", weight)
 		return
 	}
 	// Synchronous: the request context rides the cancellation plumbing.
-	// A disconnected client drops this job's cache subscription; the
-	// underlying run cancels only if no other client shares it. The
-	// resolved deadline bounds the whole request.
+	// A disconnected client cancels only its own sweep; kernel
+	// executions it led are retried by any other sweep waiting on them.
+	// The resolved deadline bounds the whole request.
 	j := s.jobs.create(StateRunning)
-	ctx := r.Context()
-	cancel := context.CancelFunc(func() {})
-	if deadline > 0 {
-		ctx, cancel = context.WithTimeout(ctx, deadline)
-	}
-	start := time.Now()
-	s.runJob(ctx, j, specs, archs, opts)
-	cancel()
-	if !free {
-		s.adm.release(weight, time.Since(start))
-	}
+	s.runJob(r.Context(), j, specs, archs, opts, deadline, weight)
 	st := j.status()
 	if st.State == StateFailed {
 		if j.wasDeadline() {
@@ -473,31 +467,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // dispatched they run on a background context (bounded only by the
 // resolved deadline) and complete whether or not the submitter sticks
 // around to watch.
-func (s *Server) handleSweepAsync(w http.ResponseWriter, specs []core.Spec, archs []mcu.Arch, opts core.SweepOptions, deadline time.Duration, weight int, free bool) {
+func (s *Server) handleSweepAsync(w http.ResponseWriter, specs []core.Spec, archs []mcu.Arch, opts core.SweepOptions, deadline time.Duration, weight int) {
 	j := s.jobs.create(StateQueued)
 	startJob := func() {
 		j.setState(StateRunning)
-		ctx := context.Background()
-		cancel := context.CancelFunc(func() {})
-		if deadline > 0 {
-			ctx, cancel = context.WithTimeout(ctx, deadline)
-		}
-		start := time.Now()
-		s.runJob(ctx, j, specs, archs, opts)
-		cancel()
-		if !free {
-			s.adm.release(weight, time.Since(start))
-		}
+		s.runJob(context.Background(), j, specs, archs, opts, deadline, weight)
 	}
 	accepted := SweepAccepted{
 		ID:     j.id,
 		Result: "/v1/sweep/" + j.id,
 		Events: "/v1/sweep/" + j.id + "/events",
-	}
-	if free {
-		go startJob()
-		writeJSON(w, http.StatusAccepted, accepted)
-		return
 	}
 	q := &queuedSweep{
 		weight: weight,
@@ -521,22 +500,28 @@ func (s *Server) handleSweepAsync(w http.ResponseWriter, specs []core.Spec, arch
 	writeJSON(w, http.StatusAccepted, accepted)
 }
 
-// runJob executes one job through the keyed sweep cache and publishes
-// its outcome. A partial sweep — contained kernel failures, watchdog
+// runJob executes one job through report.RunSweepQuery under the
+// resolved deadline, publishes its outcome, and returns its admission
+// weight. A partial sweep — contained kernel failures, watchdog
 // timeouts — still renders: the report carries the failures block and
 // the job completes as done (HTTP 200), because a characterization
 // with explicit gaps is a result, not a server error.
-func (s *Server) runJob(ctx context.Context, j *job, specs []core.Spec, archs []mcu.Arch, opts core.SweepOptions) {
+func (s *Server) runJob(ctx context.Context, j *job, specs []core.Spec, archs []mcu.Arch, opts core.SweepOptions, deadline time.Duration, weight int) {
+	if deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, deadline)
+		defer cancel()
+	}
+	start := time.Now()
+	defer func() { s.adm.release(weight, time.Since(start)) }()
 	opts.Context = ctx
 	opts.Progress = j.update
-	start := time.Now()
 	c, err := report.RunSweepQuery(specs, archs, opts)
-	if err != nil && len(c.Records) == 0 {
-		// The sweep's own error wraps the run context's cancellation
-		// (context.Canceled when this request's departure canceled it),
-		// so the request context is what tells a deadline death apart
-		// from a disconnect.
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(ctx.Err(), context.DeadlineExceeded) {
+	// A sweep whose context ended before any job completed has nothing
+	// to report; the request context tells a deadline death apart from
+	// a disconnect.
+	if err != nil && (len(c.Records) == 0 || ctx.Err() != nil && c.Datapoints() == 0) {
+		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			j.mu.Lock()
 			j.deadlineHit = true
 			j.mu.Unlock()

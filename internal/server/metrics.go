@@ -11,7 +11,7 @@ import (
 
 // GET /metrics: the obs counter registry in Prometheus text exposition
 // format, so a scraper pointed at entobenchd sees cache effectiveness
-// (hits vs misses vs coalesced joins), fault containment
+// (memo hits vs misses, shared kernel executions), fault containment
 // (cells_failed, panics_recovered, cells_timed_out), and server load
 // (requests, sse_clients) without any new instrumentation layer.
 

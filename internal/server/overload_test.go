@@ -77,29 +77,52 @@ func checkShed(t *testing.T, rec *httptest.ResponseRecorder, status int) {
 	}
 }
 
-// TestSweepWeight: a request's weight is the sweep engine's job count —
-// one static job per kernel plus two cells per fitting board — and
-// never below one.
+// TestSweepWeight: a request's admission weight is the sweep engine's
+// job count — one static job per kernel plus two cells per fitting
+// board — over the kernels whose executions are still missing, and 0
+// once the memo or the execution table covers the query.
 func TestSweepWeight(t *testing.T) {
+	report.InvalidateCharacterization()
+	defer report.InvalidateCharacterization()
 	sp, ok := core.ByName("madgwick")
 	if !ok {
 		t.Fatal("madgwick left the suite")
 	}
-	archs, err := mcu.ResolveArchs("M4")
+	m4, err := mcu.ResolveArchs("M4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 1
-	for _, a := range archs {
-		if sp.Fits(a) {
-			want += 2
-		}
+	m33m4, err := mcu.ResolveArchs("M33,M4")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := sweepWeight([]core.Spec{sp}, archs); got != want {
-		t.Fatalf("weight = %d, want %d", got, want)
+	m4m33, err := mcu.ResolveArchs("M4,M33")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := sweepWeight(nil, nil); got != 1 {
-		t.Fatalf("empty weight = %d, want floor of 1", got)
+	specs := []core.Spec{sp}
+	weight := func(archs []mcu.Arch) int { return report.AdmissionWeight(specs, archs, nil) }
+	if got := weight(m4); got != 3 {
+		t.Fatalf("cold weight = %d, want 3 (1 static + 2 cells)", got)
+	}
+	if _, err := report.RunSweepQuery(specs, m4, core.SweepOptions{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := weight(m4); got != 0 {
+		t.Fatalf("memo-hit weight = %d, want 0", got)
+	}
+	// The memo misses a new board set, but with the same reference core
+	// (M4 first) both executions are held: only arithmetic is left.
+	if got := weight(m4m33); got != 0 {
+		t.Fatalf("held-executions weight = %d, want 0", got)
+	}
+	// A new reference core (M33 first) needs a new prepare; the held
+	// static run alone does not make the kernel free.
+	if got := weight(m33m4); got != 5 {
+		t.Fatalf("new-reference weight = %d, want 5", got)
+	}
+	if got := report.AdmissionWeight(nil, nil, nil); got != 0 {
+		t.Fatalf("empty weight = %d, want 0", got)
 	}
 }
 

@@ -13,17 +13,16 @@
 //
 // The server is a thin shell over the same machinery the CLIs use: a
 // sweep request resolves through the registries (internal/mcu,
-// internal/core), runs through the keyed sweep cache
-// (report.RunSweepQuery) — so identical in-flight queries coalesce via
-// singleflight and repeated queries are served from memory — and
+// internal/core), runs through report.RunSweepQuery — repeated queries
+// are served from the memo, and every other request sweeps on its own
+// context against the process-wide kernel-execution table, so
+// concurrent or overlapping queries execute each kernel once — and
 // renders through the deterministic v1 JSON encoder, which is what
 // makes a served sweep byte-identical to `entobench sweep -json` for
-// the same query. Per-request contexts ride the sweep engine's
-// cancellation plumbing: a disconnected client drops its cache
-// subscription, and only when the last client of a run is gone does
-// the run itself cancel — one bad or abandoned query can never take
-// down cells another client is waiting on, which is the PR 5 fault
-// containment cashed in as a service guarantee.
+// the same query. A disconnected client cancels only its own sweep; a
+// kernel execution it was leading is led anew by any sweep still
+// waiting on it, so one bad or abandoned query can never take down
+// cells another client is waiting on.
 package server
 
 import (
@@ -72,8 +71,8 @@ type Options struct {
 	// MaxInflight bounds the total weight (measurement cells) of
 	// cache-filling sweeps running at once — the admission budget
 	// (entobenchd -maxinflight); <= 0 means DefaultMaxInflight.
-	// Requests whose query is already cached or in flight bypass the
-	// budget; synchronous requests over it are shed with 429.
+	// Requests weighing 0 (report.AdmissionWeight) bypass the budget;
+	// synchronous requests over it are shed with 429.
 	MaxInflight int
 	// MaxQueue bounds the admitted-but-waiting async job queue
 	// (entobenchd -maxqueue); 0 means DefaultMaxQueue, negative means

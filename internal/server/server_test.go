@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,7 +24,7 @@ import (
 
 // The wire-surface contract: every route answers what docs/server.md
 // promises, a served sweep is byte-identical to the CLI export,
-// identical concurrent queries coalesce onto one characterization, and
+// identical concurrent queries execute each kernel once, and
 // a fault-injected kernel degrades the report (failures block, 200) —
 // never the server (500). The fault-injection test registers a kernel
 // into the process-global suite, which is permanent, so it is
@@ -165,17 +166,11 @@ func TestSweepResultUnknownID(t *testing.T) {
 // TestSweepByteIdenticalToCLI: the served report for a query is
 // byte-for-byte what `entobench sweep -json` emits for the same query
 // (both sides render report.Characterization.WriteJSON over the same
-// cached records).
+// cached records). Repeated kernel and board names count once, so a
+// query that repeats madgwick and M4 is the madgwick-on-M4 query.
 func TestSweepByteIdenticalToCLI(t *testing.T) {
 	report.InvalidateCharacterization()
 	h := newTestServer()
-	rec := postSweep(t, h, smallSweepBody)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
-	}
-	if rec.Header().Get(server.SweepIDHeader) == "" {
-		t.Error("response lost its " + server.SweepIDHeader + " header")
-	}
 
 	sp, ok := core.ByName("madgwick")
 	if !ok {
@@ -185,27 +180,46 @@ func TestSweepByteIdenticalToCLI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := report.RunSweepQuery([]core.Spec{sp}, archs, core.SweepOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := c.WriteJSON(&want); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
-		t.Fatalf("served sweep differs from the CLI export:\nserved %d bytes\ndirect %d bytes",
-			rec.Body.Len(), want.Len())
+	for _, tc := range []struct{ name, body string }{
+		{"single", smallSweepBody},
+		{"repeated-names", `{"kernels":["madgwick","madgwick"],"archs":"M4,M4"}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := postSweep(t, h, tc.body)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
+			}
+			if rec.Header().Get(server.SweepIDHeader) == "" {
+				t.Error("response lost its " + server.SweepIDHeader + " header")
+			}
+			c, err := report.RunSweepQuery([]core.Spec{sp}, archs, core.SweepOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if err := c.WriteJSON(&want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+				t.Fatalf("served sweep differs from the CLI export:\nserved %d bytes\ndirect %d bytes",
+					rec.Body.Len(), want.Len())
+			}
+		})
 	}
 }
 
-// TestSweepCoalesces: N identical concurrent requests perform exactly
-// one characterization — one cache miss, N-1 coalesced joins or hits —
-// and every client gets identical bytes.
+// TestSweepCoalesces: N identical concurrent requests execute each
+// kernel's static run and prepare exactly once — every request sweeps
+// on its own (any number may miss the memo) but they share kernel
+// executions through the execution table — and every client gets
+// identical bytes.
 func TestSweepCoalesces(t *testing.T) {
 	report.InvalidateCharacterization()
 	obs.ResetCounters()
 	h := newTestServer()
+	a, aStatic, aPrep := countingSpec(t, "coalesce-a", 20*time.Millisecond)
+	b, bStatic, bPrep := countingSpec(t, "coalesce-b", 20*time.Millisecond)
+	body := `{"kernels":["` + a + `","` + b + `"],"archs":"M4"}`
 
 	const n = 8
 	bodies := make([][]byte, n)
@@ -215,7 +229,7 @@ func TestSweepCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rec := postSweep(t, h, smallSweepBody)
+			rec := postSweep(t, h, body)
 			codes[i] = rec.Code
 			bodies[i] = rec.Body.Bytes()
 		}(i)
@@ -230,12 +244,17 @@ func TestSweepCoalesces(t *testing.T) {
 			t.Fatalf("request %d: bytes differ from request 0", i)
 		}
 	}
-	ctrs := obs.Counters()
-	if misses := ctrs[obs.CounterSweepCacheMiss]; misses != 1 {
-		t.Fatalf("cache misses = %d, want exactly 1 for %d identical requests", misses, n)
+	for _, c := range []struct {
+		what string
+		n    *atomic.Int64
+	}{{"a static runs", aStatic}, {"a prepares", aPrep}, {"b static runs", bStatic}, {"b prepares", bPrep}} {
+		if got := c.n.Load(); got != 1 {
+			t.Errorf("%s = %d, want exactly 1 for %d identical requests", c.what, got, n)
+		}
 	}
-	if joined := ctrs[obs.CounterSweepCacheCoalesced] + ctrs[obs.CounterSweepCacheHit]; joined != n-1 {
-		t.Fatalf("coalesced+hit = %d, want %d", joined, n-1)
+	ctrs := obs.Counters()
+	if got := ctrs[obs.CounterSweepCacheMiss] + ctrs[obs.CounterSweepCacheHit]; got != n {
+		t.Fatalf("memo misses+hits = %d, want %d", got, n)
 	}
 }
 

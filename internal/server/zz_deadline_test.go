@@ -34,7 +34,13 @@ func TestZZDeadlineEnforcement(t *testing.T) {
 	h := server.New(server.Options{Workers: 4}).Handler()
 
 	t.Run("504-when-nothing-completes", func(t *testing.T) {
+		start := time.Now()
 		rec := postSweep(t, h, `{"kernels":["zz-deadline-hang"],"archs":"M4","deadline_ms":150}`)
+		// The engine returns when the deadline ends, even with every
+		// worker stuck in the kernel, so the 504 is prompt.
+		if took := time.Since(start); took > time.Second {
+			t.Errorf("504 took %v for deadline_ms 150, want under 1s", took)
+		}
 		if rec.Code != http.StatusGatewayTimeout {
 			t.Fatalf("status = %d, want 504: %s", rec.Code, rec.Body.String())
 		}
