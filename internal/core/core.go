@@ -46,7 +46,8 @@ type Spec struct {
 	Factory func() harness.Problem
 	// StaticFactory builds the reduced canonical problem whose dynamic
 	// mix serves as the static-instruction-mix proxy (see DESIGN.md);
-	// nil falls back to Factory.
+	// nil means the first Solve of the Factory problem the sweep
+	// already executes, so no extra problem is built.
 	StaticFactory func() harness.Problem
 }
 

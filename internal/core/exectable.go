@@ -13,19 +13,20 @@ import (
 	"repro/internal/profile"
 )
 
-// ExecTable is the kernel-execution table: each kernel's static-proxy
-// run and its prepare (harness.PrepareContext, or RehydratePrepared
-// from a cached reference cell), the only sweep work worth sharing —
-// every (arch, cache) cell is pure arithmetic on the prepared counts.
-// Entries are keyed by kernel descriptor (plus, for a prepare, the
-// reference core whose validation-rep schedule it ran) and are
-// single-flight: the first job to ask leads on its own goroutine and
-// context, later jobs of any sweep wait on their own context. A leader
-// whose context ends abandons the entry and a live waiter leads anew.
-// Errors and panics reach the current waiters and are never retained.
-// An entry holds only {name, counts, verdict} or {static counts,
-// flash}, never a problem or its dataset, and past execTableBound
-// entries every completed one is dropped. The zero value is ready.
+// ExecTable is the kernel-execution table: each kernel's prepare
+// (harness.PrepareContext, or RehydratePrepared from a cached cell) and,
+// where needed, its static-proxy run — the only sweep work worth
+// sharing: every (arch, cache) cell is pure arithmetic on the prepared
+// counts, and the static job of a kernel without a StaticFactory reads
+// the prepare's first-Solve counts. Entries are keyed by kernel
+// descriptor alone and are single-flight: the first job to ask leads on
+// its own goroutine and context, later jobs of any sweep wait on their
+// own context. A leader whose context ends abandons the entry and a
+// live waiter leads anew. Errors and panics reach the current waiters
+// and are never retained. An entry holds only a *harness.Prepared or
+// {static counts, flash}, never a problem or its dataset, and past
+// execTableBound entries every completed one is dropped. The zero value
+// is ready.
 //
 // CharacterizeSuiteOpts runs each call against a private table;
 // report.RunSweepQuery attaches one process-wide table (WithExecTable).
@@ -41,20 +42,20 @@ const execTableBound = 1024
 // them: joined in flight or served from the table.
 var ctrExecCoalesced = obs.NewCounter(obs.CounterSweepCacheCoalesced)
 
-// execKey identifies one execution: a kernel descriptor plus the
-// prepare's reference core; the zero Arch keys the static-proxy run.
+// execKey identifies one execution: a kernel descriptor, and whether it
+// is the kernel's prepare or its static-proxy run.
 type execKey struct {
 	name, category, dataset string
 	stage                   Stage
 	prec                    mcu.Precision
 	flops, minSRAMKB        int
 	m7Only                  bool
-	ref                     mcu.Arch
+	proxy                   bool
 }
 
-func keyOf(s Spec, ref mcu.Arch) execKey {
+func keyOf(s Spec, proxy bool) execKey {
 	return execKey{name: s.Name, category: s.Category, dataset: s.Dataset, stage: s.Stage,
-		prec: s.Prec, flops: s.FLOPs, minSRAMKB: s.MinSRAMKB, m7Only: s.M7Only, ref: ref}
+		prec: s.Prec, flops: s.FLOPs, minSRAMKB: s.MinSRAMKB, m7Only: s.M7Only, proxy: proxy}
 }
 
 // execEntry is one execution: in flight until ready closes. val, err
@@ -102,36 +103,50 @@ func (t *ExecTable) Reset() {
 
 // PendingJobs is the sweep engine's job count — one static job per
 // kernel plus two cells per fitting board — over the kernels whose
-// executions the table neither holds nor has in flight.
+// executions the table neither holds nor has in flight: the prepare,
+// and for a kernel with a StaticFactory its static-proxy run (alone
+// when no board fits). A rehydrated prepare counts as held although
+// its static job may still need a proxy run; that job reads the same
+// cell cache first.
 func (t *ExecTable) PendingJobs(specs []Spec, archs []mcu.Arch) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := 0
 	for _, s := range specs {
-		jobs, ref := 1, -1
-		for i, a := range archs {
+		cells := 0
+		for _, a := range archs {
 			if s.Fits(a) {
-				if ref < 0 {
-					ref = i
-				}
-				jobs += 2
+				cells += 2
 			}
 		}
-		_, held := t.m[keyOf(s, mcu.Arch{})]
-		if held && ref >= 0 {
-			_, held = t.m[keyOf(s, archs[ref])]
+		_, held := t.m[keyOf(s, false)]
+		if s.StaticFactory != nil {
+			_, proxy := t.m[keyOf(s, true)]
+			held = proxy && (held || cells == 0)
 		}
 		if !held {
-			n += jobs
+			n += 1 + cells
 		}
 	}
 	return n
 }
 
-// static returns spec's static-proxy result: the reduced problem's
-// profiled solve, compressed, plus the modeled flash footprint.
-func (t *ExecTable) static(ctx context.Context, spec Spec) (StaticCellResult, error) {
-	v, err := t.do(ctx, keyOf(spec, mcu.Arch{}), func() (execValue, error) {
+// static returns spec's static-proxy result: the compressed counts of
+// the first Solve after Setup, plus the modeled flash footprint. A spec
+// without a StaticFactory reads them off its prepare; only a
+// StaticFactory, or a prepare rehydrated from a cached cell, runs a
+// problem of its own.
+func (t *ExecTable) static(ctx context.Context, spec Spec, archs []mcu.Arch, cc CellCache, be harness.Backend) (StaticCellResult, error) {
+	if spec.StaticFactory == nil {
+		pp, err := t.prepare(ctx, spec, archs, cc, be)
+		if err != nil {
+			return StaticCellResult{}, err
+		}
+		if first, ok := pp.FirstCounts(); ok {
+			return staticResult(first), nil
+		}
+	}
+	v, err := t.do(ctx, keyOf(spec, true), func() (execValue, error) {
 		sf := spec.StaticFactory
 		if sf == nil {
 			sf = spec.Factory
@@ -140,23 +155,31 @@ func (t *ExecTable) static(ctx context.Context, spec Spec) (StaticCellResult, er
 		if err := sp.Setup(); err != nil {
 			return execValue{}, fmt.Errorf("core: static setup %s: %w", spec.Name, err)
 		}
-		static := compressStatic(profile.Collect(sp.Solve))
-		return execValue{static: StaticCellResult{Static: static, Flash: mcu.FlashBytes(static)}}, nil
+		return execValue{static: staticResult(profile.Collect(sp.Solve))}, nil
 	})
 	return v.static, err
 }
 
-// prepare returns spec's prepared state on reference core ref, first
-// trying to rehydrate it from the cached reference cell (ref, cache
-// on), so an incremental sweep measures new cells without executing
-// the kernel.
-func (t *ExecTable) prepare(ctx context.Context, spec Spec, ref mcu.Arch, cc CellCache, be harness.Backend) (*harness.Prepared, error) {
-	v, err := t.do(ctx, keyOf(spec, ref), func() (execValue, error) {
-		if cc != nil {
+// staticResult compresses a first Solve's counts into the static mix
+// and models its flash footprint.
+func staticResult(first profile.Counts) StaticCellResult {
+	static := compressStatic(first)
+	return StaticCellResult{Static: static, Flash: mcu.FlashBytes(static)}
+}
+
+// prepare returns spec's prepared state, first trying to rehydrate it
+// from any cached cache-on cell of spec on archs, so an incremental
+// sweep measures new cells without executing the kernel.
+func (t *ExecTable) prepare(ctx context.Context, spec Spec, archs []mcu.Arch, cc CellCache, be harness.Backend) (*harness.Prepared, error) {
+	v, err := t.do(ctx, keyOf(spec, false), func() (execValue, error) {
+		for _, a := range archs {
+			if cc == nil || !spec.Fits(a) {
+				continue
+			}
 			// The rehydrated fields are backend-independent; the key
-			// carries whatever salt the reference cell earns this sweep.
-			salt := resolveCellBackend(be, spec.Name, ref.Name, true).salt
-			if mr, ok := cc.LoadCell(spec, ref, true, salt); ok && mr.Name != "" {
+			// carries whatever salt the cell earns this sweep.
+			salt := resolveCellBackend(be, spec.Name, a.Name, true).salt
+			if mr, ok := cc.LoadCell(spec, a, true, salt); ok && mr.Name != "" {
 				var validE error
 				if mr.ValidErr != "" {
 					validE = errors.New(mr.ValidErr)
@@ -164,7 +187,7 @@ func (t *ExecTable) prepare(ctx context.Context, spec Spec, ref mcu.Arch, cc Cel
 				return execValue{prep: harness.RehydratePrepared(mr.Name, mr.Counts, mr.Valid, validE)}, nil
 			}
 		}
-		pp, err := harness.PrepareContext(ctx, spec.Factory(), ref, spec.Prec, harness.DefaultConfig())
+		pp, err := harness.PrepareContext(ctx, spec.Factory(), mcu.Arch{}, spec.Prec, harness.DefaultConfig())
 		return execValue{prep: pp}, err
 	})
 	return v.prep, err

@@ -43,7 +43,7 @@ func blockedLeader(tbl *ExecTable, ctx context.Context, key execKey, release <-c
 // value, which the table then retains.
 func TestExecTableLeaderAbandons(t *testing.T) {
 	var tbl ExecTable
-	key := keyOf(Spec{Name: "k"}, mcu.Arch{})
+	key := keyOf(Spec{Name: "k"}, true)
 	leaderCtx, cancel := context.WithCancel(context.Background())
 	release := make(chan struct{})
 	leader := blockedLeader(&tbl, leaderCtx, key, release, func() (execValue, error) {
@@ -102,7 +102,7 @@ func TestExecTableFailuresNotRetained(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var tbl ExecTable
-			key := keyOf(Spec{Name: "k"}, mcu.Arch{})
+			key := keyOf(Spec{Name: "k"}, true)
 			release := make(chan struct{})
 			leader := blockedLeader(&tbl, context.Background(), key, release, tc.run)
 			waiter := make(chan error, 1)
@@ -160,7 +160,7 @@ func (panicProblem) Validate() error { return nil }
 // returns at once while the leader runs on and its value is retained.
 func TestExecTableWaiterOwnContext(t *testing.T) {
 	var tbl ExecTable
-	key := keyOf(Spec{Name: "k"}, mcu.Arch{})
+	key := keyOf(Spec{Name: "k"}, true)
 	release := make(chan struct{})
 	leader := blockedLeader(&tbl, context.Background(), key, release, valueOf(3))
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -182,8 +182,9 @@ func TestExecTableWaiterOwnContext(t *testing.T) {
 }
 
 // The table retains executions' outcomes, never the problem instances
-// that produced them: once a sweep returns, every problem it built is
-// collectable while the table still holds both executions.
+// that produced them: once a sweep returns, the one problem it built —
+// its prepare also serves the static job — is collectable while the
+// table still holds the execution.
 func TestExecTableRetainsOutcomeOnly(t *testing.T) {
 	var built, collected atomic.Int32
 	factory := func() harness.Problem {
@@ -207,8 +208,8 @@ func TestExecTableRetainsOutcomeOnly(t *testing.T) {
 		runtime.GC()
 		time.Sleep(10 * time.Millisecond)
 	}
-	if c, b := collected.Load(), built.Load(); c != b || b != 2 {
-		t.Fatalf("%d of %d problems collected, want both (static + prepare)", c, b)
+	if c, b := collected.Load(), built.Load(); c != b || b != 1 {
+		t.Fatalf("%d of %d problems collected, want the one prepare's", c, b)
 	}
 	runtime.KeepAlive(&tbl)
 }
@@ -225,22 +226,22 @@ func (p *bigProblem) Validate() error { return nil }
 func TestExecTableBound(t *testing.T) {
 	var tbl ExecTable
 	release := make(chan struct{})
-	inflight := keyOf(Spec{Name: "in-flight"}, mcu.Arch{})
+	inflight := keyOf(Spec{Name: "in-flight"}, true)
 	leader := blockedLeader(&tbl, context.Background(), inflight, release, valueOf(1))
 	for i := 0; i < execTableBound-1; i++ {
-		if _, err := tbl.do(context.Background(), keyOf(Spec{Name: "k", FLOPs: i}, mcu.Arch{}), valueOf(i)); err != nil {
+		if _, err := tbl.do(context.Background(), keyOf(Spec{Name: "k", FLOPs: i}, true), valueOf(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if n := len(tbl.m); n != execTableBound {
 		t.Fatalf("at the bound: %d entries, want %d", n, execTableBound)
 	}
-	last := keyOf(Spec{Name: "one-more"}, mcu.Arch{})
+	last := keyOf(Spec{Name: "one-more"}, true)
 	if _, err := tbl.do(context.Background(), last, valueOf(0)); err != nil {
 		t.Fatal(err)
 	}
 	_, kept := tbl.m[inflight]
-	if _, ok := tbl.m[keyOf(Spec{Name: "k"}, mcu.Arch{})]; ok || !kept || len(tbl.m) > 2 {
+	if _, ok := tbl.m[keyOf(Spec{Name: "k"}, true)]; ok || !kept || len(tbl.m) > 2 {
 		t.Fatalf("past the bound: %d entries (in flight kept: %v); want the completed ones dropped", len(tbl.m), kept)
 	}
 	close(release)

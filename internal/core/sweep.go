@@ -25,11 +25,12 @@ import (
 // single-core; its ROI must not be split), so the parallelism is across
 // cells only.
 //
-// Same-kernel cells are batched: the kernel execution itself — problem
+// Same-kernel jobs are batched: the kernel execution itself — problem
 // build, warm-up, the profiled ROI invocation, validation — runs once
-// per kernel through the execution table (ExecTable), and every (arch,
+// per kernel through the execution table (ExecTable), every (arch,
 // cache) cell derives its measurement from the shared counts with pure
-// arithmetic (harness.Prepared.MeasureOn). Counts and validity are
+// arithmetic (harness.Prepared.MeasureOn), and the static job of a
+// kernel without a StaticFactory compresses its profiled warm-up. Counts and validity are
 // arch-independent, so batching changes no assembled byte; the job
 // graph, progress accounting, spans, and per-cell fault containment are
 // exactly those of the unbatched engine.
@@ -347,7 +348,6 @@ func CharacterizeSuiteOpts(specs []Spec, archs []mcu.Arch, opts SweepOptions) ([
 	}
 	tbl := execTableOf(ctx)
 	records := make([]Record, len(specs))
-	refs := make([]mcu.Arch, len(specs)) // each kernel's first fitting arch: its reference core
 	var jobs []job
 	for i, spec := range specs {
 		records[i] = Record{Spec: spec}
@@ -356,9 +356,6 @@ func CharacterizeSuiteOpts(specs []Spec, archs []mcu.Arch, opts SweepOptions) ([
 		for _, arch := range archs {
 			if !spec.Fits(arch) {
 				continue
-			}
-			if n == 0 {
-				refs[i] = arch
 			}
 			for _, cache := range []bool{true, false} {
 				jobs = append(jobs, job{spec: i, cell: n, arch: arch, cache: cache})
@@ -422,7 +419,7 @@ func CharacterizeSuiteOpts(specs []Spec, archs []mcu.Arch, opts SweepOptions) ([
 				}
 				traced := obs.TraceEnabled()
 				start := time.Now()
-				res, status, err := executeJob(ctx, tbl, spec, refs[jobs[j].spec], &jobs[j], opts)
+				res, status, err := executeJob(ctx, tbl, spec, archs, &jobs[j], opts)
 				if traced {
 					recordJobSpan(&jobs[j], records, start, sweepStart, lane, status)
 				}
@@ -523,9 +520,9 @@ type jobResult struct {
 // cancellation — whichever is first — so the sweep returns promptly
 // even when a kernel does not. The returned status classifies the
 // outcome; err is nil exactly when status is CellOK.
-func executeJob(ctx context.Context, tbl *ExecTable, spec Spec, ref mcu.Arch, j *job, opts SweepOptions) (jobResult, CellStatus, error) {
+func executeJob(ctx context.Context, tbl *ExecTable, spec Spec, archs []mcu.Arch, j *job, opts SweepOptions) (jobResult, CellStatus, error) {
 	if opts.CellTimeout <= 0 && ctx.Done() == nil {
-		res, err := computeJob(ctx, tbl, spec, ref, j, opts)
+		res, err := computeJob(ctx, tbl, spec, archs, j, opts)
 		return classify(ctx, res, err)
 	}
 	type outcome struct {
@@ -537,7 +534,7 @@ func executeJob(ctx context.Context, tbl *ExecTable, spec Spec, ref mcu.Arch, j 
 	// channel, and its late result is garbage-collected with it.
 	ch := make(chan outcome, 1)
 	go func() {
-		res, err := computeJob(ctx, tbl, spec, ref, j, opts)
+		res, err := computeJob(ctx, tbl, spec, archs, j, opts)
 		ch <- outcome{res, err}
 	}()
 	var expired <-chan time.Time
@@ -588,18 +585,18 @@ func isPanic(err error) bool {
 // (or inside the execution table) and converted into a PanicError
 // carrying the captured stack. Jobs take their kernel executions from
 // tbl; cell jobs only run the arch-specific modeling themselves.
-func computeJob(ctx context.Context, tbl *ExecTable, spec Spec, ref mcu.Arch, j *job, opts SweepOptions) (res jobResult, err error) {
+func computeJob(ctx context.Context, tbl *ExecTable, spec Spec, archs []mcu.Arch, j *job, opts SweepOptions) (res jobResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
 	if j.cell == jobStatic {
-		sr, err := tbl.static(ctx, spec)
+		sr, err := tbl.static(ctx, spec, archs, opts.CellCache, opts.Backend)
 		res.static, res.flash = sr.Static, sr.Flash
 		return res, err
 	}
-	pp, err := tbl.prepare(ctx, spec, ref, opts.CellCache, opts.Backend)
+	pp, err := tbl.prepare(ctx, spec, archs, opts.CellCache, opts.Backend)
 	if err != nil {
 		return res, fmt.Errorf("core: run %s on %s: %w", spec.Name, j.arch.Name, err)
 	}

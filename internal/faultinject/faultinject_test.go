@@ -321,6 +321,57 @@ func TestFaultInjectInvalidIsSoftFailure(t *testing.T) {
 	}
 }
 
+// TestFaultInjectStaticSlotParity: the static job of a kernel without a
+// StaticFactory reads its prepare's first Solve, so a broken kernel's
+// fault reaches the static slot through the prepare. The slot keeps the
+// status a separate static-proxy run earned, and its CellError still
+// names the kernel and the static stage; an invalid result stays a soft
+// failure that raises none.
+func TestFaultInjectStaticSlotParity(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	for _, tc := range []struct {
+		spec core.Spec
+		want core.CellStatus
+	}{
+		{faultinject.PanickerSpec("fi-static-panic"), core.CellPanicked},
+		{faultinject.ErroringSpec("fi-static-error"), core.CellFailed},
+		{faultinject.HangerSpec("fi-static-hang", release), core.CellTimedOut},
+		{faultinject.InvalidSpec("fi-static-invalid"), core.CellOK},
+	} {
+		t.Run(tc.spec.Name, func(t *testing.T) {
+			recs, err := core.CharacterizeSuiteOpts([]core.Spec{tc.spec}, m4(), core.SweepOptions{
+				Workers:     2,
+				CellTimeout: 200 * time.Millisecond,
+			})
+			if got := recs[0].StaticStatus; got != tc.want {
+				t.Fatalf("static status = %v, want %v", got, tc.want)
+			}
+			var static []*core.CellError
+			for _, ce := range core.CellErrors(err) {
+				if ce.Stage == core.StageStatic {
+					static = append(static, ce)
+				}
+			}
+			if tc.want == core.CellOK {
+				if len(static) != 0 || recs[0].StaticErr != nil {
+					t.Fatalf("healthy static slot raised %v / %v", static, recs[0].StaticErr)
+				}
+				return
+			}
+			if len(static) != 1 {
+				t.Fatalf("%d static CellErrors, want 1 (aggregate: %v)", len(static), err)
+			}
+			if ce := static[0]; ce.Kernel != tc.spec.Name || ce.Status != tc.want || ce.Arch != "" {
+				t.Fatalf("static CellError = %+v, want kernel %s, status %v, no arch", ce, tc.spec.Name, tc.want)
+			}
+			if recs[0].StaticErr == nil {
+				t.Fatal("static slot lost its error")
+			}
+		})
+	}
+}
+
 // TestFaultInjectZZCacheNeverMemoizesPartial registers a panicker into
 // the global suite (registration is permanent, which is why this test
 // runs last in the file) and asks the memoized characterization twice:

@@ -11,11 +11,13 @@ import (
 // benchmarks can be configured via JSON files that our build system uses
 // for build-time parameters such as Reps, Verbosity, and TotalRuns."
 type BuildConfig struct {
-	Reps      int  `json:"Reps"`
-	Warmup    int  `json:"Warmup"`
-	CacheOn   bool `json:"CacheOn"`
-	Verbosity int  `json:"Verbosity"`
-	TotalRuns int  `json:"TotalRuns"`
+	Reps    int  `json:"Reps"`
+	Warmup  int  `json:"Warmup"`
+	CacheOn bool `json:"CacheOn"`
+	// Verbosity is parsed so the paper's JSON schema loads; it has no
+	// effect.
+	Verbosity int `json:"Verbosity"`
+	TotalRuns int `json:"TotalRuns"`
 	// MinROIUs is the auto-rep ROI target in microseconds (0 = default).
 	MinROIUs float64 `json:"MinROIUs"`
 }
@@ -31,7 +33,6 @@ func (b BuildConfig) Config() Config {
 	cfg.Reps = b.Reps
 	cfg.Warmup = b.Warmup
 	cfg.CacheOn = b.CacheOn
-	cfg.Verbosity = b.Verbosity
 	if b.MinROIUs > 0 {
 		cfg.MinROITimeS = b.MinROIUs * 1e-6
 	}

@@ -21,8 +21,8 @@ var (
 	// ctrRuns counts complete measurement runs.
 	ctrRuns = obs.NewCounter(obs.CounterHarnessRuns)
 	// ctrHostReps counts ROI Solve invocations the host actually
-	// executed — the profiled rep plus the validation reps — as opposed
-	// to the analytically scaled rep count the trace reports.
+	// executed — one profiled Solve per prepare — as opposed to the
+	// analytically scaled rep count the trace reports.
 	ctrHostReps = obs.NewCounter(obs.CounterHarnessHostReps)
 )
 
@@ -48,22 +48,10 @@ type DatasetProvider interface {
 
 // Config drives one measurement run (the harness rows of Table II).
 type Config struct {
-	Reps        int  // kernel invocations inside the ROI (0 = auto)
-	Warmup      int  // unprofiled invocations before the ROI
-	CacheOn     bool // I/D cache configuration
-	Verbosity   int
+	Reps        int     // modeled kernel invocations inside the ROI (0 = auto)
+	Warmup      int     // invocations before the ROI
+	CacheOn     bool    // I/D cache configuration
 	MinROITimeS float64 // auto-rep target so the 100 kHz probe sees the ROI
-	// MaxHostReps caps how many ROI reps the simulation host actually
-	// executes. On hardware every rep runs; here the kernels are
-	// deterministic per Solve, the profiler captures one representative
-	// invocation, and the trace synthesizer scales to the full rep
-	// count analytically — so executing more than a handful of host
-	// reps only burns wall-clock without changing any measurement. The
-	// extra capped reps exist purely so Validate sees a multiply-solved
-	// problem, as it would on the device. 0 means the default
-	// (DefaultMaxHostReps); negative means uncapped, i.e. execute every
-	// rep on the host like real hardware would.
-	MaxHostReps int
 	// MaxAutoReps caps the rep count the MinROITimeS auto-scaler may
 	// choose (Reps <= 0). Very fast kernels on slow modeled cores would
 	// otherwise demand millions of reps to fill the ROI window, which
@@ -73,10 +61,6 @@ type Config struct {
 	MaxAutoReps int
 }
 
-// DefaultMaxHostReps is the default host-side ROI execution cap: the
-// profiled invocation plus two validation reps.
-const DefaultMaxHostReps = 3
-
 // DefaultMaxAutoReps is the default ceiling on auto-scaled reps: enough
 // for the 100 kHz probe to see hundreds of samples of even the fastest
 // kernel, matching the artifact's harness limit.
@@ -84,7 +68,7 @@ const DefaultMaxAutoReps = 10000
 
 // DefaultConfig mirrors the artifact's benchmark defaults.
 func DefaultConfig() Config {
-	return Config{Reps: 0, Warmup: 1, CacheOn: true, MinROITimeS: 2e-3, MaxHostReps: DefaultMaxHostReps}
+	return Config{Reps: 0, Warmup: 1, CacheOn: true, MinROITimeS: 2e-3}
 }
 
 // GPIO pin assignments, as in the measurement setup: a trigger pin
@@ -132,8 +116,8 @@ func Run(p Problem, arch mcu.Arch, prec mcu.Precision, cfg Config) (Result, erro
 }
 
 // RunContext is Run under a context: the flow checks for cancellation
-// at every phase boundary (after setup, between warm-up and validation
-// Solves, before the profiled ROI) and abandons the run with ctx.Err()
+// at every phase boundary (after setup, between warm-up Solves, before
+// the profiled ROI) and abandons the run with ctx.Err()
 // wrapped in the returned error. Cancellation is cooperative — a Solve
 // that never returns must be cut off by the sweep-level watchdog
 // (core.SweepOptions.CellTimeout), not by the context.
@@ -146,18 +130,21 @@ func RunContext(ctx context.Context, p Problem, arch mcu.Arch, prec mcu.Precisio
 }
 
 // Prepared is the kernel-execution half of a measurement, detached from
-// any particular core: the per-rep operation counts captured by one
-// profiled Solve plus the validation verdict. Counts and validity are
-// arch-independent — the profiler counts the same deterministic Solve
-// whichever core is modeled — so one Prepared serves every (arch,
-// cache) cell of a kernel through MeasureOn, which is pure arithmetic.
-// The characterization sweep builds on exactly this split to run each
-// kernel's problem once instead of once per cell.
+// any particular core: the per-rep operation counts captured by the
+// profiled ROI Solve, the counts of the first Solve after Setup, and
+// the validation verdict. Counts and validity are arch-independent —
+// the profiler counts the same deterministic Solve whichever core is
+// modeled — so one Prepared serves every (arch, cache) cell of a kernel
+// through MeasureOn, which is pure arithmetic. The characterization
+// sweep builds on exactly this split to run each kernel's problem once
+// instead of once per cell.
 type Prepared struct {
-	name   string
-	counts profile.Counts
-	valid  bool
-	validE error
+	name     string
+	counts   profile.Counts
+	first    profile.Counts
+	hasFirst bool
+	valid    bool
+	validE   error
 }
 
 // Prepare is PrepareContext without cancellation.
@@ -165,13 +152,16 @@ func Prepare(p Problem, refArch mcu.Arch, prec mcu.Precision, cfg Config) (*Prep
 	return PrepareContext(context.Background(), p, refArch, prec, cfg)
 }
 
-// PrepareContext executes the kernel-side phases of a measurement run —
-// setup, warm-up, the profiled ROI invocation, and the validation reps —
-// and returns the arch-independent Prepared half. refArch and cfg shape
-// only the validation-rep schedule (how many extra host Solves run
-// before Validate), which mirrors what a full RunContext on refArch
-// would execute; they leave counts untouched. Cancellation follows the
-// RunContext contract: cooperative checks at every phase boundary.
+// PrepareContext executes the kernel-side phases of a measurement run
+// and returns the arch-independent Prepared half: Setup, the warm-up
+// Solves, the profiled ROI Solve, and Validate right after it. The
+// first Solve after Setup is profiled too — the warm-up, or the ROI
+// Solve itself when cfg.Warmup is 0 — and its counts are kept as
+// FirstCounts. The host runs cfg.Warmup + 1 Solves whatever cfg.Reps
+// says: the trace synthesizer scales the ROI to the full rep count
+// analytically. refArch and prec are ignored; existing callers still
+// pass them. Cancellation follows the RunContext contract: cooperative
+// checks at every phase boundary.
 func PrepareContext(ctx context.Context, p Problem, refArch mcu.Arch, prec mcu.Precision, cfg Config) (*Prepared, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", p.Name(), err)
@@ -179,34 +169,28 @@ func PrepareContext(ctx context.Context, p Problem, refArch mcu.Arch, prec mcu.P
 	if err := p.Setup(); err != nil {
 		return nil, fmt.Errorf("harness: setup %s: %w", p.Name(), err)
 	}
+	pp := &Prepared{name: p.Name(), hasFirst: true}
 	for i := 0; i < cfg.Warmup; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("harness: %s: %w", p.Name(), err)
 		}
-		p.Solve()
+		if i == 0 {
+			pp.first = profile.Collect(p.Solve)
+		} else {
+			p.Solve()
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", p.Name(), err)
 	}
 
-	// One profiled invocation determines the op counts and, through the
-	// core model, the per-rep latency used to auto-scale reps.
-	pp := &Prepared{name: p.Name()}
+	// One profiled invocation determines the per-rep op counts; the
+	// kernels are deterministic per Solve, so it represents every rep.
 	pp.counts = profile.Collect(p.Solve)
-
-	// Execute the remaining reps for validation parity (the profiler
-	// already captured a representative invocation; kernels are
-	// deterministic per Solve). Config.MaxHostReps bounds the host-side
-	// wall-clock cost; see its doc for why that is sound here.
-	model := refArch.Estimate(pp.counts, prec, cfg.CacheOn)
-	extra := hostExtra(cfg, autoReps(cfg, model.LatencyS))
-	for i := 0; i < extra; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("harness: %s: %w", p.Name(), err)
-		}
-		p.Solve()
+	ctrHostReps.Inc()
+	if cfg.Warmup <= 0 {
+		pp.first = pp.counts
 	}
-	ctrHostReps.Add(uint64(1 + extra)) // the profiled rep + validation reps
 
 	if err := p.Validate(); err != nil {
 		pp.valid = false
@@ -230,10 +214,15 @@ func RehydratePrepared(name string, counts profile.Counts, valid bool, validE er
 	return &Prepared{name: name, counts: counts, valid: valid, validE: validE}
 }
 
-// Counts returns the per-rep operation mix of the profiled Solve.
+// Counts returns the per-rep operation mix of the profiled ROI Solve.
 func (pp *Prepared) Counts() profile.Counts { return pp.counts }
 
-// Valid returns the validation verdict taken after the validation reps.
+// FirstCounts returns the operation mix of the first Solve after
+// Setup. ok is false for a rehydrated Prepared, which executed nothing.
+func (pp *Prepared) FirstCounts() (c profile.Counts, ok bool) { return pp.first, pp.hasFirst }
+
+// Valid returns the validation verdict taken after the profiled ROI
+// Solve.
 func (pp *Prepared) Valid() (bool, error) { return pp.valid, pp.validE }
 
 // MeasureOn models the prepared kernel on one core: analytic estimate,
@@ -298,18 +287,4 @@ func autoReps(cfg Config, latencyS float64) int {
 		reps = maxAuto
 	}
 	return reps
-}
-
-// hostExtra resolves how many validation Solves beyond the profiled one
-// the host executes for a run of reps repetitions (Config.MaxHostReps).
-func hostExtra(cfg Config, reps int) int {
-	maxHost := cfg.MaxHostReps
-	if maxHost == 0 {
-		maxHost = DefaultMaxHostReps
-	}
-	extra := reps - 1
-	if maxHost > 0 && extra > maxHost-1 {
-		extra = maxHost - 1
-	}
-	return extra
 }

@@ -178,53 +178,71 @@ type solveCounter struct {
 
 func (s *solveCounter) Solve() { s.solves++; s.vvadd.Solve() }
 
-// MaxHostReps must bound host-executed ROI reps: warmup + the profiled
-// invocation + (MaxHostReps-1) validation reps, never the full modeled
-// rep count.
+// prepareCounting prepares a counting vvadd under cfg and returns the
+// Prepared and the number of host Solves it took.
+func prepareCounting(t *testing.T, cfg harness.Config) (*harness.Prepared, int) {
+	t.Helper()
+	p := &solveCounter{vvadd: vvadd{n: 16}}
+	pp, err := harness.Prepare(p, mcu.M4, mcu.PrecF32, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pp, p.solves
+}
+
+// The host runs Warmup + 1 Solves for any rep count — the trace models
+// the rest analytically — and the first Solve after Setup is profiled.
 func TestMaxHostRepsCapsHostExecution(t *testing.T) {
 	p := &solveCounter{vvadd: vvadd{n: 16}}
 	cfg := harness.DefaultConfig()
 	cfg.Reps = 1000
-	cfg.MaxHostReps = 5
 	res, err := harness.Run(p, mcu.M4, mcu.PrecF32, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The trace still models the full rep count...
 	if res.Measured.Reps != 1000 {
 		t.Errorf("measured reps = %d, want 1000", res.Measured.Reps)
 	}
-	// ...but the host only ran warmup(1) + profiled(1) + extra(4).
-	if want := cfg.Warmup + cfg.MaxHostReps; p.solves != want {
+	if want := cfg.Warmup + 1; p.solves != want {
 		t.Errorf("host solves = %d, want %d", p.solves, want)
+	}
+	for _, tc := range []struct{ reps, warmup int }{{1, 1}, {1000, 1}, {0, 3}} {
+		cfg := harness.DefaultConfig()
+		cfg.Reps, cfg.Warmup = tc.reps, tc.warmup
+		pp, solves := prepareCounting(t, cfg)
+		if want := tc.warmup + 1; solves != want {
+			t.Errorf("reps %d warmup %d: host solves = %d, want %d", tc.reps, tc.warmup, solves, want)
+		}
+		if first, ok := pp.FirstCounts(); !ok || first.Total() == 0 {
+			t.Errorf("reps %d warmup %d: first-Solve counts missing", tc.reps, tc.warmup)
+		}
+	}
+	if _, ok := harness.RehydratePrepared("vvadd", profile.Counts{F: 1}, true, nil).FirstCounts(); ok {
+		t.Error("a rehydrated Prepared claims first-Solve counts")
 	}
 }
 
-// The zero value keeps the historical default cap of 3 host reps, so a
-// hand-built Config{} cannot accidentally run thousands of host reps.
+// A hand-built Config{} cannot run thousands of host reps either: the
+// zero-value config takes the same Warmup + 1 Solves.
 func TestMaxHostRepsZeroMeansDefault(t *testing.T) {
-	p := &solveCounter{vvadd: vvadd{n: 16}}
-	cfg := harness.Config{Reps: 1000, Warmup: 1, CacheOn: true}
-	if _, err := harness.Run(p, mcu.M4, mcu.PrecF32, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if want := 1 + harness.DefaultMaxHostReps; p.solves != want {
-		t.Errorf("host solves = %d, want %d", p.solves, want)
+	_, solves := prepareCounting(t, harness.Config{Reps: 1000, Warmup: 1, CacheOn: true})
+	if solves != 2 {
+		t.Errorf("host solves = %d, want 2", solves)
 	}
 }
 
-// Negative MaxHostReps means uncapped: every modeled rep runs on the
-// host, as it would on the device.
+// No uncapped mode remains: a 500-rep config with no warm-up runs one
+// host Solve, and that Solve is the profiled ROI Solve, so its counts are
+// the first-Solve counts.
 func TestMaxHostRepsNegativeUncaps(t *testing.T) {
-	p := &solveCounter{vvadd: vvadd{n: 64}}
 	cfg := harness.DefaultConfig()
-	cfg.Reps = 500
-	cfg.MaxHostReps = -1
-	if _, err := harness.Run(p, mcu.M4, mcu.PrecF32, cfg); err != nil {
-		t.Fatal(err)
+	cfg.Reps, cfg.Warmup = 500, 0
+	pp, solves := prepareCounting(t, cfg)
+	if solves != 1 {
+		t.Errorf("host solves = %d, want 1", solves)
 	}
-	if want := cfg.Warmup + 500; p.solves != want {
-		t.Errorf("host solves = %d, want %d", p.solves, want)
+	if first, ok := pp.FirstCounts(); !ok || first != pp.Counts() {
+		t.Errorf("no warm-up: first-Solve counts %+v (ok %v) differ from the ROI counts %+v", first, ok, pp.Counts())
 	}
 }
 

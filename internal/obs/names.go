@@ -25,8 +25,8 @@ const (
 	// CounterSweepCacheMiss counts queries the memo had no completed
 	// entry for, each of which ran its own sweep.
 	CounterSweepCacheMiss = "sweep.cache.miss"
-	// CounterSweepCacheCoalesced counts kernel executions (static-proxy
-	// runs and prepares) a sweep job joined in flight or was served from
+	// CounterSweepCacheCoalesced counts kernel executions (prepares and
+	// static-proxy runs) a sweep job joined in flight or was served from
 	// the kernel-execution table (core.ExecTable) instead of running.
 	CounterSweepCacheCoalesced = "sweep.cache.coalesced"
 	// CounterSweepCacheEvicted counts completed cache entries dropped,
@@ -56,8 +56,9 @@ const (
 	// (harness.Run calls).
 	CounterHarnessRuns = "harness.runs"
 	// CounterHarnessHostReps counts kernel Solve invocations the host
-	// actually executed inside ROIs (profiled + validation reps; the
-	// analytically scaled reps are not executed and not counted).
+	// actually executed inside ROIs: one profiled ROI Solve per executed
+	// prepare (the analytically scaled reps are not executed and not
+	// counted).
 	CounterHarnessHostReps = "harness.reps.host"
 	// CounterSweepCellsFailed counts sweep jobs that ended in any error:
 	// plain failures, recovered panics, and watchdog timeouts.

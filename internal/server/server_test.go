@@ -208,17 +208,25 @@ func TestSweepByteIdenticalToCLI(t *testing.T) {
 	}
 }
 
-// TestSweepCoalesces: N identical concurrent requests execute each
-// kernel's static run and prepare exactly once — every request sweeps
-// on its own (any number may miss the memo) but they share kernel
-// executions through the execution table — and every client gets
-// identical bytes.
-func TestSweepCoalesces(t *testing.T) {
+// TestSweepCoalesces: each kernel executes once. N identical concurrent
+// requests over kernels with a StaticFactory run each static-proxy
+// problem and each prepare exactly once — every request sweeps on its
+// own (any number may miss the memo) but they share kernel executions
+// through the execution table — and every client gets identical bytes.
+func TestSweepCoalesces(t *testing.T) { checkExecutesOnce(t, false) }
+
+// TestSweepCoalescesSharedFactory: for kernels without a StaticFactory
+// the static job reads the prepare's first Solve, so N identical
+// concurrent requests set up each kernel's Factory problem exactly once
+// and build no other problem.
+func TestSweepCoalescesSharedFactory(t *testing.T) { checkExecutesOnce(t, true) }
+
+func checkExecutesOnce(t *testing.T, shared bool) {
 	report.InvalidateCharacterization()
 	obs.ResetCounters()
 	h := newTestServer()
-	a, aStatic, aPrep := countingSpec(t, "coalesce-a", 20*time.Millisecond)
-	b, bStatic, bPrep := countingSpec(t, "coalesce-b", 20*time.Millisecond)
+	a, aStatic, aPrep := countingSpec(t, "coalesce-a", 20*time.Millisecond, shared)
+	b, bStatic, bPrep := countingSpec(t, "coalesce-b", 20*time.Millisecond, shared)
 	body := `{"kernels":["` + a + `","` + b + `"],"archs":"M4"}`
 
 	const n = 8
@@ -244,12 +252,20 @@ func TestSweepCoalesces(t *testing.T) {
 			t.Fatalf("request %d: bytes differ from request 0", i)
 		}
 	}
+	wantStatic := int64(1)
+	if shared {
+		wantStatic = 0
+	}
 	for _, c := range []struct {
 		what string
 		n    *atomic.Int64
-	}{{"a static runs", aStatic}, {"a prepares", aPrep}, {"b static runs", bStatic}, {"b prepares", bPrep}} {
-		if got := c.n.Load(); got != 1 {
-			t.Errorf("%s = %d, want exactly 1 for %d identical requests", c.what, got, n)
+		want int64
+	}{
+		{"a static runs", aStatic, wantStatic}, {"a prepares", aPrep, 1},
+		{"b static runs", bStatic, wantStatic}, {"b prepares", bPrep, 1},
+	} {
+		if got := c.n.Load(); got != c.want {
+			t.Errorf("%s = %d, want exactly %d for %d identical requests", c.what, got, c.want, n)
 		}
 	}
 	ctrs := obs.Counters()

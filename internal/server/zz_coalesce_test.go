@@ -30,8 +30,10 @@ var countingSeq atomic.Int64
 
 // countingSpec registers a fresh healthy kernel whose Setup sleeps
 // delay. statics counts its static-proxy runs (StaticFactory problems
-// set up) and prepares its prepares (Factory problems set up).
-func countingSpec(t *testing.T, prefix string, delay time.Duration) (name string, statics, prepares *atomic.Int64) {
+// set up) and prepares its prepares (Factory problems set up). With
+// shared, the kernel has no StaticFactory, so its static job reads the
+// prepare's first Solve and statics stays 0.
+func countingSpec(t *testing.T, prefix string, delay time.Duration, shared bool) (name string, statics, prepares *atomic.Int64) {
 	t.Helper()
 	name = fmt.Sprintf("%s-%d", prefix, countingSeq.Add(1))
 	statics, prepares = new(atomic.Int64), new(atomic.Int64)
@@ -46,7 +48,10 @@ func countingSpec(t *testing.T, prefix string, delay time.Duration) (name string
 	}
 	sp := core.Spec{
 		Name: name, Stage: core.Control, Category: "FaultInject", Dataset: "synthetic", Prec: mcu.PrecF32,
-		Factory: factory(prepares), StaticFactory: factory(statics),
+		Factory: factory(prepares),
+	}
+	if !shared {
+		sp.StaticFactory = factory(statics)
 	}
 	if err := core.Register(sp); err != nil {
 		t.Fatal(err)
@@ -84,7 +89,7 @@ func TestZZOverlappingQueriesShareKernelWork(t *testing.T) {
 	report.InvalidateCharacterization()
 	defer report.InvalidateCharacterization()
 	h := newTestServer()
-	k, statics, prepares := countingSpec(t, "zz-overlap", 100*time.Millisecond)
+	k, statics, prepares := countingSpec(t, "zz-overlap", 100*time.Millisecond, false)
 
 	queries := [][]string{{k, "madgwick"}, {k}}
 	recs := make([]*httptest.ResponseRecorder, len(queries))
@@ -120,7 +125,7 @@ func TestZZDepartingLeaderKeepsWaiters(t *testing.T) {
 	report.InvalidateCharacterization()
 	defer report.InvalidateCharacterization()
 	h := newTestServer()
-	k, statics, prepares := countingSpec(t, "zz-leader", 300*time.Millisecond)
+	k, statics, prepares := countingSpec(t, "zz-leader", 300*time.Millisecond, false)
 	body := func(deadlineMS int) string {
 		b, _ := json.Marshal(server.SweepRequest{Kernels: []string{k}, Archs: "M4", DeadlineMS: deadlineMS})
 		return string(b)
