@@ -18,6 +18,7 @@ package repro
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/attitude"
@@ -348,9 +349,10 @@ func BenchmarkFig5(b *testing.B) {
 
 // BenchmarkProfileHookOverhead prices the profiling hook on its three
 // paths: no session anywhere (the gate check every scalar op pays in
-// unprofiled execution), a session on another goroutine (the parallel
-// sweep's warm-up/validation reps), and a session on this goroutine
-// (the profiled ROI itself).
+// unprofiled execution), a session on another goroutine only, and a
+// session on this goroutine (the profiled ROI itself) — alone, and with
+// 1, 15 and 127 other sessions live, as when a parallel sweep or the
+// daemon profiles several kernels at once.
 func BenchmarkProfileHookOverhead(b *testing.B) {
 	b.Run("idle", func(b *testing.B) {
 		b.ReportAllocs()
@@ -374,19 +376,41 @@ func BenchmarkProfileHookOverhead(b *testing.B) {
 		close(stop)
 		<-done
 	})
-	b.Run("own-session", func(b *testing.B) {
-		b.ReportAllocs()
-		rec := profile.Begin()
-		defer profile.End()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			profile.AddF(1)
+	for _, others := range []int{0, 1, 15, 127} {
+		name := "own-session"
+		if others > 0 {
+			name = fmt.Sprintf("own-session-others-%d", others)
 		}
-		b.StopTimer()
-		if rec.F == 0 {
-			b.Fatal("hooks did not record")
-		}
-	})
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			stop := make(chan struct{})
+			var begun, done sync.WaitGroup
+			for g := 0; g < others; g++ {
+				begun.Add(1)
+				done.Add(1)
+				go func() {
+					defer done.Done()
+					profile.Collect(func() {
+						begun.Done()
+						<-stop
+					})
+				}()
+			}
+			begun.Wait()
+			rec := profile.Begin()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				profile.AddF(1)
+			}
+			b.StopTimer()
+			profile.End()
+			close(stop)
+			done.Wait()
+			if rec.F != uint64(b.N) {
+				b.Fatalf("own record F = %d, want %d", rec.F, b.N)
+			}
+		})
+	}
 }
 
 // uncachedSweep runs the full Table IV suite sweep straight through the

@@ -1,11 +1,13 @@
 package core_test
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/mcu"
+	"repro/internal/report"
 )
 
 func TestSuiteHasAll31Kernels(t *testing.T) {
@@ -135,24 +137,30 @@ func TestFLOPClaimsPresent(t *testing.T) {
 	}
 }
 
-// The worker pool must be invisible in the data: suite records are
-// deeply identical for any worker count, and cells stay in serial
-// (arch-major, cache on/off) order.
+// The worker pool must be invisible in the data: over the full suite,
+// records are deeply identical and the v1 export byte-identical for any
+// worker count, and cells stay in serial (arch-major, cache on/off)
+// order. A 3-way sharded run merged through report.MergeShards must
+// give the same bytes, which proves shard ownership still follows the
+// serial job index when workers take whole kernel executions.
 func TestCharacterizeSuiteDeterministicAcrossWorkers(t *testing.T) {
-	var specs []core.Spec
-	for _, name := range []string{"mahony", "madgwick", "fourati", "p3p"} {
-		spec, ok := core.ByName(name)
-		if !ok {
-			t.Fatalf("missing %s", name)
+	specs := core.Suite()
+	archs := mcu.TableIVSet()
+	export := func(c report.Characterization) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := c.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
 		}
-		specs = append(specs, spec)
+		return buf.Bytes()
 	}
-	base, err := core.CharacterizeSuiteOpts(specs, mcu.TableIVSet(), core.SweepOptions{Workers: 1})
+	base, err := core.CharacterizeSuiteOpts(specs, archs, core.SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 8} {
-		got, err := core.CharacterizeSuiteOpts(specs, mcu.TableIVSet(), core.SweepOptions{Workers: workers})
+	golden := export(report.Characterization{Records: base})
+	for _, workers := range []int{2, 3, 8} {
+		got, err := core.CharacterizeSuiteOpts(specs, archs, core.SweepOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,6 +181,25 @@ func TestCharacterizeSuiteDeterministicAcrossWorkers(t *testing.T) {
 				}
 			}
 		}
+		if !bytes.Equal(export(report.Characterization{Records: got}), golden) {
+			t.Errorf("workers=%d: v1 export differs from the serial sweep's", workers)
+		}
+	}
+
+	var shards []report.ShardReport
+	for i := 1; i <= 3; i++ {
+		sr, err := report.RunShard(specs, archs, core.SweepOptions{Workers: 2, ShardIndex: i, ShardCount: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards = append(shards, sr)
+	}
+	merged, err := report.MergeShards(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(export(merged), golden) {
+		t.Error("3-way shard merge differs from the serial sweep's v1 export")
 	}
 }
 

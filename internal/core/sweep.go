@@ -16,24 +16,30 @@ import (
 	"repro/internal/profile"
 )
 
-// Parallel, fault-tolerant characterization engine. The (kernel × arch
-// × cache) cells of the Table III/IV sweep are independent — every job
+// Parallel, fault-tolerant characterization engine. The kernel
+// executions of the Table III/IV sweep are independent — every kernel
 // builds its own problem instance from the spec factory, all dataset
 // generators seed local RNGs, and the profiler records into
-// goroutine-scoped sessions — so the sweep fans out across a bounded
-// worker pool. Each *cell* stays a single goroutine (a simulated MCU is
-// single-core; its ROI must not be split), so the parallelism is across
-// cells only.
+// goroutine-scoped sessions — so the sweep fans them out across a
+// bounded worker pool. Each execution stays a single goroutine (a
+// simulated MCU is single-core; its ROI must not be split), so the
+// parallelism is across kernel executions.
 //
-// Same-kernel jobs are batched: the kernel execution itself — problem
-// build, warm-up, the profiled ROI invocation, validation — runs once
-// per kernel through the execution table (ExecTable), every (arch,
-// cache) cell derives its measurement from the shared counts with pure
-// arithmetic (harness.Prepared.MeasureOn), and the static job of a
-// kernel without a StaticFactory compresses its profiled warm-up. Counts and validity are
-// arch-independent, so batching changes no assembled byte; the job
-// graph, progress accounting, spans, and per-cell fault containment are
-// exactly those of the unbatched engine.
+// The kernel execution itself — problem build, warm-up, the profiled
+// ROI invocation, validation — runs once per kernel through the
+// execution table (ExecTable); every (arch, cache) cell derives its
+// measurement from the shared counts with pure arithmetic
+// (harness.Prepared.MeasureOn), and the static job of a kernel without
+// a StaticFactory compresses its profiled warm-up. Workers therefore
+// take whole groups of jobs, one group per execution: a kernel's
+// static job followed by its cells (the static job leads the prepare,
+// the cells reuse it), or, for a kernel with a StaticFactory, its
+// proxy-run static job and its cells as two groups, so the proxy run
+// overlaps the prepare. Counts and validity are arch-independent, so
+// grouping changes no assembled byte; each job keeps its serial index,
+// which fixes its record slot, shard ownership and error order, and
+// classification, the cell cache, the watchdog, progress and spans all
+// stay per job.
 //
 // Failure model (DESIGN.md §12): a cell that panics, errors, or trips
 // the watchdog costs exactly its own slot. Panics are recovered with
@@ -349,9 +355,16 @@ func CharacterizeSuiteOpts(specs []Spec, archs []mcu.Arch, opts SweepOptions) ([
 	tbl := execTableOf(ctx)
 	records := make([]Record, len(specs))
 	var jobs []job
+	// cuts delimits the dispatch groups: group g is jobs[cuts[g]:cuts[g+1]].
+	cuts := []int{0}
 	for i, spec := range specs {
 		records[i] = Record{Spec: spec}
 		jobs = append(jobs, job{spec: i, cell: jobStatic})
+		if spec.StaticFactory != nil {
+			// The proxy run is an execution of its own: a group of its
+			// own, so it overlaps the prepare its cells lead.
+			cuts = append(cuts, len(jobs))
+		}
 		n := 0
 		for _, arch := range archs {
 			if !spec.Fits(arch) {
@@ -363,14 +376,18 @@ func CharacterizeSuiteOpts(specs []Spec, archs []mcu.Arch, opts SweepOptions) ([
 			}
 		}
 		records[i].Cells = make([]ArchRun, n)
+		if len(jobs) > cuts[len(cuts)-1] {
+			cuts = append(cuts, len(jobs))
+		}
 	}
+	groups := len(cuts) - 1
 
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
+	if workers > groups {
+		workers = groups
 	}
 
 	var failed atomic.Bool
@@ -381,74 +398,81 @@ func CharacterizeSuiteOpts(specs []Spec, archs []mcu.Arch, opts SweepOptions) ([
 			opts.Progress(int(done.Load()), int(skipped.Load()), total)
 		}
 	}
+	// run executes serial job j on the given worker lane; every job of
+	// a group is classified, cached, watched and reported on its own.
+	run := func(j, lane int) {
+		if !opts.ownsJob(j) {
+			// A foreign shard's job: skipped with no error, so this
+			// shard's bundle carries exactly its own cells and a
+			// healthy shard run exits clean.
+			commitSkip(records, &jobs[j], nil)
+			skipped.Add(1)
+			progress()
+			return
+		}
+		if (opts.FailFast && failed.Load()) || ctx.Err() != nil {
+			commitSkip(records, &jobs[j], ctx.Err())
+			skipped.Add(1)
+			progress()
+			return
+		}
+		spec := records[jobs[j].spec].Spec
+		var cb cellBackend
+		if jobs[j].cell != jobStatic {
+			cb = resolveCellBackend(opts.Backend, spec.Name, jobs[j].arch.Name, jobs[j].cache)
+		}
+		if opts.CellCache != nil {
+			if res, hit := loadCachedJob(opts.CellCache, spec, &jobs[j], cb); hit {
+				commit(records, &jobs[j], res, CellOK, nil)
+				ctrCellsCached.Inc()
+				done.Add(1)
+				progress()
+				return
+			}
+		}
+		traced := obs.TraceEnabled()
+		start := time.Now()
+		res, status, err := executeJob(ctx, tbl, spec, archs, &jobs[j], opts)
+		if traced {
+			recordJobSpan(&jobs[j], records, start, sweepStart, lane, status)
+		}
+		if status != CellSkipped {
+			ctrCellsComputed.Inc()
+		}
+		if status == CellOK && opts.CellCache != nil {
+			storeCachedJob(opts.CellCache, spec, &jobs[j], cb, res)
+		}
+		commit(records, &jobs[j], res, status, err)
+		if status == CellSkipped {
+			// Canceled mid-job: the result (if any ever comes) is
+			// discarded; account it with the other skips.
+			skipped.Add(1)
+			progress()
+			return
+		}
+		if err != nil {
+			jobs[j].err = cellError(spec, &jobs[j], status, err)
+			ctrCellsFailed.Inc()
+			failed.Store(true)
+		}
+		done.Add(1)
+		progress()
+	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(lane int) {
 			defer wg.Done()
-			for j := range idx {
-				if !opts.ownsJob(j) {
-					// A foreign shard's job: skipped with no error, so
-					// this shard's bundle carries exactly its own cells
-					// and a healthy shard run exits clean.
-					commitSkip(records, &jobs[j], nil)
-					skipped.Add(1)
-					progress()
-					continue
+			for g := range idx {
+				for j := cuts[g]; j < cuts[g+1]; j++ {
+					run(j, lane)
 				}
-				if (opts.FailFast && failed.Load()) || ctx.Err() != nil {
-					commitSkip(records, &jobs[j], ctx.Err())
-					skipped.Add(1)
-					progress()
-					continue
-				}
-				spec := records[jobs[j].spec].Spec
-				var cb cellBackend
-				if jobs[j].cell != jobStatic {
-					cb = resolveCellBackend(opts.Backend, spec.Name, jobs[j].arch.Name, jobs[j].cache)
-				}
-				if opts.CellCache != nil {
-					if res, hit := loadCachedJob(opts.CellCache, spec, &jobs[j], cb); hit {
-						commit(records, &jobs[j], res, CellOK, nil)
-						ctrCellsCached.Inc()
-						done.Add(1)
-						progress()
-						continue
-					}
-				}
-				traced := obs.TraceEnabled()
-				start := time.Now()
-				res, status, err := executeJob(ctx, tbl, spec, archs, &jobs[j], opts)
-				if traced {
-					recordJobSpan(&jobs[j], records, start, sweepStart, lane, status)
-				}
-				if status != CellSkipped {
-					ctrCellsComputed.Inc()
-				}
-				if status == CellOK && opts.CellCache != nil {
-					storeCachedJob(opts.CellCache, spec, &jobs[j], cb, res)
-				}
-				commit(records, &jobs[j], res, status, err)
-				if status == CellSkipped {
-					// Canceled mid-job: the result (if any ever comes)
-					// is discarded; account it with the other skips.
-					skipped.Add(1)
-					progress()
-					continue
-				}
-				if err != nil {
-					jobs[j].err = cellError(spec, &jobs[j], status, err)
-					ctrCellsFailed.Inc()
-					failed.Store(true)
-				}
-				done.Add(1)
-				progress()
 			}
 		}(w + 1)
 	}
-	for j := range jobs {
-		idx <- j
+	for g := 0; g < groups; g++ {
+		idx <- g
 	}
 	close(idx)
 	wg.Wait()

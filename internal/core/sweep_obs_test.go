@@ -12,7 +12,9 @@ import (
 // One kernel across the Table IV set: 1 static job + 3 archs × 2 cache
 // settings = 7 jobs. The sweep must report progress for every job and,
 // under an active trace, emit one span per job plus the enclosing sweep
-// span, each carrying its identity args.
+// span, each carrying its identity args. madgwick has no StaticFactory,
+// so its 7 jobs are one kernel execution and the sweep starts 1 of the
+// 2 workers it may use.
 func TestSweepProgressAndSpans(t *testing.T) {
 	spec, ok := core.ByName("madgwick")
 	if !ok {
@@ -80,7 +82,7 @@ func TestSweepProgressAndSpans(t *testing.T) {
 				t.Errorf("static args incomplete: %v", args)
 			}
 		case obs.SpanSweep:
-			if args["jobs"] != "7" || args["workers"] != "2" || args["kernels"] != "1" {
+			if args["jobs"] != "7" || args["workers"] != "1" || args["kernels"] != "1" {
 				t.Errorf("sweep args = %v", args)
 			}
 			if s.TID != 0 {

@@ -24,13 +24,15 @@ import (
 // meaningful to the CPU profiler, which may dereference it as a label
 // map) and uses the raw label pointer — read via the runtime's own
 // push-linknamed accessor, one pointer load from the g struct — as the
-// key into a copy-on-write session registry.
+// key into a copy-on-write session registry (sessionTable).
 //
 // Costs, by path:
 //   - no session anywhere in the process: one atomic load per hook;
 //   - sessions elsewhere, none on this goroutine: plus one label read;
-//   - session on this goroutine: plus one registry lookup.
-// BenchmarkProfileHookOverhead (bench_test.go) tracks all three.
+//   - session on this goroutine: plus one table lookup, the same cost
+//     for one live session as for hundreds.
+// BenchmarkProfileHookOverhead (bench_test.go) tracks all three, and
+// the own-session path with other sessions live.
 //
 // A session belongs to exactly one goroutine. Goroutines spawned while
 // a session is active inherit the pprof labels and would race on the
@@ -66,33 +68,127 @@ type session struct {
 	stack []frame
 }
 
-// ctrSessions counts session creations — one per characterization cell
-// in a sweep, so a sweep's value approximates its job count
-// (docs/observability.md).
+// ctrSessions counts session creations — one per profiled Solve a
+// sweep executes (docs/observability.md).
 var ctrSessions = obs.NewCounter(obs.CounterProfileSessions)
 
 var (
 	// sessionCount gates the hooks: zero means no session exists
 	// anywhere, so unprofiled execution pays one atomic load per hook.
 	sessionCount atomic.Int64
-	// sessions maps label pointer → session. Readers load the map
-	// lock-free; writers copy-on-write under sessionsMu (session
-	// creation and teardown are per characterization cell — rare).
-	sessions   atomic.Pointer[map[unsafe.Pointer]*session]
+	// sessions is the registry: label pointer → session. Readers load
+	// it lock-free; writers rebuild it under sessionsMu (a session
+	// begins and ends once per profiled Solve — rare next to hooks)
+	// and publish the copy with one atomic store. Nil when none is
+	// live.
+	sessions   atomic.Pointer[sessionTable]
 	sessionsMu sync.Mutex
 	sessionSeq atomic.Uint64
-	// solo caches the session when exactly one is live — the serial
-	// sweep and any lone profiled goroutine. The hook path then
-	// resolves with a pointer compare instead of a map lookup, which
-	// profiling showed dominating sweep time. Maintained under
-	// sessionsMu; nil whenever the live count differs from one. A
-	// goroutine always finds its own session: a solo miss falls through
-	// to the registry map, and its own registration is ordered before
-	// any of its hooks.
-	solo atomic.Pointer[session]
 )
 
-// current returns the calling goroutine's session, or nil.
+// sessionTable is an immutable open-addressed hash table of live
+// sessions keyed by label pointer: a power-of-two slot array kept at
+// most a quarter full and probed linearly from a multiplicative hash
+// of the key. rebuilt picks the multiplier, growing the array if need
+// be, that puts every key within maxProbe slots of its home. A lookup
+// therefore costs one multiply and at most maxProbe slot compares
+// however many sessions are live — the daemon can hold hundreds.
+type sessionTable struct {
+	mult  uint64 // odd hash multiplier
+	shift uint   // 64 - log2(len(slots))
+	slots []sessionSlot
+}
+
+// maxProbe bounds the slots a lookup reads.
+const maxProbe = 2
+
+// sessionSlot is one table slot; a nil key marks it empty.
+type sessionSlot struct {
+	key unsafe.Pointer
+	s   *session
+}
+
+// home is key's first probe slot.
+func (t *sessionTable) home(key unsafe.Pointer) int {
+	return int(uint64(uintptr(key)) * t.mult >> t.shift)
+}
+
+// lookup returns the session keyed by key, or nil.
+func (t *sessionTable) lookup(key unsafe.Pointer) *session {
+	mask := len(t.slots) - 1
+	i := t.home(key)
+	for n := 0; n < maxProbe; n++ {
+		sl := &t.slots[i]
+		if sl.key == key {
+			return sl.s
+		}
+		if sl.key == nil {
+			return nil
+		}
+		i = (i + 1) & mask
+	}
+	return nil
+}
+
+// rebuilt returns a fresh table of old's sessions minus the one keyed
+// drop, plus add when non-nil; nil when none remain. The caller holds
+// sessionsMu.
+func rebuilt(old *sessionTable, add *session, drop unsafe.Pointer) *sessionTable {
+	var live []*session
+	if old != nil {
+		for _, sl := range old.slots {
+			if sl.key != nil && sl.key != drop {
+				live = append(live, sl.s)
+			}
+		}
+	}
+	if add != nil {
+		live = append(live, add)
+	}
+	if len(live) == 0 {
+		return nil
+	}
+	bits := uint(2)
+	for 1<<bits < 4*len(live) {
+		bits++
+	}
+	mult := uint64(0x9E3779B97F4A7C15) // Fibonacci hashing first
+	for try := 1; ; try++ {
+		if t := place(live, bits, mult); t != nil {
+			return t
+		}
+		if try%4 == 0 {
+			bits++
+		}
+		// The next odd multiplier from a splitmix64 step.
+		mult += 0x9E3779B97F4A7C15
+		z := (mult ^ mult>>30) * 0xBF58476D1CE4E5B9
+		z = (z ^ z>>27) * 0x94D049BB133111EB
+		mult = (z ^ z>>31) | 1
+	}
+}
+
+// place builds a table of 1<<bits slots hashed by mult, or returns nil
+// when some key would sit more than maxProbe-1 slots past its home.
+func place(live []*session, bits uint, mult uint64) *sessionTable {
+	t := &sessionTable{mult: mult, shift: 64 - bits, slots: make([]sessionSlot, 1<<bits)}
+	mask := len(t.slots) - 1
+	for _, s := range live {
+		i := t.home(s.key)
+		for n := 1; t.slots[i].key != nil; n++ {
+			if n == maxProbe {
+				return nil
+			}
+			i = (i + 1) & mask
+		}
+		t.slots[i] = sessionSlot{key: s.key, s: s}
+	}
+	return t
+}
+
+// current returns the calling goroutine's session, or nil. A goroutine
+// always finds its own session: its registration is ordered before any
+// of its hooks.
 func current() *session {
 	if sessionCount.Load() == 0 {
 		return nil
@@ -101,14 +197,11 @@ func current() *session {
 	if key == nil {
 		return nil
 	}
-	if s := solo.Load(); s != nil && s.key == key {
-		return s
-	}
-	m := sessions.Load()
-	if m == nil {
+	t := sessions.Load()
+	if t == nil {
 		return nil
 	}
-	return (*m)[key]
+	return t.lookup(key)
 }
 
 // ensureSession returns the calling goroutine's session, creating and
@@ -125,30 +218,10 @@ func ensureSession() *session {
 	s.key = runtime_getProfLabel()
 
 	sessionsMu.Lock()
-	next := make(map[unsafe.Pointer]*session, sessionCount.Load()+1)
-	if old := sessions.Load(); old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	next[s.key] = s
-	sessions.Store(&next)
-	updateSolo(next)
+	sessions.Store(rebuilt(sessions.Load(), s, nil))
 	sessionsMu.Unlock()
 	sessionCount.Add(1)
 	return s
-}
-
-// updateSolo refreshes the single-session fast-path cache; the caller
-// holds sessionsMu.
-func updateSolo(m map[unsafe.Pointer]*session) {
-	if len(m) == 1 {
-		for _, v := range m {
-			solo.Store(v)
-		}
-		return
-	}
-	solo.Store(nil)
 }
 
 // drop unregisters the session and restores the goroutine's previous
@@ -156,16 +229,7 @@ func updateSolo(m map[unsafe.Pointer]*session) {
 // stack.
 func (s *session) drop() {
 	sessionsMu.Lock()
-	next := make(map[unsafe.Pointer]*session, sessionCount.Load())
-	if old := sessions.Load(); old != nil {
-		for k, v := range *old {
-			if k != s.key {
-				next[k] = v
-			}
-		}
-	}
-	sessions.Store(&next)
-	updateSolo(next)
+	sessions.Store(rebuilt(sessions.Load(), nil, s.key))
 	sessionsMu.Unlock()
 	sessionCount.Add(-1)
 	runtime_setProfLabel(s.prev)

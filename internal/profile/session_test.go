@@ -3,6 +3,7 @@ package profile
 import (
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // Sessions on distinct goroutines must not cross-talk: each goroutine
@@ -132,5 +133,103 @@ func TestCollectUnwindsOnPanic(t *testing.T) {
 	}
 	if Active() {
 		t.Fatal("Active() true after panicked Collect")
+	}
+}
+
+// Sessions begin and end continuously on some goroutines while
+// long-lived sessions on others keep hooking through every registry
+// rebuild: each goroutine must read back exactly its own counts, and
+// the registry must empty once all are done. Under -race this is the
+// proof that lookups never race the copy-on-write table.
+func TestSessionChurnIsolation(t *testing.T) {
+	const churners, hookers, iters = 8, 8, 200
+	stop := make(chan struct{})
+	var hookWG, churnWG sync.WaitGroup
+	for g := 0; g < hookers; g++ {
+		g := g
+		hookWG.Add(1)
+		go func() {
+			defer hookWG.Done()
+			f := uint64(g + 1)
+			rec := Begin()
+			var n uint64
+			for running := true; running; n++ {
+				AddF(f)
+				AddB(1)
+				select {
+				case <-stop:
+					running = false
+				default:
+				}
+			}
+			End()
+			if want := (Counts{F: n * f, B: n}); *rec != want {
+				t.Errorf("hooker %d: got %+v, want %+v", g, *rec, want)
+			}
+		}()
+	}
+	for g := 0; g < churners; g++ {
+		g := g
+		churnWG.Add(1)
+		go func() {
+			defer churnWG.Done()
+			for it := 0; it < iters; it++ {
+				i, m := uint64(g+1), uint64(it+1)
+				got := Collect(func() {
+					AddI(i)
+					AddM(m)
+				})
+				rec := Begin()
+				AddCounts(Counts{I: i, B: m})
+				End()
+				if got != (Counts{I: i, M: m}) || *rec != (Counts{I: i, B: m}) {
+					t.Errorf("churner %d iter %d: Collect %+v, Begin/End %+v", g, it, got, *rec)
+					return
+				}
+			}
+		}()
+	}
+	churnWG.Wait()
+	close(stop)
+	hookWG.Wait()
+	if n := sessionCount.Load(); n != 0 {
+		t.Fatalf("sessions leaked: %d still registered", n)
+	}
+	if sessions.Load() != nil {
+		t.Fatal("registry not emptied after every session ended")
+	}
+}
+
+// The registry table must find every live key, and miss absent ones,
+// at any size: probe chains wrap around the slot array and survive
+// rebuilds that drop keys from their middle.
+func TestSessionTableLookup(t *testing.T) {
+	const n = 300
+	var tbl *sessionTable
+	live := make([]*session, n)
+	for i := range live {
+		live[i] = &session{key: unsafe.Pointer(new(int))}
+		tbl = rebuilt(tbl, live[i], nil)
+	}
+	for i := 0; i < n; i += 2 {
+		tbl = rebuilt(tbl, nil, live[i].key)
+	}
+	for i, s := range live {
+		got := tbl.lookup(s.key)
+		if i%2 == 0 && got != nil {
+			t.Fatalf("dropped key %d still found", i)
+		}
+		if i%2 == 1 && got != s {
+			t.Fatalf("live key %d: got %p, want %p", i, got, s)
+		}
+	}
+	if tbl.lookup(unsafe.Pointer(new(int))) != nil {
+		t.Fatal("absent key found")
+	}
+	for i := 1; i < n; i += 2 {
+		tbl = rebuilt(tbl, nil, live[i].key)
+	}
+	if tbl != nil {
+		t.Fatal("table not nil after dropping every key")
 	}
 }
