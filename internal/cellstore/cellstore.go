@@ -1,9 +1,21 @@
 // Package cellstore is the on-disk content-addressed store behind the
 // persistent per-cell sweep cache (-cachedir). It is a flat directory
-// of versioned JSON records, one file per content key: the key digests
-// everything that determines a cell's bytes (kernel spec, board model,
-// harness config — see report.CellKey), so a record is immutable once
-// written and lookups never need invalidation, only presence checks.
+// of records, one file per content key: the key digests everything
+// that determines a cell's bytes (kernel spec, board model, harness
+// config — see report.CellKey), so a record is immutable once written
+// and lookups never need invalidation, only presence checks.
+//
+// A record is one text header line followed by the caller's payload
+// bytes, stored verbatim:
+//
+//	entobench.cell 2 <key> <sha256-hex of payload>\n
+//	<payload>
+//
+// so a read checks the small header and hashes the payload, and the
+// caller decodes the payload exactly once. Files keep the .json
+// suffix of the version-1 JSON envelope, so records written by older
+// binaries are still seen by the quota scans and the collector, and
+// read once as misses.
 //
 // Durability contract:
 //
@@ -11,10 +23,10 @@
 //     store directory and is published with os.Rename, so a concurrent
 //     reader — or another process sharing the directory — sees either
 //     no file or a complete record, never a torn one.
-//   - Reads are verified: every record carries a format tag, a version,
-//     its own key, and the SHA-256 of its payload. A record that fails
-//     any check (truncation, bit flips, a foreign or older format) is
-//     discarded — best-effort unlinked and counted on
+//   - Reads are verified: every record's header carries a format tag, a
+//     version, its own key, and the SHA-256 of its payload. A record
+//     that fails any check (truncation, bit flips, a foreign or older
+//     format) is discarded — best-effort unlinked and counted on
 //     cellstore.corrupt_discarded — and reported as a miss, so
 //     corruption always heals into a recompute, never an error.
 //   - Concurrent Puts of the same key are benign: both writers produce
@@ -43,15 +55,16 @@
 package cellstore
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -61,13 +74,17 @@ import (
 	"repro/internal/obs"
 )
 
-// Format is the record envelope's format tag.
+// Format is the record header's format tag.
 const Format = "entobench.cell"
 
-// Version is the record envelope version. Bump it whenever the payload
-// schema or the measurement semantics change in a way the key does not
-// capture; old records then read as misses and recompute.
-const Version = 1
+// Version is the record format version. Bump it whenever the record
+// layout, the payload schema or the measurement semantics change in a
+// way the key does not capture; old records then read as misses and
+// recompute. Version 1 was a JSON envelope around the payload.
+const Version = 2
+
+// headerPrefix opens every current record's header line.
+var headerPrefix = Format + " " + strconv.Itoa(Version) + " "
 
 // ctrCorruptDiscarded counts records discarded on read for failing an
 // integrity check (docs/observability.md).
@@ -101,20 +118,13 @@ const degradeAfterFailures = 3
 // first success exits degraded mode.
 const DefaultProbeInterval = 5 * time.Second
 
-// envelope is the on-disk record: integrity metadata around an opaque
-// payload owned by the caller (report's cell result schema).
-type envelope struct {
-	Format  string          `json:"format"`
-	Version int             `json:"version"`
-	Key     string          `json:"key"`
-	SHA256  string          `json:"sha256"`
-	Payload json.RawMessage `json:"payload"`
-}
-
 // Store is one cache directory. It is safe for concurrent use by any
 // number of goroutines and processes.
 type Store struct {
 	dir string
+	// root is the cleaned directory with a trailing separator: the
+	// prefix of every record path.
+	root string
 
 	// quota, when > 0, bounds the directory's total record bytes;
 	// sizing state is maintained approximately under mu and trued up by
@@ -152,7 +162,11 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cellstore: open %s: %w", dir, err)
 	}
-	s := &Store{dir: dir, backoffSleep: time.Sleep}
+	root := filepath.Clean(dir)
+	if !os.IsPathSeparator(root[len(root)-1]) {
+		root += string(filepath.Separator)
+	}
+	s := &Store{dir: dir, root: root, backoffSleep: time.Sleep}
 	s.probeEvery.Store(int64(DefaultProbeInterval))
 	return s, nil
 }
@@ -248,24 +262,39 @@ func isDiskFull(err error) bool {
 var ErrDegraded = errors.New("cellstore: degraded (read-only)")
 
 // path maps a content key to its file. Keys are digest-shaped
-// ("cell-<hex>"); anything else would be a caller bug, but the key is
-// sanitized anyway so a hostile key cannot escape the directory.
+// ("cell-<hex>") and map straight to a file name; anything else would
+// be a caller bug, but such a key is sanitized anyway so a hostile key
+// cannot escape the directory.
 func (s *Store) path(key string) string {
-	clean := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_', r == '.':
-			return r
+	for i := 0; i < len(key); i++ {
+		if !safeKeyRune(rune(key[i])) {
+			key = strings.Map(func(r rune) rune {
+				if safeKeyRune(r) {
+					return r
+				}
+				return '_'
+			}, key)
+			break
 		}
-		return '_'
-	}, key)
-	return filepath.Join(s.dir, clean+".json")
+	}
+	return s.root + key + ".json"
+}
+
+// safeKeyRune reports whether r may appear in a record file name as is.
+func safeKeyRune(r rune) bool {
+	switch {
+	case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_', r == '.':
+		return true
+	}
+	return false
 }
 
 // Get returns the payload stored under key, or ok=false on a miss. A
-// present-but-invalid record — wrong format, wrong version, key
-// mismatch, checksum mismatch, or unparseable JSON — is treated as a
-// miss: it is counted on cellstore.corrupt_discarded and best-effort
-// removed so the healed slot rewrites cleanly.
+// present-but-invalid record — no header line, wrong format, wrong
+// version, key mismatch, or checksum mismatch — is treated as a miss:
+// it is counted on cellstore.corrupt_discarded and best-effort removed
+// so the healed slot rewrites cleanly. The payload is a subslice of
+// the bytes read, owned by the caller.
 func (s *Store) Get(key string) (payload []byte, ok bool) {
 	if s.hookErr("get", key) != nil {
 		return nil, false // injected read fault: a miss, never an error
@@ -275,17 +304,8 @@ func (s *Store) Get(key string) (payload []byte, ok bool) {
 	if err != nil {
 		return nil, false
 	}
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		s.discard(p)
-		return nil, false
-	}
-	if env.Format != Format || env.Version != Version || env.Key != key {
-		s.discard(p)
-		return nil, false
-	}
-	sum := sha256.Sum256(env.Payload)
-	if hex.EncodeToString(sum[:]) != env.SHA256 {
+	payload, ok = parseRecord(data, key)
+	if !ok {
 		s.discard(p)
 		return nil, false
 	}
@@ -294,7 +314,28 @@ func (s *Store) Get(key string) (payload []byte, ok bool) {
 		now := time.Now()
 		_ = os.Chtimes(p, now, now)
 	}
-	return env.Payload, true
+	return payload, true
+}
+
+// parseRecord checks a record's header against key and its payload
+// against the header's digest, returning the payload on success.
+func parseRecord(data []byte, key string) ([]byte, bool) {
+	nl := bytes.IndexByte(data, '\n')
+	if nl < 0 {
+		return nil, false
+	}
+	head, payload := data[:nl], data[nl+1:]
+	hexAt := len(headerPrefix) + len(key) + 1
+	if len(head) != hexAt+hex.EncodedLen(sha256.Size) ||
+		string(head[:len(headerPrefix)]) != headerPrefix ||
+		string(head[len(headerPrefix):hexAt-1]) != key ||
+		head[hexAt-1] != ' ' {
+		return nil, false
+	}
+	sum := sha256.Sum256(payload)
+	var hexSum [2 * sha256.Size]byte
+	hex.Encode(hexSum[:], sum[:])
+	return payload, bytes.Equal(head[hexAt:], hexSum[:])
 }
 
 // discard removes an invalid record, tolerating races with other
@@ -315,16 +356,11 @@ func (s *Store) Put(key string, payload []byte) error {
 		return ErrDegraded
 	}
 	sum := sha256.Sum256(payload)
-	data, err := json.Marshal(envelope{
-		Format:  Format,
-		Version: Version,
-		Key:     key,
-		SHA256:  hex.EncodeToString(sum[:]),
-		Payload: json.RawMessage(payload),
-	})
-	if err != nil {
-		return fmt.Errorf("cellstore: put %s: %w", key, err)
-	}
+	data := make([]byte, 0, len(headerPrefix)+len(key)+2+hex.EncodedLen(len(sum))+len(payload))
+	data = append(append(append(data, headerPrefix...), key...), ' ')
+	data = append(hex.AppendEncode(data, sum[:]), '\n')
+	data = append(data, payload...)
+	var err error
 	for attempt := 0; ; attempt++ {
 		err = s.putOnce(key, data)
 		if err == nil {

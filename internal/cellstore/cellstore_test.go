@@ -1,11 +1,15 @@
 package cellstore
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -39,68 +43,78 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
-// Every way a record can rot on disk — truncation, bit flips in the
-// payload, an envelope from a different version or format, a record
-// filed under the wrong key — must read as a miss, bump
+// corruptions is every way a record can rot on disk — truncation, bit
+// flips in the payload, a header from a different version or format, a
+// record filed under the wrong key, a version-1 JSON envelope left by
+// an older binary. Each mutates the record Put wrote for
+// corruptPayload under corruptKey.
+var corruptions = []struct {
+	name    string
+	mutate  func(t testing.TB, path string)
+	discard bool // expect a counted discard (vs a plain miss)
+}{
+	{"truncated", func(t testing.TB, path string) {
+		data := readRecord(t, path)
+		writeRecord(t, path, data[:len(data)-len(corruptPayload)/2])
+	}, true},
+	{"bit-flipped payload", func(t testing.TB, path string) {
+		// Flip a digit inside the payload; the header stays intact but
+		// the checksum no longer matches.
+		data := readRecord(t, path)
+		i := bytes.LastIndexByte(data, '4')
+		if i < bytes.IndexByte(data, '\n') {
+			t.Fatal("no digit to flip in the payload")
+		}
+		data[i] = '7'
+		writeRecord(t, path, data)
+	}, true},
+	{"wrong version", func(t testing.TB, path string) {
+		rewriteHeader(t, path, func(f []string) { f[1] = strconv.Itoa(Version + 1) })
+	}, true},
+	{"wrong format", func(t testing.TB, path string) {
+		rewriteHeader(t, path, func(f []string) { f[0] = "somebody.else" })
+	}, true},
+	{"key mismatch", func(t testing.TB, path string) {
+		// Same length as corruptKey, so only the key bytes differ.
+		rewriteHeader(t, path, func(f []string) { f[2] = "cell-feedbeef" })
+	}, true},
+	{"not json at all", func(t testing.TB, path string) {
+		writeRecord(t, path, []byte("not json"))
+	}, true},
+	{"v1 JSON record from an older binary", func(t testing.TB, path string) {
+		// The version-1 envelope, field for field, as older binaries
+		// wrote it.
+		sum := sha256.Sum256(corruptPayload)
+		v1, err := json.Marshal(struct {
+			Format  string          `json:"format"`
+			Version int             `json:"version"`
+			Key     string          `json:"key"`
+			SHA256  string          `json:"sha256"`
+			Payload json.RawMessage `json:"payload"`
+		}{Format, 1, corruptKey, hex.EncodeToString(sum[:]), corruptPayload})
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeRecord(t, path, v1)
+	}, true},
+}
+
+const corruptKey = "cell-deadbeef"
+
+var corruptPayload = []byte(`{"model":{"cycles":42}}`)
+
+// Every corruption must read as a miss, bump
 // cellstore.corrupt_discarded, and remove the file so the slot heals by
 // recomputation. Never an error.
 func TestCorruptRecordsDiscarded(t *testing.T) {
-	payload := []byte(`{"model":{"cycles":42}}`)
-
-	corruptions := []struct {
-		name    string
-		mutate  func(t *testing.T, s *Store, path string)
-		discard bool // expect a counted discard (vs a plain miss)
-	}{
-		{"truncated", func(t *testing.T, s *Store, path string) {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}, true},
-		{"bit-flipped payload", func(t *testing.T, s *Store, path string) {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Flip a digit inside the payload; the envelope stays
-			// parseable but the checksum no longer matches.
-			for i := range data {
-				if data[i] == '4' {
-					data[i] = '7'
-					break
-				}
-			}
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}, true},
-		{"wrong version", func(t *testing.T, s *Store, path string) {
-			rewriteEnvelope(t, path, func(env map[string]any) { env["version"] = Version + 1 })
-		}, true},
-		{"wrong format", func(t *testing.T, s *Store, path string) {
-			rewriteEnvelope(t, path, func(env map[string]any) { env["format"] = "somebody.else" })
-		}, true},
-		{"key mismatch", func(t *testing.T, s *Store, path string) {
-			rewriteEnvelope(t, path, func(env map[string]any) { env["key"] = "cell-other" })
-		}, true},
-		{"not json at all", func(t *testing.T, s *Store, path string) {
-			if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}, true},
-	}
-
+	payload := corruptPayload
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := Open(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
-			const key = "cell-deadbeef"
+			const key = corruptKey
 			if err := s.Put(key, payload); err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +122,7 @@ func TestCorruptRecordsDiscarded(t *testing.T) {
 			if _, err := os.Stat(path); err != nil {
 				t.Fatalf("record not at expected path: %v", err)
 			}
-			tc.mutate(t, s, path)
+			tc.mutate(t, path)
 
 			before := obs.Counters()[obs.CounterCellstoreCorruptDiscarded]
 			if _, ok := s.Get(key); ok {
@@ -132,27 +146,83 @@ func TestCorruptRecordsDiscarded(t *testing.T) {
 	}
 }
 
-// rewriteEnvelope re-marshals the on-disk envelope after a field edit.
-// The payload checksum is left alone, so only the edited field trips
-// verification.
-func rewriteEnvelope(t *testing.T, path string, edit func(map[string]any)) {
+func readRecord(t testing.TB, path string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var env map[string]any
-	if err := json.Unmarshal(data, &env); err != nil {
+	return data
+}
+
+func writeRecord(t testing.TB, path string, data []byte) {
+	t.Helper()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	edit(env)
-	out, err := json.Marshal(env)
+}
+
+// rewriteHeader edits the on-disk header's fields (format, version,
+// key, digest). The payload and its checksum are left alone, so only
+// the edited field trips verification.
+func rewriteHeader(t testing.TB, path string, edit func(fields []string)) {
+	t.Helper()
+	data := readRecord(t, path)
+	head, payload, ok := bytes.Cut(data, []byte("\n"))
+	if !ok {
+		t.Fatalf("record has no header line: %q", data)
+	}
+	fields := strings.Split(string(head), " ")
+	if len(fields) != 4 {
+		t.Fatalf("header %q has %d fields, want 4", head, len(fields))
+	}
+	edit(fields)
+	writeRecord(t, path, append([]byte(strings.Join(fields, " ")+"\n"), payload...))
+}
+
+// FuzzStoreGet writes arbitrary bytes as a record and reads it back.
+// Get must never panic; it may hit only when the header names this key
+// and the digest matches the returned bytes, which must be everything
+// after the header line; and any miss must remove the file.
+func FuzzStoreGet(f *testing.F) {
+	dir := f.TempDir()
+	seed, err := Open(dir)
 	if err != nil {
-		t.Fatal(err)
+		f.Fatal(err)
 	}
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		t.Fatal(err)
+	path := filepath.Join(dir, corruptKey+".json")
+	for i := -1; i < len(corruptions); i++ {
+		if err := seed.Put(corruptKey, corruptPayload); err != nil {
+			f.Fatal(err)
+		}
+		if i >= 0 {
+			corruptions[i].mutate(f, path)
+		}
+		f.Add(readRecord(f, path)) // the intact record, then each corruption
 	}
+	f.Add([]byte{})
+	f.Add([]byte("\n"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := s.path(corruptKey)
+		writeRecord(t, path, data)
+		got, ok := s.Get(corruptKey)
+		if !ok {
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("missed record not removed (stat err %v)", err)
+			}
+			return
+		}
+		sum := sha256.Sum256(got)
+		want := fmt.Sprintf("%s %d %s %x\n%s", Format, Version, corruptKey, sum, got)
+		if string(data) != want {
+			t.Fatalf("hit on record %q, whose header does not match key and digest of %q", data, got)
+		}
+	})
 }
 
 // Hostile keys must not escape the store directory.
@@ -397,5 +467,54 @@ func TestRepeatedExhaustedRetriesDegrade(t *testing.T) {
 	}
 	if degraded, _ := s.Degraded(); !degraded {
 		t.Fatalf("%d consecutive exhausted puts did not degrade the store", degradeAfterFailures)
+	}
+}
+
+// Put stores the caller's bytes verbatim: payloads that are not compact
+// JSON, carry characters a JSON encoder would escape, or are not JSON
+// at all must come back byte for byte and verify against their digest.
+func TestPutGetRoundTripsOpaquePayload(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, payload := range [][]byte{
+		[]byte(`{"a": 1}`),
+		[]byte("{\n  \"e\": \"x > y && a < b\"\n}\n"),
+		[]byte("not json\x00\xff\nsecond line"),
+		{},
+	} {
+		key := fmt.Sprintf("cell-opaque-%d", i)
+		if err := s.Put(key, payload); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := s.Get(key)
+		if !ok {
+			t.Fatalf("payload %q: stored record missed", payload)
+		}
+		if string(got) != string(payload) {
+			t.Fatalf("payload round trip: got %q, want %q", got, payload)
+		}
+	}
+}
+
+// BenchmarkStoreGet times one warm record read: file read, header
+// check, payload SHA-256. The payload is a typical measured cell.
+func BenchmarkStoreGet(b *testing.B) {
+	s, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := []byte(`{"model":{"cycles":` + strings.Repeat("1234567890", 40) + `}}`)
+	const key = "cell-5a01c053034f4db809fdd6b9b227417f0f54d160456061a762d6843bdb32bd1f"
+	if err := s.Put(key, payload); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := s.Get(key); !ok {
+			b.Fatal("warm record missed")
+		}
 	}
 }

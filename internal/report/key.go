@@ -4,7 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"hash"
+	"math"
+	"strconv"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -42,31 +44,118 @@ import (
 // meaning changes in a way the inputs do not capture.
 const cellSchemaVersion = 1
 
-// hashKernel writes one kernel's identity line into a digest.
-func hashKernel(h hash.Hash, s core.Spec) {
-	fmt.Fprintf(h, "kernel|%s|%s|%s|%s|%d|%d|%v|%d\n",
-		s.Name, s.Stage, s.Category, s.Dataset, s.Prec, s.FLOPs, s.M7Only, s.MinSRAMKB)
+// appendKernel appends one kernel's identity line — the bytes of
+// fmt's "kernel|%s|%s|%s|%s|%d|%d|%v|%d\n" over the descriptor, built
+// without fmt because every cell key pays for it.
+func appendKernel(b []byte, s core.Spec) []byte {
+	b = append(b, "kernel|"...)
+	for _, f := range [...]string{s.Name, string(s.Stage), s.Category, s.Dataset} {
+		b = append(append(b, f...), '|')
+	}
+	b = append(strconv.AppendInt(b, int64(s.Prec), 10), '|')
+	b = append(strconv.AppendInt(b, int64(s.FLOPs), 10), '|')
+	b = append(strconv.AppendBool(b, s.M7Only), '|')
+	return append(strconv.AppendInt(b, int64(s.MinSRAMKB), 10), '\n')
 }
 
-// hashBoard writes one board's identity line into a digest.
-func hashBoard(h hash.Hash, a mcu.Arch) {
-	fmt.Fprintf(h, "board|%s|%s|%s|%g|%d|%d|%v|%s|%+v\n",
+// appendBoard appends one board's identity line, formatted afresh.
+// Keys go through boardLine, which memoizes it.
+func appendBoard(b []byte, a mcu.Arch) []byte {
+	return fmt.Appendf(b, "board|%s|%s|%s|%g|%d|%d|%v|%s|%+v\n",
 		a.Name, a.Board, a.ISA, a.ClockHz, a.FPU, a.SRAMKB, a.HasCache, a.Source, a.Model)
 }
 
-// hashHarness writes the harness configuration line into a digest.
-func hashHarness(h hash.Hash, cfg harness.Config) {
-	fmt.Fprintf(h, "harness|%+v\n", cfg)
+// appendHarness appends the harness configuration line.
+func appendHarness(b []byte, cfg harness.Config) []byte {
+	return fmt.Appendf(b, "harness|%+v\n", cfg)
 }
 
-// hashBackend writes the measurement-backend salt line into a digest —
-// only when there is one. The classic simulated path contributes
-// nothing, so every key minted before the backend seam existed (and
-// every warm cache built from them) stays byte-identical.
-func hashBackend(h hash.Hash, backend string) {
-	if backend != "" {
-		fmt.Fprintf(h, "backend|%s\n", backend)
+// appendBackend appends the measurement-backend salt line — only when
+// there is one. The classic simulated path contributes nothing, so
+// every key minted before the backend seam existed (and every warm
+// cache built from them) stays byte-identical.
+func appendBackend(b []byte, backend string) []byte {
+	if backend == "" {
+		return b
 	}
+	return fmt.Appendf(b, "backend|%s\n", backend)
+}
+
+// boardLineCap bounds the board-line memo. A sweep touches a handful
+// of boards, but a long-running entobenchd sees every board its
+// clients send, so past the cap the memo starts over instead of
+// growing without bound.
+const boardLineCap = 256
+
+// boardLines memoizes each board's identity line. Formatting the full
+// model with fmt dominated CellKey, which runs once per cell; the
+// line depends on nothing but the Arch value, and Arch is comparable,
+// so the value itself is the memo key.
+var boardLines = struct {
+	sync.Mutex
+	m map[mcu.Arch]string
+}{m: make(map[mcu.Arch]string)}
+
+// boardLine returns a's identity line, formatting it at most once
+// while it stays memoized.
+func boardLine(a mcu.Arch) string {
+	if !exactMemoKey(a) {
+		return string(appendBoard(nil, a))
+	}
+	boardLines.Lock()
+	defer boardLines.Unlock()
+	line, ok := boardLines.m[a]
+	if !ok {
+		if len(boardLines.m) >= boardLineCap {
+			clear(boardLines.m)
+		}
+		line = string(appendBoard(nil, a))
+		boardLines.m[a] = line
+	}
+	return line
+}
+
+// exactMemoKey reports whether map equality on a matches equality of
+// its identity line. It does not for a NaN (equal to nothing, so it
+// would only churn the memo) or a negative zero (== +0, but %g prints
+// "-0") in any float the line prints; such boards bypass the memo.
+func exactMemoKey(a mcu.Arch) bool {
+	m := a.Model
+	for _, f := range [...]float64{
+		a.ClockHz,
+		m.CPIF32, m.CPIF64, m.CPII, m.CPIB, m.MemOn, m.MemOff,
+		m.BranchOffPenalty, m.IPC, m.SoftF32, m.SoftF64,
+		m.BasePowerOnW, m.BasePowerOffW, m.DynFOnW, m.DynMOnW, m.DynFOffW, m.DynMOffW,
+		m.StaticF, m.StaticI, m.StaticM, m.StaticB,
+	} {
+		if f != f || f == 0 && math.Signbit(f) {
+			return false
+		}
+	}
+	return true
+}
+
+// cellHead appends the fixed head of a cell digest: the schema line,
+// the backend salt, and the per-cell harness line.
+func cellHead(b []byte, cacheOn bool, backend string) []byte {
+	cfg := harness.DefaultConfig()
+	cfg.CacheOn = cacheOn
+	b = fmt.Appendf(b, "cellschema|%d\n", cellSchemaVersion)
+	return appendHarness(appendBackend(b, backend), cfg)
+}
+
+// simCellHead is cellHead for the empty (simulator) backend, rendered
+// once per cache setting.
+var simCellHead = map[bool][]byte{false: cellHead(nil, false, ""), true: cellHead(nil, true, "")}
+
+// digestKey returns prefix ("cell-" or "sweep-") plus the hex SHA-256
+// of content.
+func digestKey(prefix string, content []byte) string {
+	sum := sha256.Sum256(content)
+	var out [len("sweep-") + 2*sha256.Size]byte
+	n := copy(out[:], prefix)
+	hex.Encode(out[n:], sum[:])
+	return string(out[:n+2*sha256.Size])
 }
 
 // SweepKey returns the cache key of a characterization query:
@@ -74,16 +163,14 @@ func hashBackend(h hash.Hash, backend string) {
 // is the measurement backend's salt (harness.BackendSalt) — empty for
 // classic sweeps.
 func SweepKey(specs []core.Spec, archs []mcu.Arch, cfg harness.Config, backend string) string {
-	h := sha256.New()
-	hashBackend(h, backend)
-	hashHarness(h, cfg)
+	b := appendHarness(appendBackend(nil, backend), cfg)
 	for _, s := range specs {
-		hashKernel(h, s)
+		b = appendKernel(b, s)
 	}
 	for _, a := range archs {
-		hashBoard(h, a)
+		b = append(b, boardLine(a)...)
 	}
-	return "sweep-" + hex.EncodeToString(h.Sum(nil))
+	return digestKey("sweep-", b)
 }
 
 // CellKey returns the persistent-store key of one (kernel, board,
@@ -97,15 +184,16 @@ func SweepKey(specs []core.Spec, archs []mcu.Arch, cfg harness.Config, backend s
 // keep their pre-seam keys; non-empty for externally measured cells,
 // so modeled and measured results never collide in the store.
 func CellKey(spec core.Spec, arch mcu.Arch, cacheOn bool, backend string) string {
-	cfg := harness.DefaultConfig()
-	cfg.CacheOn = cacheOn
-	h := sha256.New()
-	fmt.Fprintf(h, "cellschema|%d\n", cellSchemaVersion)
-	hashBackend(h, backend)
-	hashHarness(h, cfg)
-	hashKernel(h, spec)
-	hashBoard(h, arch)
-	return "cell-" + hex.EncodeToString(h.Sum(nil))
+	var buf [1024]byte
+	b := buf[:0]
+	if backend == "" {
+		b = append(b, simCellHead[cacheOn]...)
+	} else {
+		b = cellHead(b, cacheOn, backend)
+	}
+	b = appendKernel(b, spec)
+	b = append(b, boardLine(arch)...)
+	return digestKey("cell-", b)
 }
 
 // StaticCellKey returns the persistent-store key of one kernel's
@@ -113,8 +201,6 @@ func CellKey(spec core.Spec, arch mcu.Arch, cacheOn bool, backend string) string
 // the reduced-input solve and models flash from the counts), so the
 // digest covers only the kernel descriptor and the schema version.
 func StaticCellKey(spec core.Spec) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "cellschema|%d\nstatic\n", cellSchemaVersion)
-	hashKernel(h, spec)
-	return "cell-" + hex.EncodeToString(h.Sum(nil))
+	b := fmt.Appendf(nil, "cellschema|%d\nstatic\n", cellSchemaVersion)
+	return digestKey("cell-", appendKernel(b, spec))
 }
