@@ -140,6 +140,14 @@ type CellCache interface {
 	StoreCell(spec Spec, arch mcu.Arch, cacheOn bool, backend string, res MeasuredCellResult)
 }
 
+// cellProber is implemented by a CellCache that tallies the cells it
+// serves (report.PersistentCellCache). The prepare's rehydration probe
+// serves no job, so it reads through ProbeCell, LoadCell without the
+// tally, and the cache's count stays equal to the jobs it served.
+type cellProber interface {
+	ProbeCell(spec Spec, arch mcu.Arch, cacheOn bool, backend string) (MeasuredCellResult, bool)
+}
+
 // cellBackend is the resolved measurement backend of one sweep cell:
 // the rig that measures it (nil = the reference simulator), the
 // provenance labels the record carries, and the cache-key salt. It is

@@ -112,17 +112,7 @@ type Result struct {
 // setup → warm-up → ROI (profiled reps) → model → trace synthesis →
 // trace analysis → validation.
 func Run(p Problem, arch mcu.Arch, prec mcu.Precision, cfg Config) (Result, error) {
-	return RunContext(context.Background(), p, arch, prec, cfg)
-}
-
-// RunContext is Run under a context: the flow checks for cancellation
-// at every phase boundary (after setup, between warm-up Solves, before
-// the profiled ROI) and abandons the run with ctx.Err()
-// wrapped in the returned error. Cancellation is cooperative — a Solve
-// that never returns must be cut off by the sweep-level watchdog
-// (core.SweepOptions.CellTimeout), not by the context.
-func RunContext(ctx context.Context, p Problem, arch mcu.Arch, prec mcu.Precision, cfg Config) (Result, error) {
-	pp, err := PrepareContext(ctx, p, arch, prec, cfg)
+	pp, err := Prepare(p, arch, prec, cfg)
 	if err != nil {
 		return Result{Kernel: p.Name(), Arch: arch, Precision: prec, CacheOn: cfg.CacheOn}, err
 	}
@@ -160,8 +150,11 @@ func Prepare(p Problem, refArch mcu.Arch, prec mcu.Precision, cfg Config) (*Prep
 // FirstCounts. The host runs cfg.Warmup + 1 Solves whatever cfg.Reps
 // says: the trace synthesizer scales the ROI to the full rep count
 // analytically. refArch and prec are ignored; existing callers still
-// pass them. Cancellation follows the RunContext contract: cooperative
-// checks at every phase boundary.
+// pass them. The context is checked at every phase boundary (after
+// Setup, between warm-up Solves, before the profiled ROI) and a
+// canceled run returns ctx.Err() wrapped. Cancellation is cooperative:
+// a Solve that never returns must be cut off by the sweep-level
+// watchdog (core.SweepOptions.CellTimeout), not by the context.
 func PrepareContext(ctx context.Context, p Problem, refArch mcu.Arch, prec mcu.Precision, cfg Config) (*Prepared, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", p.Name(), err)

@@ -26,8 +26,8 @@ import (
 type PersistentCellCache struct {
 	store *cellstore.Store
 
-	// Per-instance provenance: how many cells this cache served from
-	// disk and how many it persisted after computation. entoreport
+	// Per-instance provenance: how many sweep jobs this cache served
+	// from disk and how many it persisted after computation. entoreport
 	// surfaces these in the export's cache block.
 	hits   atomic.Int64
 	stores atomic.Int64
@@ -93,12 +93,22 @@ func (p *PersistentCellCache) StoreStatic(spec core.Spec, res core.StaticCellRes
 // content key, so a measured cell can never be served to a modeled
 // query or vice versa.
 func (p *PersistentCellCache) LoadCell(spec core.Spec, arch mcu.Arch, cacheOn bool, backend string) (core.MeasuredCellResult, bool) {
+	res, ok := p.ProbeCell(spec, arch, cacheOn, backend)
+	if ok {
+		p.hits.Add(1)
+	}
+	return res, ok
+}
+
+// ProbeCell is LoadCell without counting a served cell: the sweep's
+// rehydration probe reads a kernel's cached cell through it to skip
+// executing the kernel, which serves no job of its own.
+func (p *PersistentCellCache) ProbeCell(spec core.Spec, arch mcu.Arch, cacheOn bool, backend string) (core.MeasuredCellResult, bool) {
 	var res core.MeasuredCellResult
 	payload, ok := p.store.Get(CellKey(spec, arch, cacheOn, backend))
 	if !ok || json.Unmarshal(payload, &res) != nil {
 		return core.MeasuredCellResult{}, false
 	}
-	p.hits.Add(1)
 	return res, true
 }
 

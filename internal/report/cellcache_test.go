@@ -345,3 +345,32 @@ func TestPersistentCacheProvenanceCounts(t *testing.T) {
 		t.Fatalf("provenance = %+v, want 14 cached / 14 computed", prov)
 	}
 }
+
+// An incremental sweep rehydrates each kernel's prepare from a cached
+// cell without counting that read: the provenance block's deltas equal
+// the engine's sweep.cells_cached / sweep.cells_computed deltas.
+func TestPersistentCacheProvenanceIncremental(t *testing.T) {
+	specs := cacheTestSpecs(t)
+	cache, err := report.OpenCellCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweepJSON(t, specs, []mcu.Arch{mcu.M4}, core.SweepOptions{Workers: 1, CellCache: cache})
+
+	prov0, before := cache.Provenance(), obs.Counters()
+	sweepJSON(t, specs, []mcu.Arch{mcu.M4, mcu.M33}, core.SweepOptions{Workers: 1, CellCache: cache})
+	prov1, after := cache.Provenance(), obs.Counters()
+
+	cached := after[obs.CounterSweepCellsCached] - before[obs.CounterSweepCellsCached]
+	computed := after[obs.CounterSweepCellsComputed] - before[obs.CounterSweepCellsComputed]
+	// Cached: 2 static + 2 kernels × 2 M4 cells; computed: the 4 M33 cells.
+	if cached != 6 || computed != 4 {
+		t.Fatalf("engine deltas = %d cached / %d computed, want 6 / 4", cached, computed)
+	}
+	if d := prov1.CellsCached - prov0.CellsCached; uint64(d) != cached {
+		t.Fatalf("provenance cells_cached delta = %d, engine sweep.cells_cached delta = %d", d, cached)
+	}
+	if d := prov1.CellsComputed - prov0.CellsComputed; uint64(d) != computed {
+		t.Fatalf("provenance cells_computed delta = %d, engine sweep.cells_computed delta = %d", d, computed)
+	}
+}

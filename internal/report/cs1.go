@@ -27,7 +27,9 @@ type CS1Result struct {
 }
 
 // RunCS1 measures the perception kernels across the three scene
-// families, including the USADA8-vectorized bbof-vec variant.
+// families, including the USADA8-vectorized bbof-vec variant. Each
+// (kernel, dataset) problem executes once and is measured on every
+// Table IV board, as the sweep does.
 func RunCS1() (CS1Result, error) {
 	type job struct {
 		kernel string
@@ -63,8 +65,13 @@ func RunCS1() (CS1Result, error) {
 				PeakMW:  map[string]float64{},
 				CyclesK: map[string]float64{},
 			}
+			cfg := harness.DefaultConfig()
+			pp, err := harness.Prepare(p, mcu.Arch{}, mcu.PrecF32, cfg)
+			if err != nil {
+				return out, err
+			}
 			for _, arch := range mcu.TableIVSet() {
-				res, err := harness.Run(p, arch, mcu.PrecF32, harness.DefaultConfig())
+				res, err := pp.MeasureOn(arch, mcu.PrecF32, cfg)
 				if err != nil {
 					return out, err
 				}

@@ -25,7 +25,8 @@ type CS3Result struct {
 }
 
 // RunCS3 measures the sensor-fusion and optimal-control kernels whose
-// feasibility the literature justified with FLOP counts.
+// feasibility the literature justified with FLOP counts. Each kernel
+// executes once and is measured on every Table IV board.
 func RunCS3() (CS3Result, error) {
 	kernels := []string{"fly-ekf (seq)", "fly-ekf (trunc)", "bee-ceekf", "fly-lqr", "fly-tiny-mpc"}
 	var out CS3Result
@@ -40,8 +41,13 @@ func RunCS3() (CS3Result, error) {
 			EstEnergy:  map[string]float64{},
 			MeasEnergy: map[string]float64{},
 		}
+		cfg := harness.DefaultConfig()
+		pp, err := harness.Prepare(spec.Factory(), mcu.Arch{}, spec.Prec, cfg)
+		if err != nil {
+			return out, err
+		}
 		for _, arch := range mcu.TableIVSet() {
-			res, err := harness.Run(spec.Factory(), arch, spec.Prec, harness.DefaultConfig())
+			res, err := pp.MeasureOn(arch, spec.Prec, cfg)
 			if err != nil {
 				return out, err
 			}

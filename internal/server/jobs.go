@@ -105,33 +105,15 @@ type progressEvent struct {
 	Total   int `json:"total"`
 }
 
-// subscriber is one SSE watcher attached to a job's progress fanout.
-// missed counts consecutive events dropped because its channel was
-// full; a watcher that misses stallKickAfter in a row is presumed
-// stalled (a client that stopped reading but never disconnected) and
-// kicked, so its handler goroutine can never outlive the job by much
-// and the fanout never carries dead weight.
-type subscriber struct {
-	ch       chan progressEvent
-	kicked   chan struct{}
-	missed   int
-	kickSent bool // kicked already closed; never close twice
-}
-
-// stallKickAfter is how many consecutive missed events (on top of a
-// full 32-event buffer) mark a subscriber as stalled.
-const stallKickAfter = 64
-
-// job is one submitted sweep: identity, monotone progress, fanout
-// subscriptions, and the outcome.
+// job is one submitted sweep: identity, monotone progress, and the
+// outcome.
 type job struct {
 	id string
 
 	mu      sync.Mutex
 	state   string
 	prog    progressEvent
-	subs    map[int]*subscriber
-	nextSub int
+	changed chan struct{} // closed by the next update; nil while nobody watches
 
 	doneCh      chan struct{} // closed on completion (done, failed, or shed)
 	body        []byte        // rendered v1 JSON report (StateDone)
@@ -143,57 +125,33 @@ type job struct {
 
 // update is the job's SweepOptions.Progress hook. The sweep engine
 // reports from pool workers concurrently, so observations can arrive
-// out of order; update keeps the stream monotone (an SSE client never
-// sees progress go backwards) and fans the event out without blocking
-// the sweep — a slow SSE client just misses intermediate events, and a
-// persistently stalled one is kicked (see subscriber).
+// out of order; update keeps the snapshot monotone (an SSE client never
+// sees progress go backwards) and wakes its watchers without ever
+// blocking the sweep — each watcher reads the latest snapshot when it
+// is ready, so a slow client just skips intermediate ones.
 func (j *job) update(done, skipped, total int) {
 	ev := progressEvent{Done: done, Skipped: skipped, Total: total}
 	j.mu.Lock()
-	if ev.Done+ev.Skipped < j.prog.Done+j.prog.Skipped {
-		j.mu.Unlock()
-		return
-	}
-	j.prog = ev
-	var kicks []chan struct{}
-	for _, sub := range j.subs {
-		select {
-		case sub.ch <- ev:
-			sub.missed = 0
-		default: // subscriber lagging; it will catch up on a later event
-			sub.missed++
-			if sub.missed >= stallKickAfter && !sub.kickSent {
-				sub.kickSent = true
-				kicks = append(kicks, sub.kicked)
-			}
+	if ev.Done+ev.Skipped >= j.prog.Done+j.prog.Skipped {
+		j.prog = ev
+		if j.changed != nil {
+			close(j.changed)
+			j.changed = nil
 		}
 	}
 	j.mu.Unlock()
-	for _, k := range kicks {
-		close(k)
-	}
 }
 
-// subscribe registers an SSE watcher and returns its id, the
-// subscriber handle, and the progress snapshot at attach time.
-func (j *job) subscribe() (int, *subscriber, progressEvent) {
+// watch returns the current progress snapshot and a channel the next
+// update closes. The channel is made only when someone watches, so an
+// unwatched job allocates nothing.
+func (j *job) watch() (progressEvent, <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	id := j.nextSub
-	j.nextSub++
-	sub := &subscriber{
-		ch:     make(chan progressEvent, 32),
-		kicked: make(chan struct{}),
+	if j.changed == nil {
+		j.changed = make(chan struct{})
 	}
-	j.subs[id] = sub
-	return id, sub, j.prog
-}
-
-// unsubscribe drops an SSE watcher.
-func (j *job) unsubscribe(id int) {
-	j.mu.Lock()
-	delete(j.subs, id)
-	j.mu.Unlock()
+	return j.prog, j.changed
 }
 
 // setState transitions the job (queued → running on dispatch).
@@ -288,7 +246,6 @@ func (t *jobTable) create(state string) *job {
 	j := &job{
 		id:     fmt.Sprintf("s%d", t.next),
 		state:  state,
-		subs:   make(map[int]*subscriber),
 		doneCh: make(chan struct{}),
 	}
 	t.m[j.id] = j
@@ -323,6 +280,19 @@ func (t *jobTable) retire(id string) {
 	}
 	t.ring[t.head] = id
 	t.head = (t.head + 1) % len(t.ring)
+}
+
+// decodeSweep decodes a POST /v1/sweep body; an empty body is the zero
+// request. Unknown fields are refused, so a misspelled field is a 400
+// instead of a silently different sweep.
+func decodeSweep(body io.Reader) (SweepRequest, error) {
+	var req SweepRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+		return SweepRequest{}, err
+	}
+	return req, nil
 }
 
 // resolveSweep turns a request into the kernel and board selections,
@@ -392,10 +362,8 @@ func (s *Server) sweepDeadline(req SweepRequest) time.Duration {
 // bypass admission — only kernels that still need executing consume
 // the in-flight budget.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+	req, err := decodeSweep(r.Body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "parse sweep request: %v", err)
 		return
 	}

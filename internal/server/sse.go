@@ -50,12 +50,14 @@ func writeSSE(w http.ResponseWriter, flusher http.Flusher, event string, payload
 	flusher.Flush()
 }
 
-// handleSweepEvents is GET /v1/sweep/{id}/events: subscribe to the
-// job's progress fanout, replay the current snapshot so a late client
-// starts from truth rather than zero, stream monotone progress frames,
-// and close with a terminal done/error frame. Attaching to an already
-// finished job replays the final progress snapshot and terminates
-// immediately.
+// handleSweepEvents is GET /v1/sweep/{id}/events: write the job's
+// progress snapshot whenever it moves — starting with the current one,
+// so a late client starts from truth rather than zero — and close with
+// a terminal done/error frame. Attaching to an already finished job
+// replays the final progress snapshot and terminates immediately. A
+// client that stops reading holds only this handler, blocked in its
+// write until the client reads again or disconnects; the sweep never
+// waits on it.
 func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.jobs.lookup(r.PathValue("id"))
 	if !ok {
@@ -78,34 +80,24 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 	// instead of blocking until the first event happens to be written.
 	flusher.Flush()
 
-	id, sub, snapshot := j.subscribe()
-	defer j.unsubscribe(id)
-	if snapshot.Total > 0 {
-		writeSSE(w, flusher, SSEEventProgress, snapshot)
+	// sent is the last snapshot written; the zero snapshot (no progress
+	// reported yet) is never written.
+	var sent progressEvent
+	send := func(p progressEvent) {
+		if p != sent {
+			writeSSE(w, flusher, SSEEventProgress, p)
+			sent = p
+		}
 	}
 	for {
+		snap, changed := j.watch()
+		send(snap)
 		select {
-		case ev := <-sub.ch:
-			writeSSE(w, flusher, SSEEventProgress, ev)
-		case <-sub.kicked:
-			// The fanout marked this subscriber stalled (its buffer
-			// stayed full across many events — a client that stopped
-			// reading without disconnecting). Drop it; the fanout never
-			// blocked on it and its goroutine ends here.
-			return
+		case <-changed:
 		case <-j.doneCh:
-			// Drain any progress frames that raced completion so the
-			// last progress a client sees is the final count.
-			for {
-				select {
-				case ev := <-sub.ch:
-					writeSSE(w, flusher, SSEEventProgress, ev)
-					continue
-				default:
-				}
-				break
-			}
+			// The last progress a client sees is the final count.
 			st := j.status()
+			send(progressEvent{Done: st.Done, Skipped: st.Skipped, Total: st.Total})
 			switch st.State {
 			case StateFailed, StateShed:
 				writeSSE(w, flusher, SSEEventError, sseError{ID: j.id, Error: st.Error})
