@@ -54,8 +54,8 @@ func NewBeeMPC[T scalar.Real[T]](like T, a, b, q, r [][]float64, cfg BeeMPCConfi
 		maxIter: cfg.MaxIter,
 	}
 	if k, p, err := solveDARE(a, b, q, r); err == nil {
-		out.pT = p.Floats()
-		out.kinf = k.Floats()
+		out.pT = p
+		out.kinf = k
 	} else {
 		out.pT = q
 	}

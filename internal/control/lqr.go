@@ -26,31 +26,12 @@ type LQR[T scalar.Real[T]] struct {
 }
 
 // solveDARE iterates the discrete algebraic Riccati equation to a fixed
-// point in float64 and returns the gain K and cost-to-go P∞.
-func solveDARE(a, b, q, r [][]float64) (k, p mat.Mat[scalar.F64], err error) {
-	type F = scalar.F64
-	fa := mat.FromFloats(F(0), a)
-	fb := mat.FromFloats(F(0), b)
-	fq := mat.FromFloats(F(0), q)
-	fr := mat.FromFloats(F(0), r)
-
-	p = fq.Clone()
-	for it := 0; it < 2000; it++ {
-		// K = (R + Bᵀ·P·B)⁻¹·Bᵀ·P·A
-		btp := fb.Transpose().Mul(p)
-		s := btp.Mul(fb).Add(fr)
-		sinv, invErr := mat.Inverse(s)
-		if invErr != nil {
-			return k, p, errors.New("control: DARE iteration hit singular R + BᵀPB")
-		}
-		k = sinv.Mul(btp).Mul(fa)
-		// P' = Q + Aᵀ·P·(A - B·K)
-		pNew := fq.Add(fa.Transpose().Mul(p).Mul(fa.Sub(fb.Mul(k))))
-		diff := pNew.Sub(p).MaxAbs().Float()
-		p = pNew
-		if diff < 1e-12 {
-			break
-		}
+// point in float64 (at most 2000 steps) and returns the gain K and
+// cost-to-go P∞.
+func solveDARE(a, b, q, r [][]float64) (k, p [][]float64, err error) {
+	k, p, err = riccati(a, b, q, r, 2000)
+	if err != nil {
+		return nil, nil, errors.New("control: DARE iteration hit singular R + BᵀPB")
 	}
 	return k, p, nil
 }
@@ -64,7 +45,7 @@ func NewLQR[T scalar.Real[T]](like T, a, b, q, r [][]float64) (*LQR[T], error) {
 		return nil, err
 	}
 	out := &LQR[T]{
-		K: mat.FromFloats(like, k.Floats()),
+		K: mat.FromFloats(like, k),
 		A: mat.FromFloats(like, a),
 		B: mat.FromFloats(like, b),
 	}

@@ -146,7 +146,7 @@ func (s *QP[T]) Solve() (QPResult[T], error) {
 		for i := 0; i < m; i++ {
 			dzr[i] = dzr[i].Mul(rho[i])
 		}
-		dz := s.A.Transpose().MulVec(dzr)
+		dz := s.A.TMulVec(dzr)
 		for i := 0; i < n; i++ {
 			if d := dz[i].Abs().Float(); d > dual {
 				dual = d

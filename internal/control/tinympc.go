@@ -59,27 +59,15 @@ func DefaultTinyMPCConfig() TinyMPCConfig {
 // stage costs (float64 rows), caching the LQR solution in like's format.
 func NewTinyMPC[T scalar.Real[T]](like T, a, b, q, r [][]float64, cfg TinyMPCConfig) (*TinyMPC[T], error) {
 	type F = scalar.F64
+	// P∞ from the converged Riccati recursion: rebuild it.
+	_, pRows, err := riccati(a, b, q, r, 1000)
+	if err != nil {
+		return nil, err
+	}
 	fa := mat.FromFloats(F(0), a)
 	fb := mat.FromFloats(F(0), b)
-	fq := mat.FromFloats(F(0), q)
 	fr := mat.FromFloats(F(0), r)
-	// P∞ from the converged Riccati recursion: rebuild it.
-	p := fq.Clone()
-	for it := 0; it < 1000; it++ {
-		btp := fb.Transpose().Mul(p)
-		s := btp.Mul(fb).Add(fr)
-		sinv, err := mat.Inverse(s)
-		if err != nil {
-			return nil, err
-		}
-		k := sinv.Mul(btp).Mul(fa)
-		pNew := fq.Add(fa.Transpose().Mul(p).Mul(fa.Sub(fb.Mul(k))))
-		if pNew.Sub(p).MaxAbs().Float() < 1e-12 {
-			p = pNew
-			break
-		}
-		p = pNew
-	}
+	p := mat.FromFloats(F(0), pRows)
 	// ADMM augments R with ρ on the input block.
 	n := fa.Rows()
 	m := fb.Cols()
@@ -101,7 +89,7 @@ func NewTinyMPC[T scalar.Real[T]](like T, a, b, q, r [][]float64, cfg TinyMPCCon
 		a:       mat.FromFloats(like, a),
 		b:       mat.FromFloats(like, b),
 		kinf:    mat.FromFloats(like, kinf.Floats()),
-		pinf:    mat.FromFloats(like, p.Floats()),
+		pinf:    mat.FromFloats(like, pRows),
 		quuInv:  mat.FromFloats(like, quuInv.Floats()),
 		amBKt:   mat.FromFloats(like, amBK.Transpose().Floats()),
 		q:       mat.FromFloats(like, q),
@@ -163,7 +151,7 @@ func (t *TinyMPC[T]) Solve(x0, xref mat.Vec[T]) (mat.Vec[T], int) {
 		for k := t.N - 1; k >= 0; k-- {
 			// p_k = q_k + (A-BK)ᵀ·p_{k+1} − K∞ᵀ·r_k
 			kp := t.amBKt.MulVec(t.p[k+1])
-			kr := t.kinf.Transpose().MulVec(t.rlin[k])
+			kr := t.kinf.TMulVec(t.rlin[k])
 			pk := t.qlin[k].Add(kp).Sub(kr)
 			copy(t.p[k], pk)
 		}
@@ -171,7 +159,7 @@ func (t *TinyMPC[T]) Solve(x0, xref mat.Vec[T]) (mat.Vec[T], int) {
 		copy(t.x[0], x0)
 		for k := 0; k < t.N; k++ {
 			// d_k = Quu⁻¹·(Bᵀ·p_{k+1} + r_k)
-			d := t.quuInv.MulVec(t.b.Transpose().MulVec(t.p[k+1]).Add(t.rlin[k]))
+			d := t.quuInv.MulVec(t.b.TMulVec(t.p[k+1]).Add(t.rlin[k]))
 			uk := t.kinf.MulVec(t.x[k]).Add(d).Neg()
 			copy(t.u[k], uk)
 			xn := t.a.MulVec(t.x[k]).Add(t.b.MulVec(uk))

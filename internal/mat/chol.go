@@ -93,8 +93,9 @@ func (c *Cholesky[T]) SolveMat(b Mat[T]) Mat[T] {
 // where the KKT matrix is symmetric indefinite (quasi-definite after
 // regularization), so plain Cholesky does not apply.
 type LDLT[T scalar.Real[T]] struct {
-	l Mat[T] // unit lower triangular
-	d Vec[T] // diagonal of D
+	l  Mat[T] // unit lower triangular
+	lt []T    // Lᵀ row-major for the fast solve; nil from the reference loop
+	d  Vec[T] // diagonal of D
 }
 
 // LDLTDecompose factors a symmetric matrix as L·D·Lᵀ without pivoting.

@@ -28,6 +28,7 @@ package mat
 // path.
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"sync/atomic"
@@ -160,6 +161,18 @@ func mulVecNat[F native](a, v, out []F, r, k int) {
 	}
 }
 
+// tMulVecNat is mulVecNat over the transpose of the r×k matrix a, read
+// in place: out[j] sums a[kk][j]·v[kk] for kk ascending.
+func tMulVecNat[F native](a, v, out []F, r, k int) {
+	for j := 0; j < k; j++ {
+		var acc F
+		for kk := 0; kk < r; kk++ {
+			acc = acc + a[kk*k+j]*v[kk]
+		}
+		out[j] = acc
+	}
+}
+
 // --- element-wise slice kernels, fixed point ---
 //
 // The Quiet methods share their implementation with the hooked ones, so
@@ -251,6 +264,16 @@ func mulVecFix(a, v, out []fixed.Num, r, k int) {
 			acc = acc.AddQuiet(a[i*k+kk].MulQuiet(v[kk]))
 		}
 		out[i] = acc
+	}
+}
+
+func tMulVecFix(a, v, out []fixed.Num, r, k int) {
+	for j := 0; j < k; j++ {
+		var acc fixed.Num
+		for kk := 0; kk < r; kk++ {
+			acc = acc.AddQuiet(a[kk*k+j].MulQuiet(v[kk]))
+		}
+		out[j] = acc
 	}
 }
 
@@ -515,6 +538,43 @@ func fastMulVec[T scalar.Real[T]](m Mat[T], v Vec[T]) (Vec[T], bool) {
 	cnt.Add(scalar.ScaleCounts(costs.Mul, mac))
 	cnt.M += 2*mac + uint64(r)
 	cnt.B += uint64(r)
+	profile.AddCounts(cnt)
+	return Vec[T](d.([]T)), true
+}
+
+// fastTMulVec is the bulk path of Mat.TMulVec: the product of
+// fastMulVec on mᵀ, charged as fastTranspose's element moves plus
+// fastMulVec's mix on the c×r transpose.
+func fastTMulVec[T scalar.Real[T]](m Mat[T], v Vec[T]) (Vec[T], bool) {
+	r, c := m.rows, m.cols
+	if r != len(v) {
+		panic(fmt.Sprintf("mat: MulVec shape mismatch %dx%d · %d", c, r, len(v)))
+	}
+	var d any
+	switch md := any(m.d).(type) {
+	case []scalar.F32:
+		out := make([]scalar.F32, c)
+		tMulVecNat(md, any([]T(v)).([]scalar.F32), out, r, c)
+		d = out
+	case []scalar.F64:
+		out := make([]scalar.F64, c)
+		tMulVecNat(md, any([]T(v)).([]scalar.F64), out, r, c)
+		d = out
+	case []fixed.Num:
+		out := make([]fixed.Num, c)
+		tMulVecFix(md, any([]T(v)).([]fixed.Num), out, r, c)
+		d = out
+	default:
+		return nil, false
+	}
+	costs, _ := scalar.OpCostsOf[T]()
+	mac := uint64(r) * uint64(c)
+	var cnt profile.Counts
+	cnt.Add(scalar.ScaleCounts(costs.Add, mac))
+	cnt.Add(scalar.ScaleCounts(costs.Mul, mac))
+	cnt.M += 2*mac + 2*mac + uint64(c) // transpose moves, then the mat-vec
+	cnt.I += 2 * mac
+	cnt.B += uint64(c)
 	profile.AddCounts(cnt)
 	return Vec[T](d.([]T)), true
 }

@@ -555,82 +555,91 @@ func ldltDecomposeFast[T scalar.Real[T]](a Mat[T]) (f *LDLT[T], ok bool, singula
 	if !good {
 		return nil, true, true
 	}
-	return &LDLT[T]{l: l, d: d}, true, false
+	lt := make([]T, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			lt[j*n+i] = l.d[i*n+j]
+		}
+	}
+	return &LDLT[T]{l: l, lt: lt, d: d}, true, false
 }
 
 // --- LDLT solve ---
+//
+// Unlike the factorizations, a triangular solve has no data-dependent
+// control flow: its forward pass is n(n−1)/2 multiply-subtracts, its
+// backward pass the same plus n divides, each element read an
+// At-priced M+I. ldltSolveFast charges that total in closed form, and
+// the kernels only compute. The backward pass walks column i of L below
+// the diagonal; it reads it as row i of the row-major Lᵀ that the fast
+// factorization stored, in the same j order.
 
-func ldltSolveNat[F native](cnt *profile.Counts, l []F, dd []F, n int, b []F) []F {
+func ldltSolveNat[F native](l, lt, dd []F, n int, b []F) []F {
 	y, yh := borrowSlice[F](n)
 	defer yh.put()
 	for i := 0; i < n; i++ {
 		acc := b[i]
-		for j := 0; j < i; j++ {
-			cnt.M++
-			cnt.I++    // At(i,j)
-			cnt.F += 2 // Mul, Sub
-			acc = acc - l[i*n+j]*y[j]
+		for j, lij := range l[i*n : i*n+i] {
+			acc = acc - lij*y[j]
 		}
 		y[i] = acc
 	}
 	x := make([]F, n)
 	for i := n - 1; i >= 0; i-- {
-		cnt.F++ // Div
 		acc := y[i] / dd[i]
-		for j := i + 1; j < n; j++ {
-			cnt.M++
-			cnt.I++    // At(j,i)
-			cnt.F += 2 // Mul, Sub
-			acc = acc - l[j*n+i]*x[j]
+		xs := x[i+1:]
+		for j, lji := range lt[i*n+i+1 : i*n+n] {
+			acc = acc - lji*xs[j]
 		}
 		x[i] = acc
 	}
 	return x
 }
 
-func ldltSolveFix(cnt *profile.Counts, l []fixed.Num, dd []fixed.Num, n int, b []fixed.Num) []fixed.Num {
+func ldltSolveFix(l, lt, dd []fixed.Num, n int, b []fixed.Num) []fixed.Num {
 	y, yh := borrowSlice[fixed.Num](n)
 	defer yh.put()
 	for i := 0; i < n; i++ {
 		acc := b[i]
-		for j := 0; j < i; j++ {
-			cnt.M++
-			cnt.I++                                // At(i,j)
-			cnt.I += fixed.CostMul + fixed.CostSub // Mul, Sub
-			acc = acc.SubQuiet(l[i*n+j].MulQuiet(y[j]))
+		for j, lij := range l[i*n : i*n+i] {
+			acc = acc.SubQuiet(lij.MulQuiet(y[j]))
 		}
 		y[i] = acc
 	}
 	x := make([]fixed.Num, n)
 	for i := n - 1; i >= 0; i-- {
-		cnt.I += fixed.CostDiv // Div
 		acc := y[i].DivQuiet(dd[i])
-		for j := i + 1; j < n; j++ {
-			cnt.M++
-			cnt.I++                                // At(j,i)
-			cnt.I += fixed.CostMul + fixed.CostSub // Mul, Sub
-			acc = acc.SubQuiet(l[j*n+i].MulQuiet(x[j]))
+		xs := x[i+1:]
+		for j, lji := range lt[i*n+i+1 : i*n+n] {
+			acc = acc.SubQuiet(lji.MulQuiet(xs[j]))
 		}
 		x[i] = acc
 	}
 	return x
 }
 
-// ldltSolveFast is the dispatcher behind LDLT.Solve.
+// ldltSolveFast is the dispatcher behind LDLT.Solve. A factor made by
+// the reference loop carries no Lᵀ and takes the hooked solve.
 func ldltSolveFast[T scalar.Real[T]](f *LDLT[T], b Vec[T]) (Vec[T], bool) {
+	costs, ok := scalar.OpCostsOf[T]()
+	if !ok || f.lt == nil {
+		return nil, false
+	}
 	n := len(f.d)
-	var cnt profile.Counts
 	var x any
 	switch ld := any(f.l.d).(type) {
 	case []scalar.F32:
-		x = ldltSolveNat(&cnt, ld, any([]T(f.d)).([]scalar.F32), n, any([]T(b)).([]scalar.F32))
+		x = ldltSolveNat(ld, any(f.lt).([]scalar.F32), any([]T(f.d)).([]scalar.F32), n, any([]T(b)).([]scalar.F32))
 	case []scalar.F64:
-		x = ldltSolveNat(&cnt, ld, any([]T(f.d)).([]scalar.F64), n, any([]T(b)).([]scalar.F64))
+		x = ldltSolveNat(ld, any(f.lt).([]scalar.F64), any([]T(f.d)).([]scalar.F64), n, any([]T(b)).([]scalar.F64))
 	case []fixed.Num:
-		x = ldltSolveFix(&cnt, ld, any([]T(f.d)).([]fixed.Num), n, any([]T(b)).([]fixed.Num))
-	default:
-		return nil, false
+		x = ldltSolveFix(ld, any(f.lt).([]fixed.Num), any([]T(f.d)).([]fixed.Num), n, any([]T(b)).([]fixed.Num))
 	}
+	mac := uint64(n) * uint64(n-1) // both passes: n(n−1)/2 each
+	cnt := profile.Counts{M: mac, I: mac}
+	cnt.Add(scalar.ScaleCounts(costs.Mul, mac))
+	cnt.Add(scalar.ScaleCounts(costs.Sub, mac))
+	cnt.Add(scalar.ScaleCounts(costs.Div, uint64(n)))
 	profile.AddCounts(cnt)
 	return Vec[T](x.([]T)), true
 }

@@ -144,6 +144,7 @@ func diffSuite[T scalar.Real[T]](t *testing.T, like T) {
 	diffRun(t, "Mat.Mul/rect", func() string { return fingerprint(rect.Transpose().Mul(rect).d) })
 	diffRun(t, "Mat.MulVec", func() string { return fingerprint([]T(a.MulVec(v5))) })
 	diffRun(t, "Mat.Transpose", func() string { return fingerprint(rect.Transpose().d) })
+	diffRun(t, "Mat.TMulVec", func() string { return fingerprint([]T(rect.TMulVec(v7))) })
 	diffRun(t, "Mat.FrobNorm", func() string { return fingerprint([]T{a.FrobNorm()}) })
 	diffRun(t, "Mat.MaxAbs", func() string { return fingerprint([]T{a.MaxAbs()}) })
 
@@ -216,6 +217,22 @@ func diffSuite[T scalar.Real[T]](t *testing.T, like T) {
 		}
 		return fingerprint(f.l.d) + fingerprint([]T(f.d)) + fingerprint([]T(f.Solve(v5)))
 	})
+	// A quasi-definite KKT matrix [[P+I, Aᵀ], [A, −I]], the shape the QP
+	// solver factors: the solve charges its counts in closed form and
+	// reads the stored Lᵀ.
+	kkt := quasiDefinite(&g, 6, 4)
+	rhs := VecFromFloats(like, g.vec(10))
+	kktF := FromFloats(like, kkt)
+	diffRun(t, "LDLT/kkt", func() string {
+		f, err := LDLTDecompose(kktF)
+		if err != nil {
+			return errFP(err)
+		}
+		return fingerprint(f.l.d) + fingerprint([]T(f.d)) + fingerprint([]T(f.Solve(rhs)))
+	})
+	if f, err := LDLTDecompose(kktF); err == nil {
+		diffRun(t, "LDLT.Solve", func() string { return fingerprint([]T(f.Solve(rhs))) })
+	}
 	diffRun(t, "LDLT/singular", func() string {
 		_, err := LDLTDecompose(FromFloats(like, [][]float64{{0, 1}, {1, 0}}))
 		return errFP(err)
@@ -262,6 +279,99 @@ func diffSuite[T scalar.Real[T]](t *testing.T, like T) {
 	diffRun(t, "NullVector", func() string {
 		return fingerprint([]T(NullVector(rect)))
 	})
+}
+
+// quasiDefinite returns [[GᵀG + I, Aᵀ], [A, −I]] for an n-column
+// cost block and m constraint rows.
+func quasiDefinite(g *lcg, n, m int) [][]float64 {
+	p := spd(g, n)
+	a := g.mat(m, n)
+	out := make([][]float64, n+m)
+	for i := range out {
+		out[i] = make([]float64, n+m)
+	}
+	for i := 0; i < n; i++ {
+		copy(out[i], p[i])
+	}
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			out[n+i][j] = a[i][j]
+			out[j][n+i] = a[i][j]
+		}
+		out[n+i][n+i] = -1
+	}
+	return out
+}
+
+// tMulVecAgainstTranspose checks, in the current kernel mode, that
+// m.TMulVec(v) returns the bits and charges the counts of
+// m.Transpose().MulVec(v).
+func tMulVecAgainstTranspose[T scalar.Real[T]](t *testing.T, like T) {
+	t.Helper()
+	g := lcg(777)
+	for _, shape := range [][2]int{{1, 1}, {3, 3}, {7, 4}, {4, 7}, {12, 9}} {
+		m := FromFloats(like, g.mat(shape[0], shape[1]))
+		v := VecFromFloats(like, g.vec(shape[0]))
+		var got, want Vec[T]
+		fixed.ResetStatus()
+		gotCnt := profile.Collect(func() { got = m.TMulVec(v) })
+		gotStatus := fixed.ResetStatus()
+		wantCnt := profile.Collect(func() { want = m.Transpose().MulVec(v) })
+		wantStatus := fixed.ResetStatus()
+		if gotCnt != wantCnt {
+			t.Errorf("%v: TMulVec counts %+v, Transpose().MulVec %+v", shape, gotCnt, wantCnt)
+		}
+		if gotStatus != wantStatus {
+			t.Errorf("%v: TMulVec status %+v, Transpose().MulVec %+v", shape, gotStatus, wantStatus)
+		}
+		if fingerprint([]T(got)) != fingerprint([]T(want)) {
+			t.Errorf("%v: TMulVec %v, Transpose().MulVec %v", shape, got.Floats(), want.Floats())
+		}
+	}
+}
+
+func TestTMulVecMatchesTransposeMulVec(t *testing.T) {
+	for _, ref := range []bool{false, true} {
+		prev := SetReferenceKernels(ref)
+		t.Run(fmt.Sprintf("reference=%v", ref), func(t *testing.T) {
+			t.Run("f32", func(t *testing.T) { tMulVecAgainstTranspose(t, scalar.F32(0)) })
+			t.Run("f64", func(t *testing.T) { tMulVecAgainstTranspose(t, scalar.F64(0)) })
+			t.Run("q16.15", func(t *testing.T) { tMulVecAgainstTranspose(t, fixed.New(0, 15)) })
+		})
+		SetReferenceKernels(prev)
+	}
+}
+
+// TestLDLTSolveAcrossModes: a factor made by the reference loop carries
+// no Lᵀ, so a fast-mode solve of it falls back to the hooked loop; both
+// give the fast factor's solve bit for bit, count for count.
+func TestLDLTSolveAcrossModes(t *testing.T) {
+	g := lcg(99)
+	a := FromFloats(scalar.F32(0), quasiDefinite(&g, 5, 3))
+	b := VecFromFloats(scalar.F32(0), g.vec(8))
+	fast, err := LDLTDecompose(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := SetReferenceKernels(true)
+	ref, err := LDLTDecompose(a)
+	SetReferenceKernels(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.lt != nil {
+		t.Fatal("reference factorization stored an Lᵀ")
+	}
+	var x, y Vec[scalar.F32]
+	cx := profile.Collect(func() { x = fast.Solve(b) })
+	cy := profile.Collect(func() { y = ref.Solve(b) })
+	if cx != cy || fingerprint([]scalar.F32(x)) != fingerprint([]scalar.F32(y)) {
+		t.Errorf("solve of the reference factor diverges: counts %+v vs %+v, x %v vs %v", cx, cy, x, y)
+	}
+	n := uint64(8)
+	if want := (profile.Counts{F: 2*n*(n-1) + n, I: n * (n - 1), M: n * (n - 1)}); cx != want {
+		t.Errorf("LDLT solve counts %+v, want closed form %+v", cx, want)
+	}
 }
 
 func TestFastPathsDifferential(t *testing.T) {

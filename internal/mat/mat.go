@@ -225,6 +225,18 @@ func (m Mat[T]) MulVec(v Vec[T]) Vec[T] {
 	return out
 }
 
+// TMulVec returns mᵀ·v: the bits and charged counts of
+// m.Transpose().MulVec(v), the transpose's element moves included,
+// without building the transpose.
+func (m Mat[T]) TMulVec(v Vec[T]) Vec[T] {
+	if fastKernels() {
+		if out, ok := fastTMulVec(m, v); ok {
+			return out
+		}
+	}
+	return m.Transpose().MulVec(v)
+}
+
 // Row returns a copy of row i as a vector.
 func (m Mat[T]) Row(i int) Vec[T] {
 	out := make(Vec[T], m.cols)

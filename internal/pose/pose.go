@@ -118,7 +118,7 @@ func SampsonErr[T scalar.Real[T]](e mat.Mat[T], c RelCorrespondence[T]) T {
 	x1 := homog(c.U1)
 	x2 := homog(c.U2)
 	ex1 := e.MulVec(x1)
-	etx2 := e.Transpose().MulVec(x2)
+	etx2 := e.TMulVec(x2)
 	num := x2.Dot(ex1)
 	den := ex1[0].Mul(ex1[0]).Add(ex1[1].Mul(ex1[1])).
 		Add(etx2[0].Mul(etx2[0])).Add(etx2[1].Mul(etx2[1]))

@@ -202,6 +202,32 @@ func TestFig4FailureCurves(t *testing.T) {
 	}
 }
 
+// TestFig4RowOrderStable pins Fig 4's dataset order: the rows come out
+// bee-hover, strider-line, strider-steer, byte-identical run to run.
+func TestFig4RowOrderStable(t *testing.T) {
+	render := func() (string, []string) {
+		r := report.RunFig4(2)
+		var order []string
+		for _, p := range r.Points {
+			if len(order) == 0 || order[len(order)-1] != p.Dataset {
+				order = append(order, p.Dataset)
+			}
+		}
+		var buf bytes.Buffer
+		r.WriteFig4(&buf)
+		return buf.String(), order
+	}
+	first, order := render()
+	second, _ := render()
+	if first != second {
+		t.Error("two RunFig4(2) renderings differ")
+	}
+	want := []string{"bee-hover", "strider-line", "strider-steer"}
+	if strings.Join(order, ",") != strings.Join(want, ",") {
+		t.Errorf("Fig 4 dataset order %v, want %v", order, want)
+	}
+}
+
 func TestCS3FLOPGap(t *testing.T) {
 	r, err := report.RunCS3()
 	if err != nil {

@@ -32,6 +32,7 @@ func FuzzSweepRequest(f *testing.F) {
 		`{"kernels":["no-such-kernel"]}`,
 		`{"archs":"no-such-board"}`,
 		`{"unknown":1}`,
+		`{"async":true} {"workers":-1} garbage`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -39,6 +40,9 @@ func FuzzSweepRequest(f *testing.F) {
 		req, err := decodeSweep(bytes.NewReader(body))
 		if err != nil {
 			return
+		}
+		if len(bytes.TrimSpace(body)) > 0 && !json.Valid(body) {
+			t.Fatalf("decodeSweep accepted %q, which is not one JSON value", body)
 		}
 		rec := httptest.NewRecorder()
 		valid := validateSweep(rec, req)

@@ -284,13 +284,20 @@ func (t *jobTable) retire(id string) {
 
 // decodeSweep decodes a POST /v1/sweep body; an empty body is the zero
 // request. Unknown fields are refused, so a misspelled field is a 400
-// instead of a silently different sweep.
+// instead of a silently different sweep, and so is anything but
+// whitespace after the request object.
 func decodeSweep(body io.Reader) (SweepRequest, error) {
 	var req SweepRequest
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+	if err := dec.Decode(&req); err != nil {
+		if errors.Is(err, io.EOF) {
+			return req, nil
+		}
 		return SweepRequest{}, err
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return SweepRequest{}, errors.New("trailing data after the request object")
 	}
 	return req, nil
 }

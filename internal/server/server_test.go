@@ -137,6 +137,8 @@ func TestSweepBadRequests(t *testing.T) {
 		{"unknown-arch", `{"archs":"no-such-core"}`},
 		{"malformed-json", `{"kernels":`},
 		{"unknown-field", `{"kernelz":["madgwick"]}`},
+		{"trailing-values", `{"async":true} {"workers":-1} garbage`},
+		{"trailing-bracket", `{}]`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
