@@ -44,6 +44,13 @@ func (g *Gray) Set(x, y int, v uint8) {
 func (g *Gray) AtClamped(x, y int) uint8 {
 	profile.AddM(1)
 	profile.AddB(2)
+	return g.AtClampedQuiet(x, y)
+}
+
+// AtClampedQuiet is AtClamped without the profiler hooks. Loops that
+// read many clamped pixels use it and charge the aggregate mix — M1 +
+// B2 per read — themselves, once.
+func (g *Gray) AtClampedQuiet(x, y int) uint8 {
 	if x < 0 {
 		x = 0
 	} else if x >= g.W {
@@ -77,6 +84,12 @@ func (g *Gray) Clone() *Gray {
 func (g *Gray) Bilinear(x, y float64) float64 {
 	profile.AddM(4)
 	profile.AddI(12)
+	return g.BilinearQuiet(x, y)
+}
+
+// BilinearQuiet is Bilinear without the profiler hooks; window loops use
+// it and charge M4 + I12 per sample themselves, once.
+func (g *Gray) BilinearQuiet(x, y float64) float64 {
 	x0, y0 := int(x), int(y)
 	if x0 < 0 {
 		x0 = 0
@@ -110,112 +123,111 @@ func (g *Gray) Bilinear(x, y float64) float64 {
 	return top + fy*(bot-top)
 }
 
-// atClampedRaw is AtClamped without the profiler hooks; bulk loops that
-// account through a profile.Region use it and charge the aggregate mix
-// themselves.
-func (g *Gray) atClampedRaw(x, y int) uint8 {
-	if x < 0 {
-		x = 0
-	} else if x >= g.W {
-		x = g.W - 1
-	}
-	if y < 0 {
-		y = 0
-	} else if y >= g.H {
-		y = g.H - 1
-	}
-	return g.Pix[y*g.W+x]
-}
-
 // GaussianBlur returns a blurred copy using a separable integer kernel
 // scaled to 8-bit weights, the classic embedded implementation.
 //
 // The convolution is the hottest per-pixel loop in the perception
-// kernels, so it accounts in bulk through a profile.Region: the inner
-// taps run hook-free and each pass charges the exact per-pixel mix the
-// hooked loop would have — taps×(M1+B2) for the clamped loads, 2·taps
-// integer MACs, and M1 for the store — in one flush.
+// kernels, so it runs hook-free and each pass charges the exact
+// per-pixel mix the hooked tap loop would have — taps×(M1+B2) for the
+// clamped loads, 2·taps integer MACs, and M1 for the store — in one
+// flush.
+//
+// Both passes run the same row loop, blurRow. The horizontal pass
+// feeds it a copy of the source row padded by r clamped pixels on each
+// side; the vertical pass feeds it whole rows of the intermediate
+// image, clamping the row index instead of each pixel. blurRow folds
+// the kernel's symmetric taps, k[r-i] = k[r+i], into one multiply per
+// pair. The weighted sums are integers, so regrouping them changes no
+// output byte.
 func (g *Gray) GaussianBlur(sigma float64) *Gray {
-	k := gaussKernel(sigma)
+	var kbuf [32]int // radius ≤ 15, σ < 6, stays off the heap
+	k := gaussKernel(kbuf[:0], sigma)
 	r := len(k) / 2
-	reg := profile.Region()
-	defer reg.Close()
 	taps := uint64(len(k))
 	n := uint64(g.W) * uint64(g.H)
 	perPass := profile.Counts{M: n * (taps + 1), I: n * 2 * taps, B: n * 2 * taps}
+	charge := perPass
+	charge.Add(perPass)
+	profile.AddCounts(charge)
+	w, h := g.W, g.H
+	out := NewGray(w, h)
+	if n == 0 {
+		return out
+	}
 	wsum := 0
-	for _, w := range k {
-		wsum += w
+	for _, kw := range k {
+		wsum += kw
 	}
-	// Horizontal pass: clamp only in the left/right borders; the
-	// interior runs a branch-free tap loop. The weighted sums are
-	// integer and identical either way.
-	tmp := NewGray(g.W, g.H)
-	for y := 0; y < g.H; y++ {
-		row := y * g.W
-		x := 0
-		for ; x < g.W && x < r; x++ {
-			tmp.Pix[row+x] = g.convClampedH(k, r, wsum, x, y)
+	// The padded source row lives past the end of the intermediate
+	// image's pixels, in the same allocation.
+	buf := make([]uint8, w*h+w+2*r)
+	tmp := &Gray{W: w, H: h, Pix: buf[: w*h : w*h]}
+	pad := buf[w*h:]
+	acc := make([]int, w)
+
+	padded := func(d int) []uint8 { return pad[r+d:] }
+	for y := 0; y < h; y++ {
+		src := g.Pix[y*w : (y+1)*w]
+		copy(pad[r:], src)
+		for i := 0; i < r; i++ {
+			pad[i] = src[0]
+			pad[r+w+i] = src[w-1]
 		}
-		for ; x+r < g.W; x++ {
-			acc := 0
-			base := row + x - r
-			for i, w := range k {
-				acc += w * int(g.Pix[base+i])
-			}
-			tmp.Pix[row+x] = uint8(acc / wsum)
-		}
-		for ; x < g.W; x++ {
-			tmp.Pix[row+x] = g.convClampedH(k, r, wsum, x, y)
-		}
+		blurRow(tmp.Pix[y*w:(y+1)*w], acc, k, wsum, padded)
 	}
-	reg.AddCounts(perPass)
-	// Vertical pass: same split across top/bottom border rows.
-	out := NewGray(g.W, g.H)
-	for y := 0; y < g.H; y++ {
-		row := y * g.W
-		if y >= r && y+r < g.H {
-			for x := 0; x < g.W; x++ {
-				acc := 0
-				base := (y-r)*g.W + x
-				for i, w := range k {
-					acc += w * int(tmp.Pix[base+i*g.W])
-				}
-				out.Pix[row+x] = uint8(acc / wsum)
-			}
-		} else {
-			for x := 0; x < g.W; x++ {
-				out.Pix[row+x] = tmp.convClampedV(k, r, wsum, x, y)
-			}
+
+	var y int
+	clampedRow := func(d int) []uint8 {
+		yy := y + d
+		if yy < 0 {
+			yy = 0
+		} else if yy >= h {
+			yy = h - 1
 		}
+		return tmp.Pix[yy*w:]
 	}
-	reg.AddCounts(perPass)
+	for y = 0; y < h; y++ {
+		blurRow(out.Pix[y*w:(y+1)*w], acc, k, wsum, clampedRow)
+	}
 	return out
 }
 
-// convClampedH computes one horizontally convolved pixel with border
-// clamping.
-func (g *Gray) convClampedH(k []int, r, wsum, x, y int) uint8 {
-	acc := 0
-	for i := -r; i <= r; i++ {
-		acc += k[i+r] * int(g.atClampedRaw(x+i, y))
+// blurRow convolves one row: dst[x] = Σ k[r+d]·src(d)[x] / wsum over
+// tap offsets d in [-r, r], where src(d) is the source row shifted by d
+// and len(dst) = len(acc). The symmetric taps are summed in pairs over
+// contiguous slices the compiler can index without bounds checks.
+func blurRow(dst []uint8, acc, k []int, wsum int, src func(d int) []uint8) {
+	r := len(k) / 2
+	mid := src(0)[:len(acc)]
+	kc := k[r]
+	for x, p := range mid {
+		acc[x] = kc * int(p)
 	}
-	return uint8(acc / wsum)
+	for i := 1; i <= r; i++ {
+		lo, hi := src(-i)[:len(acc)], src(i)[:len(acc)]
+		ki := k[r+i]
+		for x := range acc {
+			acc[x] += ki * (int(lo[x]) + int(hi[x]))
+		}
+	}
+	dst = dst[:len(acc)]
+	if uint64(wsum)*255 <= 1<<32-1 {
+		// No sum exceeds 255·wsum, so a 32-bit divide is exact, and it
+		// is several times cheaper than a 64-bit one.
+		ws := uint32(wsum)
+		for x, a := range acc {
+			dst[x] = uint8(uint32(a) / ws)
+		}
+		return
+	}
+	for x, a := range acc {
+		dst[x] = uint8(a / wsum)
+	}
 }
 
-// convClampedV computes one vertically convolved pixel with border
-// clamping.
-func (g *Gray) convClampedV(k []int, r, wsum, x, y int) uint8 {
-	acc := 0
-	for i := -r; i <= r; i++ {
-		acc += k[i+r] * int(g.atClampedRaw(x, y+i))
-	}
-	return uint8(acc / wsum)
-}
-
-// gaussKernel builds an integer Gaussian kernel with radius ceil(2.5σ)
-// and weights scaled so the center is 256.
-func gaussKernel(sigma float64) []int {
+// gaussKernel appends to dst an integer Gaussian kernel with radius
+// ceil(2.5σ) and weights scaled so the center is 256.
+func gaussKernel(dst []int, sigma float64) []int {
 	if sigma < 0.3 {
 		sigma = 0.3
 	}
@@ -223,16 +235,15 @@ func gaussKernel(sigma float64) []int {
 	if r < 1 {
 		r = 1
 	}
-	k := make([]int, 2*r+1)
 	for i := -r; i <= r; i++ {
 		x := float64(i) / sigma
-		w := 256.0 * gaussExp(-0.5*x*x)
-		k[i+r] = int(w + 0.5)
-		if k[i+r] == 0 {
-			k[i+r] = 1
+		w := int(256.0*gaussExp(-0.5*x*x) + 0.5)
+		if w == 0 {
+			w = 1
 		}
+		dst = append(dst, w)
 	}
-	return k
+	return dst
 }
 
 // gaussExp is exp(x) for x <= 0 via a short series — keeps the package
@@ -252,17 +263,22 @@ func gaussExp(x float64) float64 {
 }
 
 // Downsample2x returns the half-resolution image (2×2 box filter), the
-// pyramid level construction used by SIFT and pyramidal LK.
+// pyramid level construction used by SIFT and pyramidal LK. Each output
+// pixel costs four loads, four integer ops and one store (M5 + I4),
+// charged for the whole image at once.
 func (g *Gray) Downsample2x() *Gray {
 	out := NewGray(g.W/2, g.H/2)
 	for y := 0; y < out.H; y++ {
-		for x := 0; x < out.W; x++ {
-			s := int(g.At(2*x, 2*y)) + int(g.At(2*x+1, 2*y)) +
-				int(g.At(2*x, 2*y+1)) + int(g.At(2*x+1, 2*y+1))
-			profile.AddI(4)
-			out.Set(x, y, uint8(s/4))
+		r0 := g.Pix[2*y*g.W : (2*y+1)*g.W]
+		r1 := g.Pix[(2*y+1)*g.W : (2*y+2)*g.W]
+		o := out.Pix[y*out.W : (y+1)*out.W]
+		for x := range o {
+			s := int(r0[2*x]) + int(r0[2*x+1]) + int(r1[2*x]) + int(r1[2*x+1])
+			o[x] = uint8(s / 4)
 		}
 	}
+	n := uint64(len(out.Pix))
+	profile.AddCounts(profile.Counts{M: 5 * n, I: 4 * n})
 	return out
 }
 
@@ -285,6 +301,12 @@ func (g *Gray) Pyramid(levels int) []*Gray {
 func (g *Gray) GradientAt(x, y int) (gx, gy int) {
 	profile.AddM(4)
 	profile.AddI(2)
+	return g.GradientAtQuiet(x, y)
+}
+
+// GradientAtQuiet is GradientAt without the profiler hooks; window
+// loops use it and charge M4 + I2 per sample themselves, once.
+func (g *Gray) GradientAtQuiet(x, y int) (gx, gy int) {
 	gx = int(g.Pix[y*g.W+x+1]) - int(g.Pix[y*g.W+x-1])
 	gy = int(g.Pix[(y+1)*g.W+x]) - int(g.Pix[(y-1)*g.W+x])
 	return gx, gy

@@ -81,6 +81,11 @@ func (m Mat[T]) Rows() int { return m.rows }
 // Cols returns the column count.
 func (m Mat[T]) Cols() int { return m.cols }
 
+// Raw returns m's row-major element slice, shared with m, without
+// charging the profiler. It is for closed-form kernels that read a
+// matrix in place and charge the whole computation's mix themselves.
+func (m Mat[T]) Raw() []T { return m.d }
+
 // At returns element (i, j), charging one memory op plus the index
 // arithmetic a generic (non-unrolled) matrix library pays per access —
 // the overhead Case Study #3 shows FLOP counting misses.

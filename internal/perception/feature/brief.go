@@ -58,13 +58,22 @@ const briefMargin = 17
 // computeBRIEF evaluates the 256 point-pair tests at keypoint (x, y) on
 // the (pre-smoothed) image. With steer set, the pattern is rotated by
 // angle — ORB's rBRIEF.
+//
+// Each test costs two clamped loads (M1 + B2 each), a compare and a
+// bit set (I1 + B1), and when steered eight integer ops for the
+// rotated offsets; the two libm calls cost 40 float ops. The whole
+// descriptor is charged once.
 func computeBRIEF(sm *img.Gray, x, y int, angle float64, steer bool) Descriptor {
+	n := uint64(len(briefPattern))
+	cost := profile.Counts{I: n, M: 2 * n, B: 5 * n}
 	var d Descriptor
 	var ca, sa float64
 	if steer {
 		ca, sa = math.Cos(angle), math.Sin(angle)
-		profile.AddF(40) // the two libm calls
+		cost.F += 40
+		cost.I += 8 * n
 	}
+	profile.AddCounts(cost)
 	for i, p := range briefPattern {
 		x1, y1, x2, y2 := p[0], p[1], p[2], p[3]
 		if steer {
@@ -74,11 +83,8 @@ func computeBRIEF(sm *img.Gray, x, y int, angle float64, steer bool) Descriptor 
 			rx2 := int(math.Round(ca*float64(x2) - sa*float64(y2)))
 			ry2 := int(math.Round(sa*float64(x2) + ca*float64(y2)))
 			x1, y1, x2, y2 = rx1, ry1, rx2, ry2
-			profile.AddI(8)
 		}
-		profile.AddI(1)
-		profile.AddB(1)
-		if sm.AtClamped(x+x1, y+y1) < sm.AtClamped(x+x2, y+y2) {
+		if sm.AtClampedQuiet(x+x1, y+y1) < sm.AtClampedQuiet(x+x2, y+y2) {
 			d[i>>3] |= 1 << (uint(i) & 7)
 		}
 	}
@@ -110,18 +116,20 @@ func FASTBrief(g *img.Gray, threshold, maxFeatures int) FASTBriefResult {
 }
 
 // topKByScore keeps the k best keypoints by detector response
-// (selection by partial sorting, as an MCU implementation would).
+// (selection by partial sorting, as an MCU implementation would). Each
+// of the k selection passes compares every keypoint once, charged for
+// all passes at once.
 func topKByScore(kps []Keypoint, k int) []Keypoint {
 	if k <= 0 || len(kps) <= k {
 		return kps
 	}
+	profile.AddB(uint64(k) * uint64(len(kps)))
 	// Simple selection: repeatedly pick the max (k is small).
 	out := make([]Keypoint, 0, k)
 	used := make([]bool, len(kps))
 	for n := 0; n < k; n++ {
 		best := -1
 		for i, kp := range kps {
-			profile.AddB(1)
 			if used[i] {
 				continue
 			}
@@ -188,18 +196,19 @@ func ORB(g *img.Gray, threshold, maxFeatures int) ORBResult {
 
 // harrisScore computes an integer Harris corner response over a 7×7
 // window (scaled down to avoid overflow), used by ORB to rank FAST
-// corners.
+// corners. The 49 gradients (M4 + I2 each) and their five-op
+// accumulation are charged once.
 func harrisScore(g *img.Gray, x, y int) int {
 	var sxx, syy, sxy int64
 	for dy := -3; dy <= 3; dy++ {
 		for dx := -3; dx <= 3; dx++ {
-			gx, gy := g.GradientAt(x+dx, y+dy)
+			gx, gy := g.GradientAtQuiet(x+dx, y+dy)
 			sxx += int64(gx * gx)
 			syy += int64(gy * gy)
 			sxy += int64(gx * gy)
 		}
 	}
-	profile.AddI(49 * 5)
+	profile.AddCounts(profile.Counts{M: 49 * 4, I: 49*2 + 49*5})
 	// det - k·trace² with k = 0.04 ≈ 1/25, integer arithmetic.
 	det := sxx*syy - sxy*sxy
 	tr := sxx + syy
@@ -217,19 +226,22 @@ func harrisScore(g *img.Gray, x, y int) int {
 
 // intensityCentroidAngle returns the patch orientation from first-order
 // moments over a radius-7 disc (Rosin's intensity centroid, as in ORB).
+// The disc's clamped loads (M1 + B2 each), the moment arithmetic and
+// the atan2 are charged once.
 func intensityCentroidAngle(g *img.Gray, x, y int) float64 {
 	var m10, m01 int
+	var loads uint64
 	for dy := -7; dy <= 7; dy++ {
 		for dx := -7; dx <= 7; dx++ {
 			if dx*dx+dy*dy > 49 {
 				continue
 			}
-			v := int(g.AtClamped(x+dx, y+dy))
+			v := int(g.AtClampedQuiet(x+dx, y+dy))
 			m10 += dx * v
 			m01 += dy * v
+			loads++
 		}
 	}
-	profile.AddI(225 * 4)
-	profile.AddF(20) // atan2
+	profile.AddCounts(profile.Counts{M: loads, B: 2 * loads, I: 225 * 4, F: 20})
 	return math.Atan2(float64(m01), float64(m10))
 }

@@ -37,8 +37,9 @@ const fastMargin = 3
 // times, so it accounts in bulk through a profile.Region: pixels are
 // read straight from g.Pix, and the exact per-pixel mix the hooked
 // loop charged — one center load, four compass loads, four integer
-// compares and branches, plus the full 16-ring cost for the pixels
-// that survive the compass reject — is tallied analytically.
+// compares and branches, plus for the pixels that survive the compass
+// reject the full 16-ring cost and segmentScore's arc walk — is tallied
+// analytically.
 func DetectFAST(g *img.Gray, threshold int) []Keypoint {
 	reg := profile.Region()
 	defer reg.Close()
@@ -73,12 +74,13 @@ func DetectFAST(g *img.Gray, threshold int) []Keypoint {
 		}
 	}
 	// Every interior pixel paid 5 loads + 4 compares; candidates paid
-	// 16 ring loads plus the 32-compare arc-walk setup on top.
+	// 16 ring loads plus the 32-compare arc-walk setup on top, and
+	// segmentScoreCost.
 	interior := uint64(g.H-2*fastMargin) * uint64(g.W-2*fastMargin)
 	reg.AddCounts(profile.Counts{
 		M: 5*interior + 16*candidates,
-		I: 4*interior + 32*candidates,
-		B: 4*interior + 32*candidates,
+		I: 4*interior + (32+segmentScoreCost.I)*candidates,
+		B: 4*interior + (32+segmentScoreCost.B)*candidates,
 	})
 	// 3×3 non-maximum suppression.
 	var out []Keypoint
@@ -118,9 +120,15 @@ func b2i(b bool) int {
 	return 0
 }
 
+// segmentScoreCost is what one segmentScore call costs: the two 32-step
+// arc walks' integer ops and branches.
+var segmentScoreCost = profile.Counts{I: 48, B: 32}
+
 // segmentScore returns the FAST-9 corner score: the maximal sum of
 // absolute differences over a contiguous arc of >= 9 pixels that are all
-// brighter or all darker than center±threshold; 0 if not a corner.
+// brighter or all darker than center±threshold; 0 if not a corner. It
+// does not charge the profiler; the caller charges segmentScoreCost per
+// call.
 func segmentScore(ring []int, p, threshold int) int {
 	hi := p + threshold
 	lo := p - threshold
@@ -152,7 +160,5 @@ func segmentScore(ring []int, p, threshold int) int {
 			}
 		}
 	}
-	profile.AddI(48)
-	profile.AddB(32)
 	return best
 }

@@ -57,6 +57,11 @@ func SIFT(g *img.Gray, cfg SIFTConfig) SIFTResult {
 		cfg = DefaultSIFTConfig()
 	}
 	res := SIFTResult{}
+	// The extremum scan charges its per-pixel mix in bulk: scan tallies
+	// what the scan has visited so far and is flushed on every return,
+	// so an early stop at MaxFeatures charges only the pixels scanned.
+	var scan profile.Counts
+	defer func() { profile.AddCounts(scan) }()
 	base := g
 	for oct := 0; oct < cfg.Octaves && base.W >= 16 && base.H >= 16; oct++ {
 		// Gaussian stack for this octave (incremental blurs).
@@ -88,13 +93,15 @@ func SIFT(g *img.Gray, cfg SIFTConfig) SIFTResult {
 			for y := 1; y < h-1; y++ {
 				for x := 1; x < w-1; x++ {
 					v := dog[s][y*w+x]
-					profile.AddB(2)
+					scan.B += 2
 					if v < contrast && v > -contrast {
 						continue
 					}
+					scan.Add(extremumCost)
 					if !isExtremum(dog, s, x, y, w) {
 						continue
 					}
+					scan.Add(edgeLikeCost)
 					if edgeLike(dog[s], x, y, w, cfg.EdgeThresh) {
 						continue
 					}
@@ -129,12 +136,15 @@ func absInt16(v int16) int16 {
 	return v
 }
 
+// extremumCost is what one isExtremum call charges: 26 neighbor loads
+// and compares, whether or not it exits early.
+var extremumCost = profile.Counts{M: 26, B: 26}
+
 // isExtremum tests whether the DoG sample is a strict max or min of its
-// 26 scale-space neighbors.
+// 26 scale-space neighbors. It does not charge the profiler; the caller
+// charges extremumCost per call.
 func isExtremum(dog [][]int16, s, x, y, w int) bool {
 	v := dog[s][y*w+x]
-	profile.AddM(26)
-	profile.AddB(26)
 	isMax, isMin := true, true
 	for ds := -1; ds <= 1; ds++ {
 		for dy := -1; dy <= 1; dy++ {
@@ -158,14 +168,18 @@ func isExtremum(dog [][]int16, s, x, y, w int) bool {
 	return isMax || isMin
 }
 
-// edgeLike rejects extrema on edges via the Hessian trace²/det ratio.
+// edgeLikeCost is what one edgeLike call charges: the 3×3 Hessian's nine
+// loads and twelve float ops.
+var edgeLikeCost = profile.Counts{F: 12, M: 9}
+
+// edgeLike rejects extrema on edges via the Hessian trace²/det ratio. It
+// does not charge the profiler; the caller charges edgeLikeCost per
+// call.
 func edgeLike(d []int16, x, y, w int, edgeThresh float64) bool {
 	dxx := float64(d[y*w+x+1]) + float64(d[y*w+x-1]) - 2*float64(d[y*w+x])
 	dyy := float64(d[(y+1)*w+x]) + float64(d[(y-1)*w+x]) - 2*float64(d[y*w+x])
 	dxy := (float64(d[(y+1)*w+x+1]) - float64(d[(y+1)*w+x-1]) -
 		float64(d[(y-1)*w+x+1]) + float64(d[(y-1)*w+x-1])) / 4
-	profile.AddF(12)
-	profile.AddM(9)
 	tr := dxx + dyy
 	det := dxx*dyy - dxy*dxy
 	if det <= 0 {
@@ -177,18 +191,21 @@ func edgeLike(d []int16, x, y, w int, edgeThresh float64) bool {
 
 // orientationPeaks builds the 36-bin gradient orientation histogram in a
 // Gaussian-weighted window and returns the dominant angle plus any
-// secondary peaks above the configured ratio.
+// secondary peaks above the configured ratio. Each in-image sample
+// costs a gradient (M4 + I2) and 45 float ops; the window's samples and
+// the peak search are charged once, at the end.
 func orientationPeaks(g *img.Gray, x, y int, cfg SIFTConfig) []float64 {
 	bins := cfg.OrientationBins
 	hist := make([]float64, bins)
 	radius := 8
+	var samples uint64
 	for dy := -radius; dy <= radius; dy++ {
 		for dx := -radius; dx <= radius; dx++ {
 			px, py := x+dx, y+dy
 			if px < 1 || py < 1 || px >= g.W-1 || py >= g.H-1 {
 				continue
 			}
-			gx, gy := g.GradientAt(px, py)
+			gx, gy := g.GradientAtQuiet(px, py)
 			mag := math.Sqrt(float64(gx*gx + gy*gy))
 			angle := math.Atan2(float64(gy), float64(gx))
 			weight := math.Exp(-float64(dx*dx+dy*dy) / (2 * 16))
@@ -197,7 +214,7 @@ func orientationPeaks(g *img.Gray, x, y int, cfg SIFTConfig) []float64 {
 				bin = bins - 1
 			}
 			hist[bin] += mag * weight
-			profile.AddF(45)
+			samples++
 		}
 	}
 	// Peak extraction.
@@ -207,7 +224,10 @@ func orientationPeaks(g *img.Gray, x, y int, cfg SIFTConfig) []float64 {
 			maxV = v
 		}
 	}
-	profile.AddB(uint64(2 * bins))
+	profile.AddCounts(profile.Counts{
+		F: 45 * samples, I: 2 * samples, M: 4 * samples,
+		B: uint64(2 * bins),
+	})
 	var out []float64
 	for i, v := range hist {
 		if v >= cfg.PeakRatio*maxV && v > 0 {
@@ -236,11 +256,14 @@ func orientationPeaks(g *img.Gray, x, y int, cfg SIFTConfig) []float64 {
 
 // siftDescriptor computes the 4×4×8 gradient histogram descriptor in a
 // rotated 16×16 window, trilinear-binned, normalized, clamped at 0.2,
-// and renormalized — Lowe's full recipe.
+// and renormalized — Lowe's full recipe. Each in-image sample costs a
+// gradient (M4 + I2), and each sample that lands in a cell 50 float ops
+// more; the window is charged once, with the normalization.
 func siftDescriptor(g *img.Gray, x, y int, angle float64, cfg SIFTConfig) SIFTDescriptor {
 	var desc SIFTDescriptor
 	ca, sa := math.Cos(angle), math.Sin(angle)
 	radius := cfg.DescWindowRadius
+	var grads, binned uint64
 	for dy := -radius; dy < radius; dy++ {
 		for dx := -radius; dx < radius; dx++ {
 			// Rotate the sample offset into the keypoint frame.
@@ -250,7 +273,8 @@ func siftDescriptor(g *img.Gray, x, y int, angle float64, cfg SIFTConfig) SIFTDe
 			if px < 1 || py < 1 || px >= g.W-1 || py >= g.H-1 {
 				continue
 			}
-			gx, gy := g.GradientAt(px, py)
+			gx, gy := g.GradientAtQuiet(px, py)
+			grads++
 			mag := math.Sqrt(float64(gx*gx + gy*gy))
 			theta := math.Atan2(float64(gy), float64(gx)) - angle
 			for theta < 0 {
@@ -269,7 +293,7 @@ func siftDescriptor(g *img.Gray, x, y int, angle float64, cfg SIFTConfig) SIFTDe
 			}
 			weight := math.Exp(-(rx*rx + ry*ry) / (2 * float64(radius*radius)))
 			desc[(cj*4+ci)*8+ob] += float32(mag * weight)
-			profile.AddF(50)
+			binned++
 		}
 	}
 	// Normalize, clamp, renormalize.
@@ -280,7 +304,9 @@ func siftDescriptor(g *img.Gray, x, y int, angle float64, cfg SIFTConfig) SIFTDe
 		}
 	}
 	normalizeDesc(&desc)
-	profile.AddF(3 * 128)
+	profile.AddCounts(profile.Counts{
+		F: 50*binned + 3*128, I: 2 * grads, M: 4 * grads,
+	})
 	return desc
 }
 

@@ -36,7 +36,13 @@ func DefaultLKConfig() LKConfig {
 // LucasKanade is the lkof kernel: pyramid construction plus iterative
 // gradient-descent alignment at each level — the most computationally
 // demanding flow kernel (pyramids, spatial and temporal gradients).
+//
+// The window loops sample hook-free; cost tallies each window's mix —
+// bilinear samples at M4 + I12 each plus the loop's float ops — and is
+// charged once, on whichever return ends the kernel.
 func LucasKanade(a, b *img.Gray, x, y float64, cfg LKConfig) Result {
+	var cost profile.Counts
+	defer func() { profile.AddCounts(cost) }()
 	pyrA := a.Pyramid(cfg.Levels)
 	pyrB := b.Pyramid(cfg.Levels)
 	levels := len(pyrA)
@@ -60,21 +66,22 @@ func LucasKanade(a, b *img.Gray, x, y float64, cfg LKConfig) Result {
 			for wx := -r; wx <= r; wx++ {
 				px := gx + float64(wx)
 				py := gy + float64(wy)
-				ix1 := la.Bilinear(px+1, py)
-				ix0 := la.Bilinear(px-1, py)
-				iy1 := la.Bilinear(px, py+1)
-				iy0 := la.Bilinear(px, py-1)
+				ix1 := la.BilinearQuiet(px+1, py)
+				ix0 := la.BilinearQuiet(px-1, py)
+				iy1 := la.BilinearQuiet(px, py+1)
+				iy0 := la.BilinearQuiet(px, py-1)
 				ggx := (ix1 - ix0) / 2
 				ggy := (iy1 - iy0) / 2
 				gxx += ggx * ggx
 				gxy += ggx * ggy
 				gyy += ggy * ggy
 				grads = append(grads, grad{ggx, ggy})
-				profile.AddF(8)
 			}
 		}
+		samples := uint64(len(grads))
+		// Four samples and eight float ops per pixel, four for det.
+		cost.Add(profile.Counts{M: 16 * samples, I: 48 * samples, F: 8*samples + 4})
 		det := gxx*gyy - gxy*gxy
-		profile.AddF(4)
 		if det < 1e-6 {
 			return Result{}
 		}
@@ -89,20 +96,20 @@ func LucasKanade(a, b *img.Gray, x, y float64, cfg LKConfig) Result {
 				for wx := -r; wx <= r; wx++ {
 					px := gx + float64(wx)
 					py := gy + float64(wy)
-					diff := lb.Bilinear(px+dx, py+dy) - la.Bilinear(px, py)
+					diff := lb.BilinearQuiet(px+dx, py+dy) - la.BilinearQuiet(px, py)
 					g := grads[gi]
 					gi++
 					bx += diff * g.gx
 					by += diff * g.gy
-					profile.AddF(5)
 				}
 			}
+			// Two samples and five float ops per pixel; the update
+			// costs ten float ops and the convergence test a branch.
+			cost.Add(profile.Counts{M: 8 * samples, I: 24 * samples, F: 5*samples + 10, B: 1})
 			sx := -(inv00*bx + inv01*by)
 			sy := -(inv01*bx + inv11*by)
 			dx += sx
 			dy += sy
-			profile.AddF(10)
-			profile.AddB(1)
 			if sx*sx+sy*sy < cfg.Epsilon*cfg.Epsilon {
 				break
 			}
@@ -132,7 +139,9 @@ func DefaultIIConfig() IIConfig { return IIConfig{Window: 20, Shift: 2} }
 // frame is modeled as a linear interpolation between ±Δ-shifted copies
 // of the first, and the two interpolation weights — the flow — come from
 // one 2×2 least-squares solve. Integer accumulation, one small solve:
-// the cheap middle ground of the flow spectrum.
+// the cheap middle ground of the flow spectrum. Each window pixel costs
+// six loads and twelve integer ops, charged for the whole window at
+// once.
 func ImageInterpolation(a, b *img.Gray, cx, cy int, cfg IIConfig) Result {
 	r := cfg.Window
 	d := cfg.Shift
@@ -142,22 +151,23 @@ func ImageInterpolation(a, b *img.Gray, cx, cy int, cfg IIConfig) Result {
 	// Accumulate normal equations for I2-I0 = u·fx + v·fy with
 	// fx = (I0(x-Δ) - I0(x+Δ))/(2Δ), fy likewise vertically.
 	var a11, a12, a22, b1, b2 float64
+	at := func(g *img.Gray, x, y int) float64 { return float64(g.Pix[y*g.W+x]) }
 	for wy := -r; wy <= r; wy++ {
 		for wx := -r; wx <= r; wx++ {
 			x, y := cx+wx, cy+wy
-			fx := (float64(a.At(x-d, y)) - float64(a.At(x+d, y))) / float64(2*d)
-			fy := (float64(a.At(x, y-d)) - float64(a.At(x, y+d))) / float64(2*d)
-			dt := float64(b.At(x, y)) - float64(a.At(x, y))
+			fx := (at(a, x-d, y) - at(a, x+d, y)) / float64(2*d)
+			fy := (at(a, x, y-d) - at(a, x, y+d)) / float64(2*d)
+			dt := at(b, x, y) - at(a, x, y)
 			a11 += fx * fx
 			a12 += fx * fy
 			a22 += fy * fy
 			b1 += fx * dt
 			b2 += fy * dt
-			profile.AddI(12)
 		}
 	}
+	n := uint64(2*r+1) * uint64(2*r+1)
+	profile.AddCounts(profile.Counts{M: 6 * n, I: 12 * n, F: 10})
 	det := a11*a22 - a12*a12
-	profile.AddF(10)
 	if det < 1e-9 {
 		return Result{}
 	}
@@ -201,6 +211,18 @@ func blockMatch(a, b *img.Gray, cx, cy int, cfg BBConfig, vectorized bool) Resul
 	}
 	best := int(^uint(0) >> 1)
 	bx, by := 0, 0
+	// Each block row costs 3 integer ops and 2 loads per pixel, or with
+	// USADA8 one accumulate and one load pair per four pixels; each
+	// candidate one compare. The whole search is charged once.
+	w := uint64(2*r + 1)
+	rowCost := profile.Counts{I: 3 * w, M: 2 * w}
+	if vectorized {
+		rowCost = profile.Counts{I: (w + 3) / 4, M: (w + 3) / 4 * 2}
+	}
+	cands := uint64(2*s+1) * uint64(2*s+1)
+	profile.AddCounts(profile.Counts{
+		I: cands * w * rowCost.I, M: cands * w * rowCost.M, B: cands,
+	})
 	for dy := -s; dy <= s; dy++ {
 		for dx := -s; dx <= s; dx++ {
 			sad := 0
@@ -216,18 +238,7 @@ func blockMatch(a, b *img.Gray, cx, cy int, cfg BBConfig, vectorized bool) Resul
 					rowSum += d
 				}
 				sad += rowSum
-				w := uint64(2*r + 1)
-				if vectorized {
-					// USADA8 handles four byte lanes per instruction:
-					// one load pair + one accumulate per 4 pixels.
-					profile.AddI((w + 3) / 4)
-					profile.AddM((w + 3) / 4 * 2)
-				} else {
-					profile.AddI(3 * w)
-					profile.AddM(2 * w)
-				}
 			}
-			profile.AddB(1)
 			if sad < best {
 				best = sad
 				bx, by = dx, dy

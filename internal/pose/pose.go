@@ -112,22 +112,6 @@ func EpipolarResidual[T scalar.Real[T]](e mat.Mat[T], c RelCorrespondence[T]) T 
 	return x2.Dot(e.MulVec(x1)).Abs()
 }
 
-// SampsonErr returns the first-order geometric (Sampson) epipolar error
-// for a correspondence under essential matrix e.
-func SampsonErr[T scalar.Real[T]](e mat.Mat[T], c RelCorrespondence[T]) T {
-	x1 := homog(c.U1)
-	x2 := homog(c.U2)
-	ex1 := e.MulVec(x1)
-	etx2 := e.TMulVec(x2)
-	num := x2.Dot(ex1)
-	den := ex1[0].Mul(ex1[0]).Add(ex1[1].Mul(ex1[1])).
-		Add(etx2[0].Mul(etx2[0])).Add(etx2[1].Mul(etx2[1]))
-	if den.IsZero() {
-		return num.Abs()
-	}
-	return num.Mul(num).Div(den).Sqrt()
-}
-
 // DecomposeEssential extracts the four (R, t) candidates from an
 // essential matrix and selects the one with the most points passing the
 // cheirality (positive depth) test.
