@@ -8,11 +8,14 @@
 // A record is one text header line followed by the caller's payload
 // bytes, stored verbatim:
 //
-//	entobench.cell 2 <key> <sha256-hex of payload>\n
+//	entobench.cell 3 <key> <sha256-hex of payload>\n
 //	<payload>
 //
 // so a read checks the small header and hashes the payload, and the
-// caller decodes the payload exactly once. Files keep the .json
+// caller decodes the payload exactly once. The store treats the
+// payload as opaque; the sweep cache stores report's fixed-order
+// binary cell. On unix a record is read with raw open/read/close calls
+// (four for a small record) instead of os.ReadFile. Files keep the .json
 // suffix of the version-1 JSON envelope, so records written by older
 // binaries are still seen by the quota scans and the collector, and
 // read once as misses.
@@ -80,8 +83,10 @@ const Format = "entobench.cell"
 // Version is the record format version. Bump it whenever the record
 // layout, the payload schema or the measurement semantics change in a
 // way the key does not capture; old records then read as misses and
-// recompute. Version 1 was a JSON envelope around the payload.
-const Version = 2
+// recompute. Version 1 was a JSON envelope around the payload;
+// version 2 put a JSON payload under the header line; version 3 holds
+// the binary cell payload under the same header.
+const Version = 3
 
 // headerPrefix opens every current record's header line.
 var headerPrefix = Format + " " + strconv.Itoa(Version) + " "
@@ -300,7 +305,7 @@ func (s *Store) Get(key string) (payload []byte, ok bool) {
 		return nil, false // injected read fault: a miss, never an error
 	}
 	p := s.path(key)
-	data, err := os.ReadFile(p)
+	data, err := readFile(p)
 	if err != nil {
 		return nil, false
 	}

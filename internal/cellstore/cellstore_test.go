@@ -483,6 +483,10 @@ func TestPutGetRoundTripsOpaquePayload(t *testing.T) {
 		[]byte("{\n  \"e\": \"x > y && a < b\"\n}\n"),
 		[]byte("not json\x00\xff\nsecond line"),
 		{},
+		// Records past the reader's first buffer, one of them past
+		// several doublings of it.
+		bytes.Repeat([]byte{0xa5}, 400),
+		bytes.Repeat([]byte("0123456789abcdef"), 300),
 	} {
 		key := fmt.Sprintf("cell-opaque-%d", i)
 		if err := s.Put(key, payload); err != nil {
@@ -499,7 +503,8 @@ func TestPutGetRoundTripsOpaquePayload(t *testing.T) {
 }
 
 // BenchmarkStoreGet times one warm record read: file read, header
-// check, payload SHA-256. The payload is a typical measured cell.
+// check, payload SHA-256. The 421-byte payload is the size of a
+// measured cell's JSON payload under record version 2.
 func BenchmarkStoreGet(b *testing.B) {
 	s, err := Open(b.TempDir())
 	if err != nil {

@@ -1,7 +1,6 @@
 package report
 
 import (
-	"encoding/json"
 	"sync/atomic"
 
 	"repro/internal/cellstore"
@@ -75,18 +74,20 @@ func (p *PersistentCellCache) Health() (ok bool, reasons []string) {
 
 // LoadStatic implements core.CellCache.
 func (p *PersistentCellCache) LoadStatic(spec core.Spec) (core.StaticCellResult, bool) {
-	var res core.StaticCellResult
 	payload, ok := p.store.Get(StaticCellKey(spec))
-	if !ok || json.Unmarshal(payload, &res) != nil {
+	if !ok {
 		return core.StaticCellResult{}, false
 	}
-	p.hits.Add(1)
-	return res, true
+	res, ok := decodeStaticCell(payload)
+	if ok {
+		p.hits.Add(1)
+	}
+	return res, ok
 }
 
 // StoreStatic implements core.CellCache.
 func (p *PersistentCellCache) StoreStatic(spec core.Spec, res core.StaticCellResult) {
-	p.put(StaticCellKey(spec), res)
+	p.put(StaticCellKey(spec), appendStaticCell(make([]byte, 0, staticLen), res))
 }
 
 // LoadCell implements core.CellCache. The backend salt is part of the
@@ -104,26 +105,22 @@ func (p *PersistentCellCache) LoadCell(spec core.Spec, arch mcu.Arch, cacheOn bo
 // rehydration probe reads a kernel's cached cell through it to skip
 // executing the kernel, which serves no job of its own.
 func (p *PersistentCellCache) ProbeCell(spec core.Spec, arch mcu.Arch, cacheOn bool, backend string) (core.MeasuredCellResult, bool) {
-	var res core.MeasuredCellResult
 	payload, ok := p.store.Get(CellKey(spec, arch, cacheOn, backend))
-	if !ok || json.Unmarshal(payload, &res) != nil {
+	if !ok {
 		return core.MeasuredCellResult{}, false
 	}
-	return res, true
+	return decodeMeasuredCell(payload)
 }
 
 // StoreCell implements core.CellCache.
 func (p *PersistentCellCache) StoreCell(spec core.Spec, arch mcu.Arch, cacheOn bool, backend string, res core.MeasuredCellResult) {
-	p.put(CellKey(spec, arch, cacheOn, backend), res)
+	payload := make([]byte, 0, measuredFixedLen+len(res.Name)+len(res.ValidErr))
+	p.put(CellKey(spec, arch, cacheOn, backend), appendMeasuredCell(payload, res))
 }
 
-// put marshals and persists one payload, swallowing store errors (see
-// the type comment).
-func (p *PersistentCellCache) put(key string, v any) {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return
-	}
+// put persists one encoded payload, swallowing store errors (see the
+// type comment).
+func (p *PersistentCellCache) put(key string, payload []byte) {
 	if p.store.Put(key, payload) == nil {
 		p.stores.Add(1)
 	}

@@ -2,6 +2,10 @@ package report_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -10,8 +14,10 @@ import (
 	"repro/internal/cellstore"
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/harness"
 	"repro/internal/mcu"
 	"repro/internal/obs"
+	"repro/internal/profile"
 	"repro/internal/report"
 )
 
@@ -239,6 +245,109 @@ func TestCorruptCellHealsIntoRecompute(t *testing.T) {
 	after = obs.Counters()
 	if d := after[obs.CounterSweepCellsComputed] - before[obs.CounterSweepCellsComputed]; d != 0 {
 		t.Fatalf("post-heal sweep computed %d cells, want 0", d)
+	}
+}
+
+// A version-2 record — a JSON payload under an "entobench.cell 2"
+// header, as the previous binaries wrote it — reads once as a counted
+// miss and is removed; the next store writes a version-3 record that
+// serves.
+func TestV2RecordReadsOnceAsMiss(t *testing.T) {
+	dir := t.TempDir()
+	cache, err := report.OpenCellCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := cacheTestSpecs(t)[0]
+	cell := core.MeasuredCellResult{
+		Model:  mcu.Estimate{Cycles: 1234, LatencyS: 1e-5, AvgPowerW: 0.02, EnergyJ: 2e-7, PeakPowerW: 0.03},
+		Meas:   harness.Measurement{LatencyS: 1.1e-5, EnergyJ: 2.1e-7, AvgPowerW: 0.019, PeakPowerW: 0.031, Reps: 10},
+		Counts: profile.Counts{F: 1, I: 2, M: 3, B: 4},
+		Name:   spec.Name,
+		Valid:  true,
+	}
+	key := report.CellKey(spec, mcu.M4, true, "")
+	path := filepath.Join(dir, key+".json")
+	payload, err := json.Marshal(cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(payload)
+	v2 := fmt.Sprintf("%s 2 %s %x\n%s", cellstore.Format, key, sum, payload)
+	if err := os.WriteFile(path, []byte(v2), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	before := obs.Counters()[obs.CounterCellstoreCorruptDiscarded]
+	if got, ok := cache.LoadCell(spec, mcu.M4, true, ""); ok {
+		t.Fatalf("v2 record served as %+v", got)
+	}
+	if d := obs.Counters()[obs.CounterCellstoreCorruptDiscarded] - before; d != 1 {
+		t.Fatalf("corrupt_discarded rose by %d, want 1", d)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("v2 record not removed (stat err %v)", err)
+	}
+
+	cache.StoreCell(spec, mcu.M4, true, "", cell)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("%s 3 %s ", cellstore.Format, key); !bytes.HasPrefix(data, []byte(want)) {
+		t.Fatalf("rewritten record starts %q, want %q", data[:len(want)], want)
+	}
+	if got, ok := cache.LoadCell(spec, mcu.M4, true, ""); !ok || got != cell {
+		t.Fatalf("v3 record: ok=%v got %+v, want %+v", ok, got, cell)
+	}
+}
+
+// Cells whose floats JSON cannot carry — NaN with a payload, ±Inf —
+// and the ones it carries lossily or not at all by name (−0, a
+// subnormal) persist and load back bit for bit, with the validation
+// error intact. Under the JSON payload such cells never persisted.
+func TestEdgeValueCellsLoadBitIdentical(t *testing.T) {
+	cache, err := report.OpenCellCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := cacheTestSpecs(t)[0]
+	nan := math.Float64frombits(0x7ff8_0000_dead_beef)
+	cell := core.MeasuredCellResult{
+		Model: mcu.Estimate{Cycles: nan, LatencyS: math.Inf(1), AvgPowerW: math.Inf(-1),
+			EnergyJ: math.Copysign(0, -1), PeakPowerW: math.SmallestNonzeroFloat64},
+		Meas: harness.Measurement{LatencyS: math.Float64frombits(0x000f_ffff_ffff_ffff), EnergyJ: nan,
+			AvgPowerW: math.Copysign(0, -1), PeakPowerW: math.Inf(1), Reps: -3},
+		Counts:   profile.Counts{F: math.MaxUint64, I: 0, M: 1 << 63, B: 7},
+		Name:     "edge\x00\xffname",
+		Valid:    false,
+		ValidErr: "validate: result is NaN/Inf",
+	}
+	cache.StoreCell(spec, mcu.M7, false, "trace+fp1", cell)
+	got, ok := cache.LoadCell(spec, mcu.M7, false, "trace+fp1")
+	if !ok {
+		t.Fatal("edge-value cell did not persist")
+	}
+	for i, pair := range [][2]float64{
+		{got.Model.Cycles, cell.Model.Cycles}, {got.Model.LatencyS, cell.Model.LatencyS},
+		{got.Model.AvgPowerW, cell.Model.AvgPowerW}, {got.Model.EnergyJ, cell.Model.EnergyJ},
+		{got.Model.PeakPowerW, cell.Model.PeakPowerW}, {got.Meas.LatencyS, cell.Meas.LatencyS},
+		{got.Meas.EnergyJ, cell.Meas.EnergyJ}, {got.Meas.AvgPowerW, cell.Meas.AvgPowerW},
+		{got.Meas.PeakPowerW, cell.Meas.PeakPowerW},
+	} {
+		if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+			t.Errorf("float %d loaded as %#x, stored %#x", i, math.Float64bits(pair[0]), math.Float64bits(pair[1]))
+		}
+	}
+	if got.Meas.Reps != cell.Meas.Reps || got.Counts != cell.Counts || got.Name != cell.Name ||
+		got.Valid != cell.Valid || got.ValidErr != cell.ValidErr {
+		t.Errorf("loaded %+v, stored %+v", got, cell)
+	}
+
+	static := core.StaticCellResult{Static: profile.Counts{F: math.MaxUint64, B: 1}, Flash: -1}
+	cache.StoreStatic(spec, static)
+	if gotS, ok := cache.LoadStatic(spec); !ok || gotS != static {
+		t.Fatalf("static cell: ok=%v got %+v, want %+v", ok, gotS, static)
 	}
 }
 
