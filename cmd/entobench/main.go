@@ -430,8 +430,10 @@ func sweep(args []string) error {
 		prog = obs.NewProgress(os.Stderr, "sweep")
 		opts.Progress = prog.Update
 	}
+	var rec *obs.Recorder
 	if *tracePath != "" {
-		obs.StartTrace()
+		rec = obs.NewRecorder()
+		opts.Context = obs.WithRecorder(ctx, rec)
 	}
 	if opts.ShardCount > 0 {
 		// A shard run: straight to the engine (partial by construction,
@@ -443,7 +445,7 @@ func sweep(args []string) error {
 			prog.Done()
 		}
 		if *tracePath != "" {
-			if terr := writeTrace(*tracePath); terr != nil && serr == nil {
+			if terr := writeTrace(*tracePath, rec); terr != nil && serr == nil {
 				serr = terr
 			}
 		}
@@ -457,7 +459,7 @@ func sweep(args []string) error {
 		prog.Done()
 	}
 	if *tracePath != "" {
-		if terr := writeTrace(*tracePath); terr != nil && err == nil {
+		if terr := writeTrace(*tracePath, rec); terr != nil && err == nil {
 			err = terr
 		}
 	}
@@ -609,24 +611,20 @@ func writeMemProfile(path string) error {
 	return f.Close()
 }
 
-// writeTrace stops the active trace and saves it as a chrome://tracing
+// writeTrace saves the sweep's recorded spans as a chrome://tracing
 // loadable file.
-func writeTrace(path string) error {
-	tr := obs.StopTrace()
-	if tr == nil {
-		return nil
-	}
+func writeTrace(path string, rec *obs.Recorder) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := tr.WriteChromeTrace(f); err != nil {
+	if err := rec.WriteChromeTrace(f); err != nil {
 		f.Close()
 		return err
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "trace: %d spans written to %s\n", len(tr.Spans), path)
+	fmt.Fprintf(os.Stderr, "trace: %d spans written to %s\n", len(rec.Spans()), path)
 	return nil
 }

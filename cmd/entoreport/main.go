@@ -42,6 +42,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/mcu"
+	"repro/internal/obs"
 	"repro/internal/report"
 )
 
@@ -75,14 +76,15 @@ func main() {
 		os.Exit(1)
 	}
 
-	c, err := runSweep(ctx, *boards, *archsQ, *j, cache, be)
+	rec := obs.NewRecorder() // the sweep's job counts: the -cachedir provenance block
+	c, err := runSweep(obs.WithRecorder(ctx, rec), *boards, *archsQ, *j, cache, be)
 	if err != nil {
 		// Partial sweep: salvage what completed. The JSON export is the
 		// artifact overnight runs exist for, so flush it (partial:true)
 		// before exiting non-zero; the report itself is not generated
 		// from an incomplete dataset.
 		if *jsonPath != "" && len(c.Records) > 0 {
-			if werr := writeJSON(*jsonPath, c, cache); werr != nil {
+			if werr := writeJSON(*jsonPath, c, cache, rec); werr != nil {
 				fmt.Fprintln(os.Stderr, "entoreport:", werr)
 			} else {
 				fmt.Fprintf(os.Stderr, "entoreport: partial export (%d failed/skipped cells) written to %s\n",
@@ -98,7 +100,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *jsonPath != "" {
-		if err := writeJSON(*jsonPath, c, cache); err != nil {
+		if err := writeJSON(*jsonPath, c, cache, rec); err != nil {
 			fmt.Fprintln(os.Stderr, "entoreport:", err)
 			os.Exit(1)
 		}
@@ -139,12 +141,12 @@ func runSweep(ctx context.Context, boardFiles, archsQ string, workers int, cache
 // writeJSON saves the characterization export of the sweep the report
 // already paid for. With a persistent cell cache in play the export
 // carries the additive cache-provenance block (cells loaded from the
-// store versus computed and persisted); without one the bytes are
-// exactly the classic export.
-func writeJSON(path string, c report.Characterization, cache *report.PersistentCellCache) error {
+// store versus healthy cells computed, from the sweep's recorder);
+// without one the bytes are exactly the classic export.
+func writeJSON(path string, c report.Characterization, cache *report.PersistentCellCache, rec *obs.Recorder) error {
 	rep := c.JSONExport()
 	if cache != nil {
-		prov := cache.Provenance()
+		prov := report.CacheProvenanceOf(cache.Dir(), rec)
 		rep.Cache = &prov
 	}
 	f, err := os.Create(path)

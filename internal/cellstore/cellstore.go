@@ -131,11 +131,11 @@ type Store struct {
 	// prefix of every record path.
 	root string
 
-	// quota, when > 0, bounds the directory's total record bytes;
-	// sizing state is maintained approximately under mu and trued up by
-	// every GC scan.
+	// quota, when > 0, bounds the directory's total record bytes; Get
+	// reads it without waiting behind a GC that holds mu. Sizing state
+	// is maintained approximately under mu and trued up by every scan.
+	quota     atomic.Int64
 	mu        sync.Mutex
-	quota     int64
 	size      int64
 	sizeKnown bool
 
@@ -184,17 +184,13 @@ func (s *Store) Dir() string { return s.dir }
 // least-recently-used records are collected down to 90% of it.
 func (s *Store) SetQuota(n int64) {
 	s.mu.Lock()
-	s.quota = n
+	s.quota.Store(n)
 	s.sizeKnown = false // re-scan on the next accounted Put
 	s.mu.Unlock()
 }
 
 // Quota returns the configured byte bound (0 = unbounded).
-func (s *Store) Quota() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.quota
-}
+func (s *Store) Quota() int64 { return s.quota.Load() }
 
 // SetProbeInterval sets how often a degraded store re-probes the disk
 // on Put; d <= 0 probes on every Put (test and chaos-harness use).
@@ -427,7 +423,7 @@ func (s *Store) putOnce(key string, data []byte) error {
 func (s *Store) account(n int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.quota <= 0 {
+	if s.quota.Load() <= 0 {
 		return
 	}
 	if !s.sizeKnown {
@@ -436,9 +432,15 @@ func (s *Store) account(n int64) {
 	} else {
 		s.size += n
 	}
-	if s.size > s.quota {
+	if s.size > s.quota.Load() {
 		s.gcLocked()
 	}
+}
+
+// isRecord reports whether a directory entry is a cell record: a
+// .json file, not a dot-prefixed temporary of an in-flight Put.
+func isRecord(e os.DirEntry) bool {
+	return !e.IsDir() && strings.HasSuffix(e.Name(), ".json") && !strings.HasPrefix(e.Name(), ".")
 }
 
 // scanSizeLocked sums the on-disk record bytes.
@@ -449,7 +451,7 @@ func (s *Store) scanSizeLocked() int64 {
 	}
 	var total int64
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") || strings.HasPrefix(e.Name(), ".") {
+		if !isRecord(e) {
 			continue
 		}
 		if info, err := e.Info(); err == nil {
@@ -475,7 +477,7 @@ func (s *Store) gcLocked() {
 	var recs []rec
 	var total int64
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") || strings.HasPrefix(e.Name(), ".") {
+		if !isRecord(e) {
 			continue
 		}
 		info, err := e.Info()
@@ -486,7 +488,7 @@ func (s *Store) gcLocked() {
 		total += info.Size()
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].mtime.Before(recs[j].mtime) })
-	target := s.quota * 9 / 10
+	target := s.quota.Load() * 9 / 10
 	for _, r := range recs {
 		if total <= target {
 			break
@@ -509,7 +511,7 @@ func (s *Store) Len() int {
 	}
 	n := 0
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") && !strings.HasPrefix(e.Name(), ".") {
+		if isRecord(e) {
 			n++
 		}
 	}

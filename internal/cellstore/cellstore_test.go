@@ -523,3 +523,49 @@ func BenchmarkStoreGet(b *testing.B) {
 		}
 	}
 }
+
+// A warm read on a quota'd store never waits for the size accounting
+// lock, which a Put holds for a whole GC scan: Get must return while
+// s.mu is held.
+func TestGetDoesNotWaitBehindQuotaGC(t *testing.T) {
+	s := quotaStore(t, 1<<20)
+	payload := []byte("cell payload")
+	if err := s.Put("cell-warm", payload); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	done := make(chan bool, 1)
+	go func() {
+		got, ok := s.Get("cell-warm")
+		done <- ok && bytes.Equal(got, payload)
+	}()
+	select {
+	case ok := <-done:
+		if !ok {
+			t.Fatal("Get missed the stored record")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Get blocked while s.mu was held")
+	}
+}
+
+// Len, the size scan and the GC share one record test (isRecord): a
+// .json file that is not a dot-prefixed temporary or a directory.
+func TestLenCountsOnlyRecords(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"cell-a.json", ".put-123", ".put-1.json", "notes.txt"} {
+		if err := os.WriteFile(filepath.Join(s.Dir(), name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(s.Dir(), "sub.json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Len(); n != 1 {
+		t.Fatalf("Len = %d, want 1 (only cell-a.json)", n)
+	}
+}

@@ -172,20 +172,14 @@ func staticResult(first profile.Counts) StaticCellResult {
 // sweep measures new cells without executing the kernel.
 func (t *ExecTable) prepare(ctx context.Context, spec Spec, archs []mcu.Arch, cc CellCache, be harness.Backend) (*harness.Prepared, error) {
 	v, err := t.do(ctx, keyOf(spec, false), func() (execValue, error) {
-		var load func(Spec, mcu.Arch, bool, string) (MeasuredCellResult, bool)
-		if p, ok := cc.(cellProber); ok {
-			load = p.ProbeCell
-		} else if cc != nil {
-			load = cc.LoadCell
-		}
 		for _, a := range archs {
-			if load == nil || !spec.Fits(a) {
+			if cc == nil || !spec.Fits(a) {
 				continue
 			}
 			// The rehydrated fields are backend-independent; the key
 			// carries whatever salt the cell earns this sweep.
 			salt := resolveCellBackend(be, spec.Name, a.Name, true).salt
-			if mr, ok := load(spec, a, true, salt); ok && mr.Name != "" {
+			if mr, ok := cc.LoadCell(spec, a, true, salt); ok && mr.Name != "" {
 				var validE error
 				if mr.ValidErr != "" {
 					validE = errors.New(mr.ValidErr)

@@ -60,16 +60,17 @@ import (
 // worker commits the result, so an abandoned (timed-out) computation
 // can never race the assembly.
 //
-// Observability: when a trace is active (obs.StartTrace) every executed
-// job emits an obs span — sweep.static or sweep.cell — on its worker's
-// lane with the kernel/arch/cache identity and its queue wait (time
-// between sweep start, when all jobs are ready, and job pickup); the
-// whole call emits one sweep span on lane 0. Tracing off costs one
-// atomic load per job. SweepOptions.Progress, when set, is invoked
-// after every finished or skipped job; the failure-mode counters
-// sweep.cells_failed, sweep.panics_recovered, and sweep.cells_timed_out
-// are always on. docs/observability.md is the reference for the span
-// and counter vocabulary.
+// Observability: when the sweep's context carries an obs.Recorder
+// (obs.WithRecorder), every executed job records an obs span —
+// sweep.static or sweep.cell — on its worker's lane with the
+// kernel/arch/cache identity and its queue wait (time between sweep
+// start, when all jobs are ready, and job pickup), and the whole call
+// records one sweep span on lane 0; with no recorder a span site costs
+// one nil check. The sweep.cells_* and failure-mode counters are always
+// on, and each bump also lands in the recorder's per-sweep tally.
+// SweepOptions.Progress, when set, is invoked after every finished or
+// skipped job. docs/observability.md is the reference for the span and
+// counter vocabulary.
 
 // Sweep failure-mode counters (docs/observability.md).
 var (
@@ -138,14 +139,6 @@ type CellCache interface {
 	LoadCell(spec Spec, arch mcu.Arch, cacheOn bool, backend string) (MeasuredCellResult, bool)
 	// StoreCell persists a healthy measurement cell under its backend.
 	StoreCell(spec Spec, arch mcu.Arch, cacheOn bool, backend string, res MeasuredCellResult)
-}
-
-// cellProber is implemented by a CellCache that tallies the cells it
-// serves (report.PersistentCellCache). The prepare's rehydration probe
-// serves no job, so it reads through ProbeCell, LoadCell without the
-// tally, and the cache's count stays equal to the jobs it served.
-type cellProber interface {
-	ProbeCell(spec Spec, arch mcu.Arch, cacheOn bool, backend string) (MeasuredCellResult, bool)
 }
 
 // cellBackend is the resolved measurement backend of one sweep cell:
@@ -345,7 +338,8 @@ func CellErrors(err error) []*CellError {
 // opts.CellTimeout select fail-fast and watchdog variants).
 //
 // Each call executes its kernels against a private ExecTable unless
-// opts.Context carries one (WithExecTable).
+// opts.Context carries one (WithExecTable), and records into the
+// context's obs.Recorder, if any.
 func CharacterizeSuiteOpts(specs []Spec, archs []mcu.Arch, opts SweepOptions) ([]Record, error) {
 	if opts.ShardCount > 0 && (opts.ShardIndex < 1 || opts.ShardIndex > opts.ShardCount) {
 		return nil, fmt.Errorf("core: shard index %d out of range 1..%d", opts.ShardIndex, opts.ShardCount)
@@ -361,6 +355,7 @@ func CharacterizeSuiteOpts(specs []Spec, archs []mcu.Arch, opts SweepOptions) ([
 		ctx = context.Background()
 	}
 	tbl := execTableOf(ctx)
+	rec := obs.RecorderFrom(ctx)
 	records := make([]Record, len(specs))
 	var jobs []job
 	// cuts delimits the dispatch groups: group g is jobs[cuts[g]:cuts[g+1]].
@@ -432,20 +427,25 @@ func CharacterizeSuiteOpts(specs []Spec, archs []mcu.Arch, opts SweepOptions) ([
 		if opts.CellCache != nil {
 			if res, hit := loadCachedJob(opts.CellCache, spec, &jobs[j], cb); hit {
 				commit(records, &jobs[j], res, CellOK, nil)
-				ctrCellsCached.Inc()
+				rec.Inc(ctrCellsCached)
 				done.Add(1)
 				progress()
 				return
 			}
 		}
-		traced := obs.TraceEnabled()
 		start := time.Now()
 		res, status, err := executeJob(ctx, tbl, spec, archs, &jobs[j], opts)
-		if traced {
-			recordJobSpan(&jobs[j], records, start, sweepStart, lane, status)
+		if rec != nil {
+			recordJobSpan(rec, &jobs[j], records, start, sweepStart, lane, status)
+		}
+		switch status {
+		case CellTimedOut:
+			rec.Inc(ctrCellsTimedOut)
+		case CellPanicked:
+			rec.Inc(ctrPanicsRecovered)
 		}
 		if status != CellSkipped {
-			ctrCellsComputed.Inc()
+			rec.Inc(ctrCellsComputed)
 		}
 		if status == CellOK && opts.CellCache != nil {
 			storeCachedJob(opts.CellCache, spec, &jobs[j], cb, res)
@@ -460,7 +460,7 @@ func CharacterizeSuiteOpts(specs []Spec, archs []mcu.Arch, opts SweepOptions) ([
 		}
 		if err != nil {
 			jobs[j].err = cellError(spec, &jobs[j], status, err)
-			ctrCellsFailed.Inc()
+			rec.Inc(ctrCellsFailed)
 			failed.Store(true)
 		}
 		done.Add(1)
@@ -484,14 +484,6 @@ func CharacterizeSuiteOpts(specs []Spec, archs []mcu.Arch, opts SweepOptions) ([
 	}
 	close(idx)
 	wg.Wait()
-	if obs.TraceEnabled() {
-		obs.RecordSpan(obs.SpanSweep, sweepStart, time.Now(), 0,
-			obs.Arg{Key: "kernels", Val: fmt.Sprint(len(specs))},
-			obs.Arg{Key: "jobs", Val: fmt.Sprint(total)},
-			obs.Arg{Key: "workers", Val: fmt.Sprint(workers)},
-			obs.Arg{Key: "failed", Val: fmt.Sprint(countFailedJobs(jobs))},
-			obs.Arg{Key: "skipped", Val: fmt.Sprint(skipped.Load())})
-	}
 
 	// Aggregate every distinct failure once, in serial job order, so the
 	// error a caller sees does not depend on worker scheduling; a
@@ -503,21 +495,18 @@ func CharacterizeSuiteOpts(specs []Spec, archs []mcu.Arch, opts SweepOptions) ([
 			errs = append(errs, j.err)
 		}
 	}
+	if rec != nil {
+		rec.RecordSpan(obs.SpanSweep, sweepStart, time.Now(), 0,
+			obs.Arg{Key: "kernels", Val: fmt.Sprint(len(specs))},
+			obs.Arg{Key: "jobs", Val: fmt.Sprint(total)},
+			obs.Arg{Key: "workers", Val: fmt.Sprint(workers)},
+			obs.Arg{Key: "failed", Val: fmt.Sprint(len(errs))},
+			obs.Arg{Key: "skipped", Val: fmt.Sprint(skipped.Load())})
+	}
 	if cerr := ctx.Err(); cerr != nil {
 		errs = append(errs, cerr)
 	}
 	return records, errors.Join(errs...)
-}
-
-// countFailedJobs counts jobs that recorded a failure.
-func countFailedJobs(jobs []job) int {
-	n := 0
-	for _, j := range jobs {
-		if j.err != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // cellError wraps a job failure with its full provenance.
@@ -579,18 +568,17 @@ func executeJob(ctx context.Context, tbl *ExecTable, spec Spec, archs []mcu.Arch
 	case o := <-ch:
 		return classify(ctx, o.res, o.err)
 	case <-expired:
-		ctrCellsTimedOut.Inc()
 		return jobResult{}, CellTimedOut, fmt.Errorf("core: watchdog: no result after %v", opts.CellTimeout)
 	case <-ctx.Done():
 		return jobResult{}, CellSkipped, ctx.Err()
 	}
 }
 
-// classify maps a computation's error to its cell status, bumping the
-// panic counter for recovered panics. A job the harness abandoned
-// because the sweep context was canceled is a skip, not a kernel
-// failure — but only when the context really is canceled, so a kernel
-// error that merely wraps context.Canceled still counts as its own.
+// classify maps a computation's error to its cell status. A job the
+// harness abandoned because the sweep context was canceled is a skip,
+// not a kernel failure — but only when the context really is canceled,
+// so a kernel error that merely wraps context.Canceled still counts as
+// its own.
 func classify(ctx context.Context, res jobResult, err error) (jobResult, CellStatus, error) {
 	switch {
 	case err == nil:
@@ -598,7 +586,6 @@ func classify(ctx context.Context, res jobResult, err error) (jobResult, CellSta
 	case ctx.Err() != nil && errors.Is(err, ctx.Err()):
 		return res, CellSkipped, err
 	case isPanic(err):
-		ctrPanicsRecovered.Inc()
 		return res, CellPanicked, err
 	default:
 		return res, CellFailed, err
@@ -732,11 +719,12 @@ func commitSkip(records []Record, j *job, cause error) {
 	rec.Cells[j.cell] = ArchRun{Arch: j.arch, CacheOn: j.cache, Status: CellSkipped, Err: cause}
 }
 
-// recordJobSpan emits the sweep.static / sweep.cell span of one
-// executed job on the given worker lane. Queue wait is the time the job
-// sat ready before pickup: all jobs exist when the sweep starts, so it
-// is measured from the sweep start to the job's execution start.
-func recordJobSpan(j *job, records []Record, start, sweepStart time.Time, lane int, status CellStatus) {
+// recordJobSpan records the sweep.static / sweep.cell span of one
+// executed job into rec on the given worker lane. Queue wait is the
+// time the job sat ready before pickup: all jobs exist when the sweep
+// starts, so it is measured from the sweep start to the job's execution
+// start.
+func recordJobSpan(rec *obs.Recorder, j *job, records []Record, start, sweepStart time.Time, lane int, status CellStatus) {
 	end := time.Now()
 	queueUS := fmt.Sprintf("%.1f", float64(start.Sub(sweepStart).Microseconds()))
 	kernel := records[j.spec].Spec.Name
@@ -760,5 +748,5 @@ func recordJobSpan(j *job, records []Record, start, sweepStart time.Time, lane i
 	if j.cell == jobStatic {
 		name = obs.SpanSweepStatic
 	}
-	obs.RecordSpan(name, start, end, lane, args...)
+	rec.RecordSpan(name, start, end, lane, args...)
 }

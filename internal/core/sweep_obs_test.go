@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -11,8 +12,8 @@ import (
 
 // One kernel across the Table IV set: 1 static job + 3 archs × 2 cache
 // settings = 7 jobs. The sweep must report progress for every job and,
-// under an active trace, emit one span per job plus the enclosing sweep
-// span, each carrying its identity args. madgwick has no StaticFactory,
+// with a recorder on its context, record one span per job plus the
+// enclosing sweep span, each carrying its identity args. madgwick has no StaticFactory,
 // so its 7 jobs are one kernel execution and the sweep starts 1 of the
 // 2 workers it may use.
 func TestSweepProgressAndSpans(t *testing.T) {
@@ -24,9 +25,10 @@ func TestSweepProgressAndSpans(t *testing.T) {
 	var mu sync.Mutex
 	var dones []int
 	gotTotal := 0
-	obs.StartTrace()
+	rec := obs.NewRecorder()
 	_, err := core.CharacterizeSuiteOpts([]core.Spec{spec}, mcu.TableIVSet(), core.SweepOptions{
 		Workers: 2,
+		Context: obs.WithRecorder(context.Background(), rec),
 		Progress: func(done, skipped, total int) {
 			mu.Lock()
 			dones = append(dones, done)
@@ -37,7 +39,6 @@ func TestSweepProgressAndSpans(t *testing.T) {
 			mu.Unlock()
 		},
 	})
-	tr := obs.StopTrace()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestSweepProgressAndSpans(t *testing.T) {
 	}
 
 	counts := map[string]int{}
-	for _, s := range tr.Spans {
+	for _, s := range rec.Spans() {
 		counts[s.Name]++
 		args := map[string]string{}
 		for _, a := range s.Args {
@@ -82,7 +83,7 @@ func TestSweepProgressAndSpans(t *testing.T) {
 				t.Errorf("static args incomplete: %v", args)
 			}
 		case obs.SpanSweep:
-			if args["jobs"] != "7" || args["workers"] != "1" || args["kernels"] != "1" {
+			if args["jobs"] != "7" || args["workers"] != "1" || args["kernels"] != "1" || args["failed"] != "0" {
 				t.Errorf("sweep args = %v", args)
 			}
 			if s.TID != 0 {
@@ -95,9 +96,9 @@ func TestSweepProgressAndSpans(t *testing.T) {
 	}
 }
 
-// Tracing off must not change results — the instrumented paths are
-// gated, and this pins that a plain sweep still works with a progress
-// hook alone.
+// A sweep without a recorder must not change results — the
+// instrumented paths are gated, and this pins that a plain sweep still
+// works with a progress hook alone.
 func TestSweepProgressWithoutTrace(t *testing.T) {
 	spec, ok := core.ByName("madgwick")
 	if !ok {
@@ -116,5 +117,56 @@ func TestSweepProgressWithoutTrace(t *testing.T) {
 	}
 	if len(recs) != 1 || !recs[0].Valid {
 		t.Fatalf("record invalid: %+v", recs[0].ValidE)
+	}
+}
+
+// Two sweeps running at once, on different kernels, each with its own
+// recorder: every recorder holds exactly its own sweep's spans and
+// sweep.cells_* tallies, never the other's.
+func TestRecordersIsolateConcurrentSweeps(t *testing.T) {
+	kernels := []string{"madgwick", "mahony"}
+	recs := make([]*obs.Recorder, len(kernels))
+	var wg sync.WaitGroup
+	for i, name := range kernels {
+		spec, ok := core.ByName(name)
+		if !ok {
+			t.Fatalf("%s missing from suite", name)
+		}
+		recs[i] = obs.NewRecorder()
+		wg.Add(1)
+		go func(rec *obs.Recorder) {
+			defer wg.Done()
+			_, err := core.CharacterizeSuiteOpts([]core.Spec{spec}, mcu.TableIVSet(), core.SweepOptions{
+				Workers: 2,
+				Context: obs.WithRecorder(context.Background(), rec),
+			})
+			if err != nil {
+				t.Error(err)
+			}
+		}(recs[i])
+	}
+	wg.Wait()
+	for i, rec := range recs {
+		counts := map[string]int{}
+		for _, s := range rec.Spans() {
+			counts[s.Name]++
+			if s.Name == obs.SpanSweep {
+				continue
+			}
+			for _, a := range s.Args {
+				if a.Key == "kernel" && a.Val != kernels[i] {
+					t.Errorf("%s recorder holds a %s span of %s", kernels[i], s.Name, a.Val)
+				}
+			}
+		}
+		if counts[obs.SpanSweep] != 1 || counts[obs.SpanSweepStatic] != 1 || counts[obs.SpanSweepCell] != 6 {
+			t.Errorf("%s span counts = %v, want 1 sweep, 1 static, 6 cells", kernels[i], counts)
+		}
+		if got := rec.Count(obs.CounterSweepCellsComputed); got != 7 {
+			t.Errorf("%s sweep.cells_computed = %d, want 7", kernels[i], got)
+		}
+		if got := rec.Count(obs.CounterSweepCellsCached) + rec.Count(obs.CounterSweepCellsFailed); got != 0 {
+			t.Errorf("%s cached+failed = %d, want 0", kernels[i], got)
+		}
 	}
 }

@@ -1,14 +1,14 @@
 // Package obs is the observability layer of the characterization
-// engine: named process-level counters, goroutine-safe span tracing
-// with a Chrome trace_event exporter, and a terminal progress line for
-// long sweeps.
+// engine: named process-level counters, a per-sweep Recorder of spans
+// and counter tallies carried on the sweep's context, with a Chrome
+// trace_event exporter, and a terminal progress line for long sweeps.
 //
 // The package exists to make the sweep engine watchable without
 // perturbing it. Everything is allocation-conscious and off by default:
-// counters are single atomic adds; span recording is gated behind one
-// atomic load (callers check TraceEnabled before computing timestamps
-// or argument lists, so a disabled trace costs nothing on the hot
-// path); the progress line is an explicit opt-in object.
+// counters are single atomic adds; spans go only to a Recorder on the
+// sweep's context (with none, a span site costs one nil check — no
+// trace state is process-global); the progress line is an explicit
+// opt-in object.
 //
 // Every span and counter name used anywhere in the repo is declared in
 // this package (see names.go) and documented in docs/observability.md;

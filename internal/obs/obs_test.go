@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -73,54 +74,64 @@ func TestNewCounterRejectsUnknownAndDuplicate(t *testing.T) {
 }
 
 func TestTraceRecordsAndSorts(t *testing.T) {
-	StartTrace()
+	r := NewRecorder()
 	base := time.Now()
-	// Record out of order; StopTrace must sort by start.
-	RecordSpan("b", base.Add(2*time.Millisecond), base.Add(3*time.Millisecond), 2)
-	RecordSpan("a", base, base.Add(time.Millisecond), 1, Arg{Key: "kernel", Val: "madgwick"})
-	tr := StopTrace()
-	if tr == nil || len(tr.Spans) != 2 {
-		t.Fatalf("trace = %+v", tr)
+	// Record out of order; Spans must sort by start.
+	r.RecordSpan("b", base.Add(2*time.Millisecond), base.Add(3*time.Millisecond), 2)
+	r.RecordSpan("a", base, base.Add(time.Millisecond), 1, Arg{Key: "kernel", Val: "madgwick"})
+	spans := r.Spans()
+	if len(spans) != 2 {
+		t.Fatalf("spans = %+v", spans)
 	}
-	if tr.Spans[0].Name != "a" || tr.Spans[1].Name != "b" {
-		t.Fatalf("not sorted by start: %+v", tr.Spans)
+	if spans[0].Name != "a" || spans[1].Name != "b" {
+		t.Fatalf("not sorted by start: %+v", spans)
 	}
-	if tr.Spans[0].DurNS != time.Millisecond.Nanoseconds() {
-		t.Fatalf("dur = %d", tr.Spans[0].DurNS)
-	}
-	if TraceEnabled() {
-		t.Fatal("tracing still enabled after StopTrace")
+	if spans[0].DurNS != time.Millisecond.Nanoseconds() {
+		t.Fatalf("dur = %d", spans[0].DurNS)
 	}
 }
 
+// A nil recorder — what RecorderFrom returns for a context without one —
+// drops spans and still bumps the process-wide counter.
 func TestRecordSpanDisabledIsNoOp(t *testing.T) {
-	if TraceEnabled() {
-		t.Fatal("trace unexpectedly active")
+	r := RecorderFrom(context.Background())
+	if r != nil {
+		t.Fatalf("bare context carries recorder %p", r)
 	}
-	RecordSpan("ghost", time.Now(), time.Now(), 0)
-	StartTrace()
-	tr := StopTrace()
-	if len(tr.Spans) != 0 {
-		t.Fatalf("disabled RecordSpan leaked a span: %+v", tr.Spans)
+	r.RecordSpan("ghost", time.Now(), time.Now(), 0)
+	c := &Counter{name: CounterHarnessRuns}
+	r.Inc(c)
+	if c.Value() != 1 {
+		t.Fatalf("nil recorder Inc: counter %d, want 1", c.Value())
 	}
 }
 
-func TestStopTraceWithoutStart(t *testing.T) {
-	if tr := StopTrace(); tr != nil {
-		t.Fatalf("StopTrace without StartTrace = %+v", tr)
+// Each recorder tallies only the increments made through it, while the
+// process-wide counter sees them all.
+func TestRecorderTalliesAreItsOwn(t *testing.T) {
+	c := &Counter{name: CounterSweepCellsCached}
+	a, b := NewRecorder(), NewRecorder()
+	ctx := WithRecorder(context.Background(), a)
+	if RecorderFrom(ctx) != a {
+		t.Fatal("RecorderFrom lost the attached recorder")
+	}
+	a.Inc(c)
+	a.Inc(c)
+	b.Inc(c)
+	if a.Count(c.Name()) != 2 || b.Count(c.Name()) != 1 || c.Value() != 3 {
+		t.Fatalf("tallies a=%d b=%d, counter %d; want 2, 1, 3", a.Count(c.Name()), b.Count(c.Name()), c.Value())
 	}
 }
 
 func TestWriteChromeTrace(t *testing.T) {
-	StartTrace()
+	r := NewRecorder()
 	base := time.Now()
-	RecordSpan(SpanSweepCell, base, base.Add(5*time.Millisecond), 1,
+	r.RecordSpan(SpanSweepCell, base, base.Add(5*time.Millisecond), 1,
 		Arg{Key: "kernel", Val: "madgwick"}, Arg{Key: "arch", Val: "M4"})
-	RecordSpan(SpanSweep, base, base.Add(6*time.Millisecond), 0)
-	tr := StopTrace()
+	r.RecordSpan(SpanSweep, base, base.Add(6*time.Millisecond), 0)
 
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := r.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

@@ -1,27 +1,27 @@
 package obs
 
 import (
+	"cmp"
+	"context"
 	"encoding/json"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// Span tracing. One process-global collector, gated by an atomic flag:
-// instrumented code asks TraceEnabled first and skips clock reads and
-// argument construction entirely when tracing is off, so the sweep's
-// hot path pays one atomic load. Spans are complete events — recorded
-// once, at their end — which keeps the collector a mutex-guarded append
-// and needs no per-goroutine state.
+// Per-sweep recording. A Recorder travels on the context.Context a
+// sweep takes (WithRecorder / RecorderFrom), so two sweeps recording at
+// once never mix. Spans are complete events — recorded once, at their
+// end — so the recorder is a mutex-guarded append with no per-goroutine
+// state.
 
 // Arg is one key/value annotation on a span (kernel name, arch, …).
 type Arg struct{ Key, Val string }
 
 // Span is one completed timed region. Times are nanoseconds relative to
-// the StartTrace call, so exported traces start at t=0.
+// the recorder's creation, so exported traces start at t=0.
 type Span struct {
 	Name    string
 	StartNS int64
@@ -32,75 +32,82 @@ type Span struct {
 	Args []Arg
 }
 
-var (
-	traceOn atomic.Bool
-	traceMu sync.Mutex
-	trace   *Trace
-)
-
-// Trace is a finished span collection, ready for export.
-type Trace struct {
+// Recorder collects the spans and counter tallies of the sweeps whose
+// context carries it; safe for concurrent use. A nil *Recorder records
+// nothing: instrumented code looks it up once per sweep and, without
+// one, pays a nil check per span site and bumps only the global counter.
+type Recorder struct {
 	start time.Time
-	Spans []Span
+	mu    sync.Mutex
+	spans []Span
+	tally map[string]uint64
 }
 
-// TraceEnabled reports whether a trace is being collected. Instrumented
-// code must check it before doing any per-span work.
-func TraceEnabled() bool { return traceOn.Load() }
-
-// StartTrace begins collecting spans into a fresh process-global trace.
-// Starting while a trace is active discards the earlier spans.
-func StartTrace() {
-	traceMu.Lock()
-	trace = &Trace{start: time.Now()}
-	traceMu.Unlock()
-	traceOn.Store(true)
+// NewRecorder returns an empty recorder whose span clock starts now.
+func NewRecorder() *Recorder {
+	return &Recorder{start: time.Now(), tally: make(map[string]uint64)}
 }
 
-// StopTrace ends collection and returns the finished trace, sorted by
-// start time (ties by lane then name) so export order is deterministic.
-// It returns nil if no trace was active.
-func StopTrace() *Trace {
-	traceOn.Store(false)
-	traceMu.Lock()
-	t := trace
-	trace = nil
-	traceMu.Unlock()
-	if t == nil {
-		return nil
-	}
-	sort.SliceStable(t.Spans, func(i, j int) bool {
-		a, b := t.Spans[i], t.Spans[j]
-		if a.StartNS != b.StartNS {
-			return a.StartNS < b.StartNS
-		}
-		if a.TID != b.TID {
-			return a.TID < b.TID
-		}
-		return a.Name < b.Name
-	})
-	return t
+type recorderKey struct{}
+
+// WithRecorder returns a child of ctx carrying r.
+func WithRecorder(ctx context.Context, r *Recorder) context.Context {
+	return context.WithValue(ctx, recorderKey{}, r)
 }
 
-// RecordSpan appends one completed span to the active trace; it is a
-// no-op when tracing is off (but callers should gate on TraceEnabled to
-// avoid building the arguments at all).
-func RecordSpan(name string, start, end time.Time, tid int, args ...Arg) {
-	if !traceOn.Load() {
+// RecorderFrom returns the recorder ctx carries, or nil.
+func RecorderFrom(ctx context.Context) *Recorder {
+	r, _ := ctx.Value(recorderKey{}).(*Recorder)
+	return r
+}
+
+// RecordSpan appends one completed span; a nil recorder drops it
+// (callers check for nil first, to skip building the arguments).
+func (r *Recorder) RecordSpan(name string, start, end time.Time, tid int, args ...Arg) {
+	if r == nil {
 		return
 	}
-	traceMu.Lock()
-	defer traceMu.Unlock()
-	if trace == nil {
-		return
-	}
-	trace.Spans = append(trace.Spans, Span{
+	r.mu.Lock()
+	r.spans = append(r.spans, Span{
 		Name:    name,
-		StartNS: start.Sub(trace.start).Nanoseconds(),
+		StartNS: start.Sub(r.start).Nanoseconds(),
 		DurNS:   end.Sub(start).Nanoseconds(),
 		TID:     tid,
 		Args:    args,
 	})
+	r.mu.Unlock()
+}
+
+// Inc bumps c, the process-wide counter /metrics reads, and, on a
+// non-nil recorder, the recorder's own tally of it.
+func (r *Recorder) Inc(c *Counter) {
+	c.Inc()
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.tally[c.name]++
+	r.mu.Unlock()
+}
+
+// Count returns the recorder's tally of the named counter: the
+// increments made through Inc on this recorder only.
+func (r *Recorder) Count(name string) uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.tally[name]
+}
+
+// Spans snapshots the recorded spans, sorted by start time (ties by
+// lane then name) so export order is deterministic.
+func (r *Recorder) Spans() []Span {
+	r.mu.Lock()
+	spans := append([]Span(nil), r.spans...)
+	r.mu.Unlock()
+	slices.SortStableFunc(spans, func(a, b Span) int {
+		return cmp.Or(cmp.Compare(a.StartNS, b.StartNS), cmp.Compare(a.TID, b.TID), cmp.Compare(a.Name, b.Name))
+	})
+	return spans
 }
 
 // chromeEvent is one trace_event record; see the Trace Event Format
@@ -121,14 +128,15 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// WriteChromeTrace renders the trace in Chrome trace_event JSON (object
-// form, complete "X" events plus thread-name metadata), loadable by
-// chrome://tracing and Perfetto.
-func (t *Trace) WriteChromeTrace(w io.Writer) error {
+// WriteChromeTrace renders the recorded spans in Chrome trace_event
+// JSON (object form, complete "X" events plus thread-name metadata),
+// loadable by chrome://tracing and Perfetto.
+func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	const pid = 1
+	spans := r.Spans()
 	lanes := map[int]bool{}
-	events := make([]chromeEvent, 0, len(t.Spans)+4)
-	for _, s := range t.Spans {
+	events := make([]chromeEvent, 0, len(spans)+4)
+	for _, s := range spans {
 		lanes[s.TID] = true
 		var args map[string]string
 		if len(s.Args) > 0 {
@@ -152,7 +160,7 @@ func (t *Trace) WriteChromeTrace(w io.Writer) error {
 	for tid := range lanes {
 		tids = append(tids, tid)
 	}
-	sort.Ints(tids)
+	slices.Sort(tids)
 	meta := make([]chromeEvent, 0, len(tids))
 	for _, tid := range tids {
 		name := "coordinator"

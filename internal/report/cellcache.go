@@ -1,11 +1,10 @@
 package report
 
 import (
-	"sync/atomic"
-
 	"repro/internal/cellstore"
 	"repro/internal/core"
 	"repro/internal/mcu"
+	"repro/internal/obs"
 )
 
 // PersistentCellCache adapts the on-disk content-addressed store
@@ -22,14 +21,11 @@ import (
 // errors are deliberately swallowed: a cache that cannot persist —
 // disk full, read-only directory — degrades to computing every cell,
 // never to failing the sweep.
+//
+// The cache keeps no tallies: what it served a sweep is that sweep's
+// sweep.cells_* counts, held by its obs.Recorder (CacheProvenanceOf).
 type PersistentCellCache struct {
 	store *cellstore.Store
-
-	// Per-instance provenance: how many sweep jobs this cache served
-	// from disk and how many it persisted after computation. entoreport
-	// surfaces these in the export's cache block.
-	hits   atomic.Int64
-	stores atomic.Int64
 }
 
 // OpenCellCache opens (creating if needed) the persistent cell cache
@@ -78,33 +74,18 @@ func (p *PersistentCellCache) LoadStatic(spec core.Spec) (core.StaticCellResult,
 	if !ok {
 		return core.StaticCellResult{}, false
 	}
-	res, ok := decodeStaticCell(payload)
-	if ok {
-		p.hits.Add(1)
-	}
-	return res, ok
+	return decodeStaticCell(payload)
 }
 
-// StoreStatic implements core.CellCache.
+// StoreStatic implements core.CellCache; store errors are swallowed.
 func (p *PersistentCellCache) StoreStatic(spec core.Spec, res core.StaticCellResult) {
-	p.put(StaticCellKey(spec), appendStaticCell(make([]byte, 0, staticLen), res))
+	_ = p.store.Put(StaticCellKey(spec), appendStaticCell(make([]byte, 0, staticLen), res))
 }
 
 // LoadCell implements core.CellCache. The backend salt is part of the
 // content key, so a measured cell can never be served to a modeled
 // query or vice versa.
 func (p *PersistentCellCache) LoadCell(spec core.Spec, arch mcu.Arch, cacheOn bool, backend string) (core.MeasuredCellResult, bool) {
-	res, ok := p.ProbeCell(spec, arch, cacheOn, backend)
-	if ok {
-		p.hits.Add(1)
-	}
-	return res, ok
-}
-
-// ProbeCell is LoadCell without counting a served cell: the sweep's
-// rehydration probe reads a kernel's cached cell through it to skip
-// executing the kernel, which serves no job of its own.
-func (p *PersistentCellCache) ProbeCell(spec core.Spec, arch mcu.Arch, cacheOn bool, backend string) (core.MeasuredCellResult, bool) {
 	payload, ok := p.store.Get(CellKey(spec, arch, cacheOn, backend))
 	if !ok {
 		return core.MeasuredCellResult{}, false
@@ -112,18 +93,10 @@ func (p *PersistentCellCache) ProbeCell(spec core.Spec, arch mcu.Arch, cacheOn b
 	return decodeMeasuredCell(payload)
 }
 
-// StoreCell implements core.CellCache.
+// StoreCell implements core.CellCache; store errors are swallowed.
 func (p *PersistentCellCache) StoreCell(spec core.Spec, arch mcu.Arch, cacheOn bool, backend string, res core.MeasuredCellResult) {
 	payload := make([]byte, 0, measuredFixedLen+len(res.Name)+len(res.ValidErr))
-	p.put(CellKey(spec, arch, cacheOn, backend), appendMeasuredCell(payload, res))
-}
-
-// put persists one encoded payload, swallowing store errors (see the
-// type comment).
-func (p *PersistentCellCache) put(key string, payload []byte) {
-	if p.store.Put(key, payload) == nil {
-		p.stores.Add(1)
-	}
+	_ = p.store.Put(CellKey(spec, arch, cacheOn, backend), appendMeasuredCell(payload, res))
 }
 
 // CacheProvenance describes how a sweep's cells were obtained when a
@@ -135,15 +108,19 @@ type CacheProvenance struct {
 	// CellsCached is how many cells this run loaded from the store.
 	CellsCached int `json:"cells_cached"`
 	// CellsComputed is how many healthy cells this run computed and
-	// persisted.
+	// offered to the store (a Put that fails on a degraded store still
+	// counts).
 	CellsComputed int `json:"cells_computed"`
 }
 
-// Provenance reports this cache instance's load/store tallies.
-func (p *PersistentCellCache) Provenance() CacheProvenance {
+// CacheProvenanceOf builds the cache block of the sweep rec recorded
+// against the cache at dir: its sweep.cells_cached, and its
+// sweep.cells_computed less sweep.cells_failed — the healthy computed
+// cells, the ones the engine offers to the store.
+func CacheProvenanceOf(dir string, rec *obs.Recorder) CacheProvenance {
 	return CacheProvenance{
-		Dir:           p.store.Dir(),
-		CellsCached:   int(p.hits.Load()),
-		CellsComputed: int(p.stores.Load()),
+		Dir:           dir,
+		CellsCached:   int(rec.Count(obs.CounterSweepCellsCached)),
+		CellsComputed: int(rec.Count(obs.CounterSweepCellsComputed) - rec.Count(obs.CounterSweepCellsFailed)),
 	}
 }

@@ -2,6 +2,7 @@ package report_test
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -23,7 +24,7 @@ import (
 
 // cacheTestSpecs returns a small fixed kernel subset, enough to cover
 // multiple kernels without paying for the whole suite per test.
-func cacheTestSpecs(t *testing.T) []core.Spec {
+func cacheTestSpecs(t testing.TB) []core.Spec {
 	t.Helper()
 	var specs []core.Spec
 	for _, name := range []string{"madgwick", "mahony"} {
@@ -39,7 +40,7 @@ func cacheTestSpecs(t *testing.T) []core.Spec {
 // sweepJSON characterizes specs×archs with the given options and
 // renders the v1 JSON export — the byte-level artifact every cache and
 // shard invariant is stated against.
-func sweepJSON(t *testing.T, specs []core.Spec, archs []mcu.Arch, opts core.SweepOptions) []byte {
+func sweepJSON(t testing.TB, specs []core.Spec, archs []mcu.Arch, opts core.SweepOptions) []byte {
 	t.Helper()
 	recs, err := core.CharacterizeSuiteOpts(specs, archs, opts)
 	if err != nil {
@@ -435,7 +436,9 @@ func TestCacheProvenanceBlockRoundTrips(t *testing.T) {
 	}
 }
 
-// Provenance tallies come from the live counters of the cache handle.
+// The provenance block comes from the sweep's recorder: a cold sweep
+// computes all 14 jobs (2 static + 2 kernels × 6 cells), a warm one
+// loads all 14.
 func TestPersistentCacheProvenanceCounts(t *testing.T) {
 	specs := cacheTestSpecs(t)
 	archs := mcu.TableIVSet()
@@ -443,21 +446,28 @@ func TestPersistentCacheProvenanceCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweepJSON(t, specs, archs, core.SweepOptions{Workers: 1, CellCache: cache})
-	sweepJSON(t, specs, archs, core.SweepOptions{Workers: 1, CellCache: cache})
-	prov := cache.Provenance()
-	if prov.Dir != cache.Dir() {
-		t.Fatalf("provenance dir %q != cache dir %q", prov.Dir, cache.Dir())
+	var prov [2]report.CacheProvenance
+	for i := range prov {
+		rec := obs.NewRecorder()
+		sweepJSON(t, specs, archs, core.SweepOptions{Workers: 1, CellCache: cache,
+			Context: obs.WithRecorder(context.Background(), rec)})
+		prov[i] = report.CacheProvenanceOf(cache.Dir(), rec)
 	}
-	// Cold sweep: 14 stores; warm sweep: 14 loads.
-	if prov.CellsCached != 14 || prov.CellsComputed != 14 {
-		t.Fatalf("provenance = %+v, want 14 cached / 14 computed", prov)
+	if prov[0].Dir != cache.Dir() {
+		t.Fatalf("provenance dir %q != cache dir %q", prov[0].Dir, cache.Dir())
+	}
+	if prov[0].CellsCached != 0 || prov[0].CellsComputed != 14 {
+		t.Fatalf("cold provenance = %+v, want 0 cached / 14 computed", prov[0])
+	}
+	if prov[1].CellsCached != 14 || prov[1].CellsComputed != 0 {
+		t.Fatalf("warm provenance = %+v, want 14 cached / 0 computed", prov[1])
 	}
 }
 
 // An incremental sweep rehydrates each kernel's prepare from a cached
-// cell without counting that read: the provenance block's deltas equal
-// the engine's sweep.cells_cached / sweep.cells_computed deltas.
+// cell, a read that serves no job: the recorder's tallies, and so the
+// provenance block, count only the jobs, and equal the process-wide
+// sweep.cells_cached / sweep.cells_computed deltas of the one sweep.
 func TestPersistentCacheProvenanceIncremental(t *testing.T) {
 	specs := cacheTestSpecs(t)
 	cache, err := report.OpenCellCache(t.TempDir())
@@ -466,9 +476,11 @@ func TestPersistentCacheProvenanceIncremental(t *testing.T) {
 	}
 	sweepJSON(t, specs, []mcu.Arch{mcu.M4}, core.SweepOptions{Workers: 1, CellCache: cache})
 
-	prov0, before := cache.Provenance(), obs.Counters()
-	sweepJSON(t, specs, []mcu.Arch{mcu.M4, mcu.M33}, core.SweepOptions{Workers: 1, CellCache: cache})
-	prov1, after := cache.Provenance(), obs.Counters()
+	rec := obs.NewRecorder()
+	before := obs.Counters()
+	sweepJSON(t, specs, []mcu.Arch{mcu.M4, mcu.M33}, core.SweepOptions{Workers: 1, CellCache: cache,
+		Context: obs.WithRecorder(context.Background(), rec)})
+	after := obs.Counters()
 
 	cached := after[obs.CounterSweepCellsCached] - before[obs.CounterSweepCellsCached]
 	computed := after[obs.CounterSweepCellsComputed] - before[obs.CounterSweepCellsComputed]
@@ -476,10 +488,44 @@ func TestPersistentCacheProvenanceIncremental(t *testing.T) {
 	if cached != 6 || computed != 4 {
 		t.Fatalf("engine deltas = %d cached / %d computed, want 6 / 4", cached, computed)
 	}
-	if d := prov1.CellsCached - prov0.CellsCached; uint64(d) != cached {
-		t.Fatalf("provenance cells_cached delta = %d, engine sweep.cells_cached delta = %d", d, cached)
+	prov := report.CacheProvenanceOf(cache.Dir(), rec)
+	if uint64(prov.CellsCached) != cached || uint64(prov.CellsComputed) != computed {
+		t.Fatalf("provenance = %+v, engine deltas = %d cached / %d computed", prov, cached, computed)
 	}
-	if d := prov1.CellsComputed - prov0.CellsComputed; uint64(d) != computed {
-		t.Fatalf("provenance cells_computed delta = %d, engine sweep.cells_computed delta = %d", d, computed)
+}
+
+type panickingProblem struct{}
+
+func (panickingProblem) Name() string    { return "panicker" }
+func (panickingProblem) Setup() error    { return nil }
+func (panickingProblem) Solve()          { panic("deliberate") }
+func (panickingProblem) Validate() error { return nil }
+
+// Failed jobs count on sweep.cells_computed but are never stored, so
+// the provenance block's cells_computed leaves them out: it equals the
+// records the cold sweep wrote.
+func TestCacheProvenanceExcludesFailedCells(t *testing.T) {
+	madgwick, ok := core.ByName("madgwick")
+	if !ok {
+		t.Fatal("madgwick missing from suite")
+	}
+	panicker := core.Spec{Name: "panicker", Stage: core.Control, Prec: mcu.PrecF32,
+		Factory: func() harness.Problem { return panickingProblem{} }}
+	cache, err := report.OpenCellCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder()
+	_, err = core.CharacterizeSuiteOpts([]core.Spec{madgwick, panicker}, []mcu.Arch{mcu.M4},
+		core.SweepOptions{Workers: 1, CellCache: cache, Context: obs.WithRecorder(context.Background(), rec)})
+	if len(core.CellErrors(err)) != 3 {
+		t.Fatalf("sweep error = %v, want the panicker's 3 failed jobs", err)
+	}
+	if got := rec.Count(obs.CounterSweepCellsComputed); got != 6 {
+		t.Fatalf("sweep.cells_computed = %d, want 6", got)
+	}
+	prov := report.CacheProvenanceOf(cache.Dir(), rec)
+	if prov.CellsCached != 0 || prov.CellsComputed != 3 || cache.Backing().Len() != 3 {
+		t.Fatalf("provenance = %+v with %d stored records, want 0 cached / 3 computed and 3 records", prov, cache.Backing().Len())
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -76,6 +77,13 @@ type ShardKernel struct {
 	Ref *ShardRef `json:"ref,omitempty"`
 	// Cells are the measurement cells this shard owns, by grid index.
 	Cells []ShardCell `json:"cells"`
+}
+
+// descriptor is k without the jobs its shard owns: the part every
+// bundle of a set must agree on, since the merge renders it from one.
+func (k ShardKernel) descriptor() ShardKernel {
+	k.Static, k.Ref, k.Cells = nil, nil, nil
+	return k
 }
 
 // ShardRef carries the record-level fields the reference cell owns.
@@ -237,6 +245,19 @@ func MergeShards(shards []ShardReport) (Characterization, error) {
 		}
 	}
 
+	// Each kernel's owned cells must fill its grid exactly, checked
+	// before the grid is allocated: a hostile total_cells (negative or
+	// huge) is an error, not a panic or an unbounded allocation.
+	for i, k := range shards[0].Kernels {
+		owned := 0
+		for _, s := range shards {
+			owned += len(s.Kernels[i].Cells)
+		}
+		if owned != k.TotalCells {
+			return Characterization{}, fmt.Errorf("report: merge: kernel %s: shards own %d cells of its %d", k.Name, owned, k.TotalCells)
+		}
+	}
+
 	nk := len(shards[0].Kernels)
 	recs := make([]core.Record, nk)
 	cellSeen := make([][]bool, nk)
@@ -261,9 +282,8 @@ func MergeShards(shards []ShardReport) (Characterization, error) {
 
 	for _, s := range shards {
 		for i, k := range s.Kernels {
-			ref := &shards[0].Kernels[i]
-			if k.Name != ref.Name || k.TotalCells != ref.TotalCells {
-				return Characterization{}, fmt.Errorf("report: merge: shard %d kernel %d is %q/%d cells, shard %d has %q/%d", s.Shard, i, k.Name, k.TotalCells, shards[0].Shard, ref.Name, ref.TotalCells)
+			if d, ref := k.descriptor(), shards[0].Kernels[i].descriptor(); !reflect.DeepEqual(d, ref) {
+				return Characterization{}, fmt.Errorf("report: merge: shard %d kernel %d is %+v, shard %d has %+v", s.Shard, i, d, shards[0].Shard, ref)
 			}
 			rec := &recs[i]
 			if k.Static != nil {

@@ -13,7 +13,7 @@ import (
 // runShards partitions the sweep N ways, round-trips every bundle
 // through its wire format (exactly what `entobench merge` reads), and
 // returns the decoded bundles.
-func runShards(t *testing.T, specs []core.Spec, archs []mcu.Arch, n int) []report.ShardReport {
+func runShards(t testing.TB, specs []core.Spec, archs []mcu.Arch, n int) []report.ShardReport {
 	t.Helper()
 	var shards []report.ShardReport
 	for i := 1; i <= n; i++ {
@@ -128,6 +128,14 @@ func TestMergeShardsValidation(t *testing.T) {
 			bad.SweepKey = "sweep-0000"
 			return []report.ShardReport{shards[0], bad}
 		}, "different sweep"},
+		{"kernel descriptor mismatch", func() []report.ShardReport {
+			// The merge renders shard 1's descriptor, so accepting this
+			// would make the bytes depend on bundle order.
+			bad := shards[1]
+			bad.Kernels = append([]report.ShardKernel(nil), bad.Kernels...)
+			bad.Kernels[1].Dataset = "other"
+			return []report.ShardReport{shards[0], bad}
+		}, "kernel 1 is"},
 		{"shard index out of range", func() []report.ShardReport {
 			bad := shards[1]
 			bad.Shard = 7
@@ -157,4 +165,110 @@ func TestShardIndexValidated(t *testing.T) {
 			t.Fatalf("shard %d/2 accepted", idx)
 		}
 	}
+}
+
+// hostileTotal returns the 2-way shard pair with kernel 0 declaring
+// total cells, encoded as the bundles `entobench merge` reads.
+func hostileTotal(t testing.TB, shards []report.ShardReport, total int) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for _, sr := range shards {
+		sr.Kernels = append([]report.ShardKernel(nil), sr.Kernels...)
+		sr.Kernels[0].TotalCells = total
+		var buf bytes.Buffer
+		if err := report.WriteShardReport(&buf, sr); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, buf.Bytes())
+	}
+	return out
+}
+
+// A bundle whose total_cells disagrees with the cells the set owns —
+// negative, which would panic the grid allocation, or huge, which would
+// allocate without bound — is a merge error.
+func TestMergeShardsRejectsHostileTotalCells(t *testing.T) {
+	shards := runShards(t, cacheTestSpecs(t), []mcu.Arch{mcu.M4}, 2)
+	for _, total := range []int{-1, 1 << 40} {
+		var set []report.ShardReport
+		for _, data := range hostileTotal(t, shards, total) {
+			sr, err := report.ReadShardReport(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			set = append(set, sr)
+		}
+		_, err := report.MergeShards(set)
+		if err == nil || !strings.Contains(err.Error(), "cells of its") {
+			t.Fatalf("total_cells %d: merge error = %v", total, err)
+		}
+	}
+}
+
+// FuzzMergeShards feeds arbitrary bytes, as two bundles, through
+// ReadShardReport and MergeShards. The merge must never panic; a set it
+// accepts must render the same v1 bytes in either bundle order, and a
+// set that decodes to the real shard pair must render exactly the
+// unsharded sweep's bytes. (An accepted set with edited numbers renders
+// them: a bundle carries no digest of its cells.)
+func FuzzMergeShards(f *testing.F) {
+	specs, archs := cacheTestSpecs(f), []mcu.Arch{mcu.M4}
+	golden := sweepJSON(f, specs, archs, core.SweepOptions{Workers: 1})
+	shards := runShards(f, specs, archs, 2)
+	var seed [2][]byte
+	for i, sr := range shards {
+		var buf bytes.Buffer
+		if err := report.WriteShardReport(&buf, sr); err != nil {
+			f.Fatal(err)
+		}
+		seed[i] = buf.Bytes()
+	}
+	f.Add(seed[0], seed[1])
+	f.Add(seed[1], seed[0])
+	hostile := hostileTotal(f, shards, -1)
+	f.Add(hostile[0], hostile[1])
+	f.Add(hostile[0], seed[1])
+
+	// canon re-encodes a decoded bundle, so inputs that differ only in
+	// JSON spelling compare equal.
+	canon := func(sr report.ShardReport) string {
+		var buf bytes.Buffer
+		if err := report.WriteShardReport(&buf, sr); err != nil {
+			f.Fatal(err)
+		}
+		return buf.String()
+	}
+	render := func(set []report.ShardReport) ([]byte, bool) {
+		c, err := report.MergeShards(set)
+		if err != nil {
+			return nil, false
+		}
+		var buf bytes.Buffer
+		if err := c.WriteJSON(&buf); err != nil {
+			return nil, false
+		}
+		return buf.Bytes(), true
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		var set []report.ShardReport
+		for _, data := range [][]byte{a, b} {
+			sr, err := report.ReadShardReport(bytes.NewReader(data))
+			if err != nil {
+				return
+			}
+			set = append(set, sr)
+		}
+		out, ok := render(set)
+		if !ok {
+			return
+		}
+		if rev, _ := render([]report.ShardReport{set[1], set[0]}); !bytes.Equal(out, rev) {
+			t.Fatal("accepted set renders differently in reverse bundle order")
+		}
+		ca, cb := canon(set[0]), canon(set[1])
+		real0, real1 := string(seed[0]), string(seed[1])
+		if (ca == real0 && cb == real1 || ca == real1 && cb == real0) && !bytes.Equal(out, golden) {
+			t.Fatal("the real shard pair merged to bytes other than the unsharded sweep's")
+		}
+	})
 }
