@@ -106,6 +106,32 @@ func TestRecordSpanDisabledIsNoOp(t *testing.T) {
 	}
 }
 
+// Ending a sweep that recorded nothing yields nothing: a bare context
+// carries no recorder, and a fresh recorder holds no spans and exports
+// a trace without events.
+func TestStopTraceWithoutStart(t *testing.T) {
+	if r := RecorderFrom(context.Background()); r != nil {
+		t.Fatalf("bare context carries recorder %p", r)
+	}
+	r := NewRecorder()
+	if spans := r.Spans(); len(spans) != 0 {
+		t.Fatalf("fresh recorder spans = %+v", spans)
+	}
+	var buf bytes.Buffer
+	if err := r.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("empty chrome trace is not valid JSON: %v", err)
+	}
+	if len(doc.TraceEvents) != 0 {
+		t.Fatalf("empty recorder exported %d events", len(doc.TraceEvents))
+	}
+}
+
 // Each recorder tallies only the increments made through it, while the
 // process-wide counter sees them all.
 func TestRecorderTalliesAreItsOwn(t *testing.T) {
