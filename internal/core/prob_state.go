@@ -87,12 +87,34 @@ func poseSpecs() []Spec {
 
 // --- attitude ---
 
+// attitudeProblem feeds one filter update per Solve from a 2 s, 400 Hz
+// hover stream of attitudeRecords records, wrapping around at the end.
+// The stream is generated lazily: Setup starts the generator and each
+// Solve or Validate extends recs only up to the record it reads, so a
+// prepare that runs a handful of updates simulates a handful of
+// records, not the whole stream. recs never grows past attitudeRecords,
+// and the wrap reads the records already made, so every index sees
+// exactly imu.Simulate's record.
 type attitudeProblem struct {
 	kernel string
 	mode   attitude.Mode
+	stream *imu.Stream
 	recs   []imu.Record
 	filter attitude.Filter[F32]
 	idx    int
+}
+
+// attitudeRecords is the stream length: 2 s at 400 Hz.
+const attitudeRecords = 800
+
+// record returns record i of the stream (taken modulo its length),
+// generating records up to it on first use.
+func (p *attitudeProblem) record(i int) imu.Record {
+	i %= attitudeRecords
+	for len(p.recs) <= i {
+		p.recs = append(p.recs, p.stream.Next())
+	}
+	return p.recs[i]
 }
 
 func newAttitudeProblem(kernel string, mode attitude.Mode) *attitudeProblem {
@@ -108,7 +130,8 @@ func (p *attitudeProblem) Name() string    { return p.kernel }
 func (p *attitudeProblem) Dataset() string { return "bee-synth" }
 
 func (p *attitudeProblem) Setup() error {
-	p.recs = imu.Simulate(imu.HoverTrajectory(0.12, 0.1, 2), 2.0, 400, imu.DefaultNoise(), 303)
+	p.stream = imu.NewStream(imu.HoverTrajectory(0.12, 0.1, 2), 400, imu.DefaultNoise(), 303)
+	p.recs = p.recs[:0]
 	switch p.kernel {
 	case "mahony":
 		p.filter = attitude.NewMahony(F32(0), p.mode, 2.0, 0.02)
@@ -123,7 +146,7 @@ func (p *attitudeProblem) Setup() error {
 
 // Solve is one filter update — the high-rate proprioceptive kernel.
 func (p *attitudeProblem) Solve() {
-	r := p.recs[p.idx%len(p.recs)]
+	r := p.record(p.idx)
 	p.idx++
 	p.filter.Update(imu.SampleAs(F32(0), r))
 }
@@ -132,7 +155,7 @@ func (p *attitudeProblem) Validate() error {
 	if p.idx < 10 {
 		return nil // too few updates to judge convergence
 	}
-	r := p.recs[(p.idx-1)%len(p.recs)]
+	r := p.record(p.idx - 1)
 	q := p.filter.Quat()
 	est := geom.QuatFromFloats(scalar.F64(0), q.W.Float(), q.X.Float(), q.Y.Float(), q.Z.Float())
 	if e := geom.QuatAngleDegrees(est, r.Truth); e > 15 {

@@ -85,11 +85,23 @@ func (SimBackend) Source() string { return SourceModeled }
 func (SimBackend) Fingerprint() string { return "" }
 
 // Measure implements Backend: synthesize the trace + events, then run
-// the shared analysis pipeline.
+// the shared analysis pipeline. The waveform is rendered into a pooled
+// buffer and released once analyzed, so a sweep does not allocate one
+// per measured cell; the pool holds nothing across a GC.
 func (SimBackend) Measure(req MeasureRequest) (Measurement, error) {
-	trace, events := SynthesizeTrace(req.Model, req.Arch, req.CacheOn, req.Reps, req.Seed)
-	return Analyze(trace, events, req.Reps)
+	bp, _ := tracePool.Get().(*[]float64)
+	if bp == nil {
+		bp = new([]float64)
+	}
+	trace, events := synthesizeTrace(*bp, req.Model, req.Arch, req.Reps, req.Seed)
+	m, err := Analyze(trace, events, req.Reps)
+	*bp = trace.Power
+	tracePool.Put(bp)
+	return m, err
 }
+
+// tracePool recycles SimBackend.Measure's waveform buffers (*[]float64).
+var tracePool sync.Pool
 
 // The process-wide backend registry, mirroring the board and kernel
 // registries: "sim" is built in, trace backends register at load time.

@@ -186,3 +186,26 @@ func TestResolveBackend(t *testing.T) {
 		})
 	}
 }
+
+// MeasureOn renders each cell's waveform into a pooled buffer, so a
+// measurement allocates only the four-edge GPIO event log, whatever
+// the trace length. A per-cell make of the waveform — tens of
+// kilobytes at the default rep count — would add one allocation here.
+func TestMeasureOnReusesTraceBuffer(t *testing.T) {
+	pp, err := harness.Prepare(&vvadd{n: 64}, mcu.M4, mcu.PrecF32, harness.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := harness.DefaultConfig()
+	if _, err := pp.MeasureOn(mcu.M33, mcu.PrecF32, cfg); err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(50, func() {
+		if _, err := pp.MeasureOn(mcu.M33, mcu.PrecF32, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 1 {
+		t.Errorf("MeasureOn allocates %v times per call, want at most 1 (the event log)", n)
+	}
+}

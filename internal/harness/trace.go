@@ -26,6 +26,13 @@ type Trace struct {
 // (Arch.IdlePowerW), so custom boards synthesize with their own sleep
 // current instead of a hard-coded table.
 func SynthesizeTrace(est mcu.Estimate, arch mcu.Arch, cacheOn bool, reps int, seed int64) (Trace, []GPIOEvent) {
+	return synthesizeTrace(nil, est, arch, reps, seed)
+}
+
+// synthesizeTrace is SynthesizeTrace rendering into buf's backing array
+// when it is large enough (every sample is written, so its old contents
+// never show); Trace.Power aliases buf then.
+func synthesizeTrace(buf []float64, est mcu.Estimate, arch mcu.Arch, reps int, seed int64) (Trace, []GPIOEvent) {
 	idle := arch.IdlePowerW()
 	roiDur := est.LatencyS * float64(reps)
 	lead := 500e-6
@@ -33,7 +40,10 @@ func SynthesizeTrace(est mcu.Estimate, arch mcu.Arch, cacheOn bool, reps int, se
 	total := lead + roiDur + tail
 	n := int(total*SampleHz) + 2
 
-	tr := Trace{SampleHz: SampleHz, Power: make([]float64, n)}
+	if cap(buf) < n {
+		buf = make([]float64, n)
+	}
+	tr := Trace{SampleHz: SampleHz, Power: buf[:n]}
 	// Deterministic small-period burst pattern: a fraction of samples
 	// sit at the peak, the rest are rebalanced so the mean stays at the
 	// modeled average (energy-preserving).

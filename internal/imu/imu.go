@@ -5,6 +5,11 @@
 // IMU/MARG streams from parameterized analytic trajectories that preserve
 // what matters for the precision study — the dynamic range and spectral
 // content of gyroscope, accelerometer, and magnetometer readings.
+//
+// Simulate returns a whole record stream; Stream generates the same
+// records one at a time, for consumers that read only a prefix (the
+// attitude kernels' benchmark problem extends its records as its
+// updates reach them).
 package imu
 
 import (
@@ -71,39 +76,91 @@ var magField = [3]float64{0.43, 0.0, -0.90}
 
 // Simulate samples traj at rateHz for duration seconds, producing noisy
 // gyro/accel/mag measurements with ground truth. The generator is fully
-// deterministic for a given seed.
+// deterministic for a given seed: it is the first int(duration·rateHz)
+// records of NewStream(traj, rateHz, noise, seed).
 func Simulate(traj Trajectory, duration, rateHz float64, noise Noise, seed int64) []Record {
-	rng := rand.New(rand.NewSource(seed))
-	dt := 1.0 / rateHz
+	s := NewStream(traj, rateHz, noise, seed)
 	n := int(duration * rateHz)
 	out := make([]Record, 0, n)
 	for i := 0; i < n; i++ {
-		t := float64(i) * dt
-		q, _ := traj(t)
-		// Exact body angular rate from the quaternion derivative: the
-		// analytic omega in the trajectory definitions is an Euler-rate
-		// approximation, so recover ω = log(q(t)⁻¹ ⊗ q(t+h))/h instead,
-		// keeping gyro readings exactly consistent with ground truth.
-		h := dt / 8
-		qn, _ := traj(t + h)
-		omega := bodyRate(q, qn, h)
-		r := q.RotationMatrix() // body->world
-		rt := r.Transpose()     // world->body
+		out = append(out, s.Next())
+	}
+	return out
+}
 
-		// Specific force: in hover/quasi-static flight the accelerometer
-		// reads the reaction to gravity rotated into the body frame.
-		gWorld := mat.VecFromFloats(scalar.F64(0), []float64{0, 0, Gravity})
-		aBody := rt.MulVec(gWorld).Floats()
-		mWorld := mat.VecFromFloats(scalar.F64(0), magField[:])
-		mBody := rt.MulVec(mWorld).Floats()
+// Stream generates Simulate's records one at a time, so a consumer that
+// reads a prefix pays for only that prefix. Record i depends only on its
+// time i·dt and the i-th group of nine noise draws, so any prefix is
+// exactly Simulate's.
+type Stream struct {
+	traj  Trajectory
+	dt    float64
+	noise Noise
+	rng   *rand.Rand
+	i     int
+}
 
-		rec := Record{T: t, Dt: dt, Truth: q}
+// NewStream starts the record sequence of traj sampled at rateHz.
+func NewStream(traj Trajectory, rateHz float64, noise Noise, seed int64) *Stream {
+	return &Stream{traj: traj, dt: 1.0 / rateHz, noise: noise, rng: rand.New(rand.NewSource(seed))}
+}
+
+// Next returns the next record. It runs on plain float64 with no
+// profiler hooks — its arithmetic is that of geom.Quat.RotationMatrix,
+// mat's Transpose and MulVec, and geom.Quat.Mul in the same order — so
+// a consumer may call it inside a profiled region without its work
+// being counted.
+func (s *Stream) Next() Record {
+	dt, noise := s.dt, s.noise
+	t := float64(s.i) * dt
+	s.i++
+	q, _ := s.traj(t)
+	// Exact body angular rate from the quaternion derivative: the
+	// analytic omega in the trajectory definitions is an Euler-rate
+	// approximation, so recover ω = log(q(t)⁻¹ ⊗ q(t+h))/h instead,
+	// keeping gyro readings exactly consistent with ground truth.
+	h := dt / 8
+	qn, _ := s.traj(t + h)
+	omega := bodyRate(q, qn, h)
+	r := rotationMatrix(q) // body->world; its transpose maps world->body
+
+	// Specific force: in hover/quasi-static flight the accelerometer
+	// reads the reaction to gravity rotated into the body frame.
+	aBody := mulTransposed(&r, [3]float64{0, 0, Gravity})
+	mBody := mulTransposed(&r, magField)
+
+	rec := Record{T: t, Dt: dt, Truth: q}
+	for k := 0; k < 3; k++ {
+		rec.Gyro[k] = omega[k] + noise.GyroBias[k] + s.rng.NormFloat64()*noise.GyroStd
+		rec.Accel[k] = aBody[k] + s.rng.NormFloat64()*noise.AccelStd
+		rec.Mag[k] = mBody[k] + s.rng.NormFloat64()*noise.MagStd
+	}
+	return rec
+}
+
+// rotationMatrix is geom.Quat.RotationMatrix on float64, row-major.
+func rotationMatrix(q geom.Quat[scalar.F64]) [9]float64 {
+	w, x, y, z := q.Floats()
+	xx, yy, zz := x*x, y*y, z*z
+	xy, xz, yz := x*y, x*z, y*z
+	wx, wy, wz := w*x, w*y, w*z
+	return [9]float64{
+		1 - 2*(yy+zz), 2 * (xy - wz), 2 * (xz + wy),
+		2 * (xy + wz), 1 - 2*(xx+zz), 2 * (yz - wx),
+		2 * (xz - wy), 2 * (yz + wx), 1 - 2*(xx+yy),
+	}
+}
+
+// mulTransposed returns rᵀ·v, summed as mat's MulVec sums each row of
+// the transpose.
+func mulTransposed(r *[9]float64, v [3]float64) [3]float64 {
+	var out [3]float64
+	for i := 0; i < 3; i++ {
+		var acc float64
 		for k := 0; k < 3; k++ {
-			rec.Gyro[k] = omega[k] + noise.GyroBias[k] + rng.NormFloat64()*noise.GyroStd
-			rec.Accel[k] = aBody[k] + rng.NormFloat64()*noise.AccelStd
-			rec.Mag[k] = mBody[k] + rng.NormFloat64()*noise.MagStd
+			acc = acc + r[k*3+i]*v[k]
 		}
-		out = append(out, rec)
+		out[i] = acc
 	}
 	return out
 }
@@ -166,8 +223,14 @@ func StriderSteerTrajectory(strokeHz, pitchAmp, yawRate float64) Trajectory {
 // bodyRate recovers the body angular rate that carries q0 to q1 in h
 // seconds, via the quaternion logarithm.
 func bodyRate(q0, q1 geom.Quat[scalar.F64], h float64) [3]float64 {
-	d := q0.Conj().Mul(q1)
-	w, x, y, z := d.Floats()
+	// d = q0.Conj().Mul(q1), op for op.
+	w0, x0, y0, z0 := q0.Floats()
+	w1, x1, y1, z1 := q1.Floats()
+	x0, y0, z0 = -x0, -y0, -z0
+	w := w0*w1 - x0*x1 - y0*y1 - z0*z1
+	x := w0*x1 + x0*w1 + y0*z1 - z0*y1
+	y := w0*y1 - x0*z1 + y0*w1 + z0*x1
+	z := w0*z1 + x0*y1 - y0*x1 + z0*w1
 	if w < 0 {
 		w, x, y, z = -w, -x, -y, -z
 	}

@@ -14,8 +14,18 @@ type SymEigResult[T scalar.Real[T]] struct {
 }
 
 // SymEigen computes the eigendecomposition of a symmetric matrix with the
-// cyclic Jacobi method.
+// cyclic Jacobi method. F32 and F64 run natively (fast_eig.go).
 func SymEigen[T scalar.Real[T]](a Mat[T]) SymEigResult[T] {
+	if r, ok := symEigenFast(a); ok {
+		return r
+	}
+	return symEigenHooked(a)
+}
+
+// symEigenHooked is SymEigen through the hooked matrix and scalar
+// layers: the path of fixed.Num, custom Real types and the
+// reference-kernel mode, and the oracle of symEigenNat.
+func symEigenHooked[T scalar.Real[T]](a Mat[T]) SymEigResult[T] {
 	n := a.Rows()
 	like := a.like()
 	one := scalar.One(like)
@@ -107,7 +117,17 @@ type Eig[T scalar.Real[T]] struct {
 // with the Francis shifted-QR iteration (the classical "hqr" algorithm).
 // It is the engine behind companion-matrix polynomial root finding, which
 // the 5-point relative pose solver depends on. The input is consumed.
+// F32 and F64 run natively (fast_eig.go).
 func HessenbergEigen[T scalar.Real[T]](h Mat[T]) Eig[T] {
+	if eig, ok := hessenbergEigenFast(h); ok {
+		return eig
+	}
+	return hessenbergEigenHooked(h)
+}
+
+// hessenbergEigenHooked is HessenbergEigen through the hooked matrix
+// and scalar layers, the oracle of hessenbergEigenNat.
+func hessenbergEigenHooked[T scalar.Real[T]](h Mat[T]) Eig[T] {
 	n := h.Rows()
 	like := h.like()
 	zero := scalar.Zero(like)
@@ -328,8 +348,18 @@ func RealEigenvalues[T scalar.Real[T]](a Mat[T]) Vec[T] {
 }
 
 // Hessenberg reduces a to upper Hessenberg form with Gaussian elimination
-// and pivoting (companion matrices pass through unchanged).
+// and pivoting (companion matrices pass through unchanged). F32 and F64
+// run natively (fast_eig.go).
 func Hessenberg[T scalar.Real[T]](a Mat[T]) Mat[T] {
+	if h, ok := hessenbergFast(a); ok {
+		return h
+	}
+	return hessenbergHooked(a)
+}
+
+// hessenbergHooked is Hessenberg through the hooked matrix and scalar
+// layers, the oracle of hessenbergNat.
+func hessenbergHooked[T scalar.Real[T]](a Mat[T]) Mat[T] {
 	n := a.Rows()
 	h := a.Clone()
 	zero := scalar.Zero(a.like())

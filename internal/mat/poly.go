@@ -120,8 +120,20 @@ func (p Poly[T]) ScalePoly(s T) Poly[T] {
 // Newton polishing steps. The companion matrix is already Hessenberg, so
 // the shifted-QR iteration applies directly — this mirrors how production
 // minimal solvers extract roots of the degree-10 polynomial in the
-// five-point algorithm.
+// five-point algorithm. From degree 3 up, F32 and F64 run natively
+// (fast_eig.go).
 func (p Poly[T]) RealRoots() Vec[T] {
+	if d := p.Degree(); d >= 3 {
+		if roots, ok := realRootsFast(p, d); ok {
+			return roots
+		}
+	}
+	return p.realRootsHooked()
+}
+
+// realRootsHooked is RealRoots through the hooked matrix and scalar
+// layers, the oracle of realRootsNat.
+func (p Poly[T]) realRootsHooked() Vec[T] {
 	d := p.Degree()
 	if d == 0 {
 		return nil

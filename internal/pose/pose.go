@@ -12,8 +12,11 @@
 package pose
 
 import (
+	"math"
+
 	"repro/internal/geom"
 	"repro/internal/mat"
+	"repro/internal/profile"
 	"repro/internal/scalar"
 )
 
@@ -88,7 +91,61 @@ func homog[T scalar.Real[T]](u mat.Vec[T]) mat.Vec[T] {
 // ReprojectErr returns the reprojection error of pose p on correspondence
 // c in normalized image units; points behind the camera return a large
 // sentinel value.
+//
+// RANSAC scores every correspondence against every hypothesis with it,
+// so for F32 and F64 it runs natively on stack arrays (reprojectNat) and
+// charges its mix once; fixed.Num, other Real types and the
+// reference-kernel mode take the hooked body, reprojectHooked.
 func ReprojectErr[T scalar.Real[T]](p Pose[T], c AbsCorrespondence[T]) T {
+	if p.R.Rows() == 3 && p.R.Cols() == 3 && !mat.ReferenceKernels() {
+		var out T
+		switch o := any(&out).(type) {
+		case *scalar.F32:
+			*o = reprojectNat(any(p.R.Raw()).([]scalar.F32), any([]T(p.T)).([]scalar.F32),
+				any([]T(c.X)).([]scalar.F32), any([]T(c.U)).([]scalar.F32))
+			return out
+		case *scalar.F64:
+			*o = reprojectNat(any(p.R.Raw()).([]scalar.F64), any([]T(p.T)).([]scalar.F64),
+				any([]T(c.X)).([]scalar.F64), any([]T(c.U)).([]scalar.F64))
+			return out
+		}
+	}
+	return reprojectHooked(p, c)
+}
+
+// reprojectCost is what reprojectHooked charges up to its depth test:
+// p.Apply (the 3×3 MulVec, F18 M21 B3, and the 3-element Add, F3 M9)
+// and one compare. A point in front of the camera adds the two
+// residuals and the Hypot (F8).
+var reprojectCost = profile.Counts{F: 18 + 3, M: 21 + 9, B: 3 + 1}
+
+// reprojectNat is reprojectHooked on native floats: mat's MulVec and
+// Add loops, then the scalar tail, in the same order.
+func reprojectNat[F scalar.Native[F]](r, t, x, u []F) F {
+	r, t, x = r[:9], t[:3], x[:3]
+	var xc [3]F
+	for row := 0; row < 3; row++ {
+		var acc F
+		for k := 0; k < 3; k++ {
+			acc = acc + r[row*3+k]*x[k]
+		}
+		xc[row] = acc + t[row]
+	}
+	cost := reprojectCost
+	if xc[2] <= xc[2].FromFloat(1e-9) {
+		profile.AddCounts(cost)
+		return xc[2].FromFloat(1e6)
+	}
+	du := xc[0]/xc[2] - u[0]
+	dv := xc[1]/xc[2] - u[1]
+	cost.F += 8
+	profile.AddCounts(cost)
+	return F(math.Sqrt(float64(du*du + dv*dv)))
+}
+
+// reprojectHooked is ReprojectErr through the hooked matrix and scalar
+// layers.
+func reprojectHooked[T scalar.Real[T]](p Pose[T], c AbsCorrespondence[T]) T {
 	xc := p.Apply(c.X)
 	big := scalar.C(xc[2], 1e6)
 	if xc[2].LessEq(scalar.C(xc[2], 1e-9)) {

@@ -112,16 +112,21 @@ func SetSweepCacheCapacity(n int) {
 // sweeps against the process-wide execution table, sharing every
 // kernel execution another sweep holds or has in flight. Options shape
 // only a sweep (the worker count never changes the result); the
-// caller's Progress hook is not invoked on a memo hit. Callers must
-// treat the shared records as read-only.
+// caller's Progress hook is not invoked on a memo hit. The hit or miss
+// is counted on the recorder opts.Context carries, if any, as well as
+// process-wide. Callers must treat the shared records as read-only.
 func RunSweepQuery(specs []core.Spec, archs []mcu.Arch, opts core.SweepOptions) (Characterization, error) {
+	var rec *obs.Recorder
+	if opts.Context != nil {
+		rec = obs.RecorderFrom(opts.Context)
+	}
 	key := queryKey(specs, archs, opts.Backend)
 	c, ok, gen := memo.get(key)
 	if ok {
-		ctrCacheHit.Inc()
+		rec.Inc(ctrCacheHit)
 		return c, nil
 	}
-	ctrCacheMiss.Inc()
+	rec.Inc(ctrCacheMiss)
 	opts.Context = core.WithExecTable(opts.Context, &executions)
 	recs, err := core.CharacterizeSuiteOpts(specs, archs, opts)
 	c = Characterization{Records: recs}

@@ -1,6 +1,7 @@
 package report_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -102,5 +103,33 @@ func TestInvalidateEmptiesMemoAndTable(t *testing.T) {
 		if w := report.AdmissionWeight(specs, m4, nil); w != 0 {
 			t.Fatalf("round %d: weight after the query = %d, want 0", i, w)
 		}
+	}
+}
+
+// A memo hit returns before any sweep runs, yet the caller's recorder
+// still hears of it: two identical queries, each with its own recorder,
+// read one miss and then one hit.
+func TestSweepQueryCountsOnCallerRecorder(t *testing.T) {
+	report.InvalidateCharacterization()
+	defer report.InvalidateCharacterization()
+	spec, ok := core.ByName("mahony")
+	if !ok {
+		t.Fatal("mahony missing from suite")
+	}
+	query := func() *obs.Recorder {
+		t.Helper()
+		rec := obs.NewRecorder()
+		opts := core.SweepOptions{Workers: 1, Context: obs.WithRecorder(context.Background(), rec)}
+		if _, err := report.RunSweepQuery([]core.Spec{spec}, []mcu.Arch{mcu.M4}, opts); err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	first, second := query(), query()
+	if miss, hit := first.Count(obs.CounterSweepCacheMiss), first.Count(obs.CounterSweepCacheHit); miss != 1 || hit != 0 {
+		t.Errorf("first query's recorder: miss=%d hit=%d, want 1 and 0", miss, hit)
+	}
+	if miss, hit := second.Count(obs.CounterSweepCacheMiss), second.Count(obs.CounterSweepCacheHit); miss != 0 || hit != 1 {
+		t.Errorf("second query's recorder: miss=%d hit=%d, want 0 and 1", miss, hit)
 	}
 }

@@ -46,6 +46,14 @@ type Real[T any] interface {
 	FromFloat(float64) T
 }
 
+// Native is the constraint of F32 and F64: Real plus the machine float
+// operators. Hook-free kernel bodies use it to run the arithmetic of a
+// hooked Real body natively, op for op, and charge the mix themselves.
+type Native[T any] interface {
+	~float32 | ~float64
+	Real[T]
+}
+
 // F32 is IEEE-754 single precision with profiling hooks.
 type F32 float32
 
