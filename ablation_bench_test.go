@@ -80,7 +80,7 @@ func BenchmarkAblationTraceEnergy(b *testing.B) {
 	est := mcu.M7.Estimate(profile.Counts{F: 5000, I: 3000, M: 4000, B: 1000}, mcu.PrecF32, true)
 	var relErr float64
 	for i := 0; i < b.N; i++ {
-		tr, ev := harness.SynthesizeTrace(est, mcu.M7, true, 100, int64(i))
+		tr, ev := harness.SynthesizeTrace(est, mcu.M7, 100, int64(i))
 		m, err := harness.Analyze(tr, ev, 100)
 		if err != nil {
 			b.Fatal(err)

@@ -397,13 +397,13 @@ func BenchmarkProfileHookOverhead(b *testing.B) {
 				}()
 			}
 			begun.Wait()
-			rec := profile.Begin()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				profile.AddF(1)
-			}
-			b.StopTimer()
-			profile.End()
+			rec := profile.Collect(func() {
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					profile.AddF(1)
+				}
+				b.StopTimer()
+			})
 			close(stop)
 			done.Wait()
 			if rec.F != uint64(b.N) {
@@ -523,7 +523,7 @@ func BenchmarkTraceIngest(b *testing.B) {
 		if !ok {
 			b.Fatalf("no kernel %s", name)
 		}
-		pp, err := harness.Prepare(spec.Factory(), arch, spec.Prec, cfg)
+		pp, err := harness.Prepare(spec.Factory(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

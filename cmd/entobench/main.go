@@ -38,6 +38,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"flag"
@@ -254,8 +255,11 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := harness.WriteResultsCSV(f, []harness.Result{res}); err != nil {
+		err = harness.WriteResultsCSV(f, []harness.Result{res})
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -507,16 +511,9 @@ func traceExport(args []string) error {
 	if err != nil {
 		return err
 	}
-	w := io.Writer(os.Stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	return harness.WriteTraceCSV(w, captures)
+	return writeOutput(*out, func(w io.Writer) error {
+		return harness.WriteTraceCSV(w, captures)
+	})
 }
 
 // sweepFailureSummary prints every failed/skipped cell to w and returns
@@ -584,45 +581,34 @@ func merge(args []string) error {
 	if err != nil {
 		return err
 	}
-	w := io.Writer(os.Stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	return writeOutput(*out, c.WriteJSON)
+}
+
+// writeOutput writes what write produces to the file at path, or to
+// stdout when path is empty. The file is written whole by os.WriteFile,
+// so a failed create, write or close is the command's error.
+func writeOutput(path string, write func(io.Writer) error) error {
+	if path == "" {
+		return write(os.Stdout)
 	}
-	return c.WriteJSON(w)
+	var buf bytes.Buffer
+	if err := write(&buf); err != nil {
+		return err
+	}
+	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 // writeMemProfile forces a GC so the heap profile reflects live memory,
 // then writes it to path.
 func writeMemProfile(path string) error {
 	runtime.GC()
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return writeOutput(path, pprof.WriteHeapProfile)
 }
 
 // writeTrace saves the sweep's recorded spans as a chrome://tracing
 // loadable file.
 func writeTrace(path string, rec *obs.Recorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeOutput(path, rec.WriteChromeTrace); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "trace: %d spans written to %s\n", len(rec.Spans()), path)

@@ -149,15 +149,11 @@ func writeJSON(path string, c report.Characterization, cache *report.PersistentC
 		prov := report.CacheProvenanceOf(cache.Dir(), rec)
 		rep.Cache = &prov
 	}
-	f, err := os.Create(path)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := report.WriteJSONReport(&buf, rep); err != nil {
 		return err
 	}
-	if err := report.WriteJSONReport(f, rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 func generate(buf *bytes.Buffer, c report.Characterization, fig5n, fig4step int) error {

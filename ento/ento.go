@@ -102,10 +102,6 @@ func Kernel(name string) (Spec, bool) { return core.ByName(name) }
 // M4, M33, M7) plus any boards registered or loaded in this process.
 func Archs() []Arch { return mcu.All() }
 
-// Boards is Archs under the framework's user-facing name: the full
-// board registry in registration order.
-func Boards() []Arch { return mcu.All() }
-
 // ArchByName resolves a core by short name ("M4", "m33", a custom
 // board's name, ...), case-insensitively.
 func ArchByName(name string) (Arch, bool) { return mcu.ByName(name) }
@@ -193,7 +189,7 @@ func SynthesizeCaptures(kernel, archName string) ([]TraceCapture, error) {
 		return nil, fmt.Errorf("ento: %s does not fit the %s's %d KB SRAM", kernel, arch.Name, arch.SRAMKB)
 	}
 	cfg := harness.DefaultConfig()
-	pp, err := harness.Prepare(spec.Factory(), arch, spec.Prec, cfg)
+	pp, err := harness.Prepare(spec.Factory(), cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -24,8 +24,7 @@ type vvadd struct {
 	a, b, c []scalar.F32
 }
 
-func (v *vvadd) Name() string    { return "bench-example (vvadd)" }
-func (v *vvadd) Dataset() string { return "synthetic" }
+func (v *vvadd) Name() string { return "bench-example (vvadd)" }
 
 func (v *vvadd) Setup() error {
 	v.a = make([]scalar.F32, v.n)

@@ -39,9 +39,6 @@ func (f *Fourati[T]) Quat() geom.Quat[T] { return f.q }
 // Diagnostics returns the accumulated failure counters.
 func (f *Fourati[T]) Diagnostics() Diag { return f.diag }
 
-// SetQuat overrides the state.
-func (f *Fourati[T]) SetQuat(q geom.Quat[T]) { f.q = q.Normalized() }
-
 // Update advances the filter by one epoch. Fourati requires MARG data.
 func (f *Fourati[T]) Update(s imu.Sample[T]) {
 	a, aok := safeNormalize(s.Accel, &f.diag)

@@ -31,9 +31,6 @@ func (f *Madgwick[T]) Quat() geom.Quat[T] { return f.q }
 // Diagnostics returns the accumulated failure counters.
 func (f *Madgwick[T]) Diagnostics() Diag { return f.diag }
 
-// SetQuat overrides the state.
-func (f *Madgwick[T]) SetQuat(q geom.Quat[T]) { f.q = q.Normalized() }
-
 // Update advances the filter by one epoch.
 func (f *Madgwick[T]) Update(s imu.Sample[T]) {
 	a, ok := safeNormalize(s.Accel, &f.diag)

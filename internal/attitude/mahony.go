@@ -40,9 +40,6 @@ func (f *Mahony[T]) Quat() geom.Quat[T] { return f.q }
 // Diagnostics returns the accumulated failure counters.
 func (f *Mahony[T]) Diagnostics() Diag { return f.diag }
 
-// SetQuat overrides the state (used to warm-start benchmarks).
-func (f *Mahony[T]) SetQuat(q geom.Quat[T]) { f.q = q.Normalized() }
-
 // Update advances the filter by one epoch.
 func (f *Mahony[T]) Update(s imu.Sample[T]) {
 	a, ok := safeNormalize(s.Accel, &f.diag)

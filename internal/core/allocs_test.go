@@ -22,7 +22,7 @@ func TestMeasureOnAllocBudget(t *testing.T) {
 		t.Fatal("fly-lqr missing from suite")
 	}
 	cfg := harness.DefaultConfig()
-	pp, err := harness.Prepare(spec.Factory(), mcu.M4, spec.Prec, cfg)
+	pp, err := harness.Prepare(spec.Factory(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func TestOneExecutionDifferential(t *testing.T) {
 	cfg := harness.DefaultConfig()
 	shared := 0
 	for _, spec := range specs {
-		pp, err := harness.Prepare(spec.Factory(), mcu.Arch{}, spec.Prec, cfg)
+		pp, err := harness.Prepare(spec.Factory(), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}

@@ -53,11 +53,7 @@ type lqrProblem struct {
 
 func newLQRProblem() *lqrProblem { return &lqrProblem{} }
 
-// NewLQRProblem exposes the wrapper for the case studies.
-func NewLQRProblem() harness.Problem { return newLQRProblem() }
-
-func (p *lqrProblem) Name() string    { return "fly-lqr" }
-func (p *lqrProblem) Dataset() string { return "fly-traj" }
+func (p *lqrProblem) Name() string { return "fly-lqr" }
 
 func (p *lqrProblem) Setup() error {
 	a, b, q, r := control.FlyModel(ctrlDt)
@@ -112,11 +108,7 @@ type tinyMPCProblem struct {
 
 func newTinyMPCProblem() *tinyMPCProblem { return &tinyMPCProblem{} }
 
-// NewTinyMPCProblem exposes the wrapper for the case studies.
-func NewTinyMPCProblem() harness.Problem { return newTinyMPCProblem() }
-
-func (p *tinyMPCProblem) Name() string    { return "fly-tiny-mpc" }
-func (p *tinyMPCProblem) Dataset() string { return "fly-traj" }
+func (p *tinyMPCProblem) Name() string { return "fly-tiny-mpc" }
 
 func (p *tinyMPCProblem) Setup() error {
 	a, b, q, r := control.FlyModel(ctrlDt)
@@ -158,11 +150,7 @@ type beeMPCProblem struct {
 
 func newBeeMPCProblem() *beeMPCProblem { return &beeMPCProblem{} }
 
-// NewBeeMPCProblem exposes the wrapper for the case studies.
-func NewBeeMPCProblem() harness.Problem { return newBeeMPCProblem() }
-
-func (p *beeMPCProblem) Name() string    { return "bee-mpc" }
-func (p *beeMPCProblem) Dataset() string { return "bee-synth" }
+func (p *beeMPCProblem) Name() string { return "bee-mpc" }
 
 func (p *beeMPCProblem) Setup() error {
 	a, b, q, r := control.FlyModel(ctrlDt)
@@ -193,11 +181,7 @@ type geomProblem struct {
 
 func newGeomProblem() *geomProblem { return &geomProblem{} }
 
-// NewGeomProblem exposes the wrapper for the case studies.
-func NewGeomProblem() harness.Problem { return newGeomProblem() }
-
-func (p *geomProblem) Name() string    { return "bee-geom" }
-func (p *geomProblem) Dataset() string { return "bee-synth" }
+func (p *geomProblem) Name() string { return "bee-geom" }
 
 func (p *geomProblem) Setup() error {
 	mass := 0.0008
@@ -240,11 +224,7 @@ type smacProblem struct {
 
 func newSMACProblem() *smacProblem { return &smacProblem{} }
 
-// NewSMACProblem exposes the wrapper for the case studies.
-func NewSMACProblem() harness.Problem { return newSMACProblem() }
-
-func (p *smacProblem) Name() string    { return "bee-smac" }
-func (p *smacProblem) Dataset() string { return "bee-traj" }
+func (p *smacProblem) Name() string { return "bee-smac" }
 
 func (p *smacProblem) Setup() error {
 	p.ctrl = control.NewSMAC(F32(0), 0.0008)

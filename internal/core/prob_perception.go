@@ -95,8 +95,7 @@ func NewFeatureProblem(kernel string, kind dataset.ImageKind) harness.Problem {
 	return newFeatureProblem(kernel, featureImgSize, kind)
 }
 
-func (p *featureProblem) Name() string    { return p.kernel }
-func (p *featureProblem) Dataset() string { return p.kind.String() }
+func (p *featureProblem) Name() string { return p.kernel }
 
 func (p *featureProblem) Setup() error {
 	p.img = dataset.GenImage(p.kind, p.size, p.size, 101)
@@ -163,7 +162,6 @@ func (p *flowProblem) Name() string {
 	}
 	return p.kernel
 }
-func (p *flowProblem) Dataset() string { return p.kind.String() }
 
 func (p *flowProblem) Setup() error {
 	p.pair = dataset.GenFlowPair(p.kind, p.size, p.size, 2, -1, 202)

@@ -121,13 +121,7 @@ func newAttitudeProblem(kernel string, mode attitude.Mode) *attitudeProblem {
 	return &attitudeProblem{kernel: kernel, mode: mode}
 }
 
-// NewAttitudeProblem exposes the wrapper for the case studies.
-func NewAttitudeProblem(kernel string, mode attitude.Mode) harness.Problem {
-	return newAttitudeProblem(kernel, mode)
-}
-
-func (p *attitudeProblem) Name() string    { return p.kernel }
-func (p *attitudeProblem) Dataset() string { return "bee-synth" }
+func (p *attitudeProblem) Name() string { return p.kernel }
 
 func (p *attitudeProblem) Setup() error {
 	p.stream = imu.NewStream(imu.HoverTrajectory(0.12, 0.1, 2), 400, imu.DefaultNoise(), 303)
@@ -177,11 +171,7 @@ type flyEKFProblem struct {
 
 func newFlyEKFProblem(s ekf.Strategy) *flyEKFProblem { return &flyEKFProblem{strategy: s} }
 
-// NewFlyEKFProblem exposes the wrapper for the case studies.
-func NewFlyEKFProblem(s ekf.Strategy) harness.Problem { return newFlyEKFProblem(s) }
-
-func (p *flyEKFProblem) Name() string    { return "fly-ekf (" + p.strategy.String() + ")" }
-func (p *flyEKFProblem) Dataset() string { return "fly-synth" }
+func (p *flyEKFProblem) Name() string { return "fly-ekf (" + p.strategy.String() + ")" }
 
 func (p *flyEKFProblem) Setup() error {
 	p.filter = ekf.NewFlyEKF(F32(0), p.strategy, ekf.DefaultFlyEKFConfig(), 0.5)
@@ -256,11 +246,7 @@ type beeEKFProblem struct {
 
 func newBeeEKFProblem() *beeEKFProblem { return &beeEKFProblem{} }
 
-// NewBeeEKFProblem exposes the wrapper for the case studies.
-func NewBeeEKFProblem() harness.Problem { return newBeeEKFProblem() }
-
-func (p *beeEKFProblem) Name() string    { return "bee-ceekf" }
-func (p *beeEKFProblem) Dataset() string { return "bee-hil" }
+func (p *beeEKFProblem) Name() string { return "bee-ceekf" }
 
 func (p *beeEKFProblem) Setup() error {
 	p.filter = ekf.NewBeeCEEKF(F32(0), ekf.Sync, ekf.DefaultBeeCEEKFConfig())
@@ -326,17 +312,6 @@ type posedProblem struct {
 
 func newPoseProblem(name string, solve func(*posedProblem)) *posedProblem {
 	return &posedProblem{name: name, solve: solve}
-}
-
-// NewPoseKernelProblem exposes a pose kernel wrapper by suite name for
-// the case studies.
-func NewPoseKernelProblem(name string) (harness.Problem, error) {
-	for _, s := range poseSpecs() {
-		if s.Name == name {
-			return s.Factory(), nil
-		}
-	}
-	return nil, errors.New("core: unknown pose kernel " + name)
 }
 
 func (p *posedProblem) Name() string { return p.name }

@@ -146,11 +146,6 @@ func (f *BeeCEEKF[T]) Position() [3]float64 {
 	return [3]float64{f.X[0].Float(), f.X[1].Float(), f.X[2].Float()}
 }
 
-// Attitude returns the small-angle attitude estimate as float64.
-func (f *BeeCEEKF[T]) Attitude() [3]float64 {
-	return [3]float64{f.X[6].Float(), f.X[7].Float(), f.X[8].Float()}
-}
-
 // BeeCEEKFFLOPs is the sparse-aware static FLOP estimate from the source
 // literature (Table VIII) — the figure whose optimism the case study
 // demonstrates.

@@ -78,9 +78,6 @@ func New[T scalar.Real[T]](x0 mat.Vec[T], p0, q mat.Mat[T], dyn Dynamics[T], str
 	return &Filter[T]{X: x0.Clone(), P: p0.Clone(), Q: q, dyn: dyn, strategy: strategy}
 }
 
-// Strategy returns the configured update strategy.
-func (f *Filter[T]) Strategy() Strategy { return f.strategy }
-
 // Predict propagates state and covariance: P ← F·P·Fᵀ + Q.
 func (f *Filter[T]) Predict(u mat.Vec[T], dt T) {
 	var jac mat.Mat[T]

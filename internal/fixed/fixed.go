@@ -38,9 +38,6 @@ type Status struct {
 	SqrtNeg     uint64 // square roots of negative values
 }
 
-// Any reports whether any failure event has been recorded.
-func (s Status) Any() bool { return s.Overflows+s.ZeroDivides+s.SqrtNeg > 0 }
-
 // status is package-global for the same single-core reason profile is:
 // kernel execution is single-goroutine.
 var status Status

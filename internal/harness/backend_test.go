@@ -96,7 +96,7 @@ func TestBackendSalt(t *testing.T) {
 // measurement the classic MeasureOn path produces — only the
 // provenance label differs.
 func TestMeasureOnBackendEquivalence(t *testing.T) {
-	pp, err := harness.Prepare(&vvadd{n: 256}, mcu.M4, mcu.PrecF32, harness.DefaultConfig())
+	pp, err := harness.Prepare(&vvadd{n: 256}, harness.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestResolveBackend(t *testing.T) {
 // the trace length. A per-cell make of the waveform — tens of
 // kilobytes at the default rep count — would add one allocation here.
 func TestMeasureOnReusesTraceBuffer(t *testing.T) {
-	pp, err := harness.Prepare(&vvadd{n: 64}, mcu.M4, mcu.PrecF32, harness.DefaultConfig())
+	pp, err := harness.Prepare(&vvadd{n: 64}, harness.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,93 +51,3 @@ func WriteResultsCSV(w io.Writer, results []Result) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// MeasurementRow is one parsed measurement-log record.
-type MeasurementRow struct {
-	Kernel      string
-	Arch        string
-	Precision   string
-	CacheOn     bool
-	Cycles      float64
-	LatencyUs   float64
-	EnergyUJ    float64
-	AvgPowerMW  float64
-	PeakPowerMW float64
-	Reps        int
-	Valid       bool
-}
-
-// ReadResultsCSV parses a measurement log written by WriteResultsCSV —
-// or hand-exported from a real capture tool, which is messier. The
-// reader tolerates what tolerance is safe for (CRLF line endings,
-// blank lines, `#` comment lines) and reports everything else as a
-// clear per-line error naming the offending field: a malformed value
-// silently parsed as zero would poison a calibration downstream.
-func ReadResultsCSV(r io.Reader) ([]MeasurementRow, error) {
-	cr := csv.NewReader(r)
-	cr.Comment = '#'
-	cr.FieldsPerRecord = -1 // length checked per row for better errors
-
-	header, err := cr.Read()
-	if err == io.EOF {
-		return nil, fmt.Errorf("harness: empty measurement log")
-	}
-	if err != nil {
-		return nil, fmt.Errorf("harness: measurement-log header: %w", err)
-	}
-	if len(header) != len(csvHeader) || header[0] != "kernel" {
-		return nil, fmt.Errorf("harness: unrecognized measurement-log header")
-	}
-	var out []MeasurementRow
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("harness: measurement log: %w", err)
-		}
-		line, _ := cr.FieldPos(0)
-		if len(rec) != len(csvHeader) {
-			return nil, fmt.Errorf("harness: measurement log line %d: %d fields, want %d",
-				line, len(rec), len(csvHeader))
-		}
-		fieldErr := func(col int, err error) error {
-			return fmt.Errorf("harness: measurement log line %d: %s %q: %w",
-				line, csvHeader[col], rec[col], err)
-		}
-		var row MeasurementRow
-		row.Kernel = rec[0]
-		row.Arch = rec[1]
-		row.Precision = rec[2]
-		if row.CacheOn, err = strconv.ParseBool(rec[3]); err != nil {
-			return nil, fieldErr(3, err)
-		}
-		if row.Cycles, err = strconv.ParseFloat(rec[8], 64); err != nil {
-			return nil, fieldErr(8, err)
-		}
-		if row.LatencyUs, err = strconv.ParseFloat(rec[9], 64); err != nil {
-			return nil, fieldErr(9, err)
-		}
-		if row.EnergyUJ, err = strconv.ParseFloat(rec[10], 64); err != nil {
-			return nil, fieldErr(10, err)
-		}
-		if row.AvgPowerMW, err = strconv.ParseFloat(rec[11], 64); err != nil {
-			return nil, fieldErr(11, err)
-		}
-		if row.PeakPowerMW, err = strconv.ParseFloat(rec[12], 64); err != nil {
-			return nil, fieldErr(12, err)
-		}
-		if row.Reps, err = strconv.Atoi(rec[13]); err != nil {
-			return nil, fieldErr(13, err)
-		}
-		if row.Valid, err = strconv.ParseBool(rec[14]); err != nil {
-			return nil, fieldErr(14, err)
-		}
-		out = append(out, row)
-	}
-	if out == nil {
-		out = []MeasurementRow{}
-	}
-	return out, nil
-}

@@ -40,12 +40,6 @@ type Problem interface {
 	Validate() error
 }
 
-// DatasetProvider is the optional metadata hook of the paper's
-// RequiresDataset flag.
-type DatasetProvider interface {
-	Dataset() string
-}
-
 // Config drives one measurement run (the harness rows of Table II).
 type Config struct {
 	Reps        int     // modeled kernel invocations inside the ROI (0 = auto)
@@ -112,7 +106,7 @@ type Result struct {
 // setup → warm-up → ROI (profiled reps) → model → trace synthesis →
 // trace analysis → validation.
 func Run(p Problem, arch mcu.Arch, prec mcu.Precision, cfg Config) (Result, error) {
-	pp, err := Prepare(p, arch, prec, cfg)
+	pp, err := Prepare(p, cfg)
 	if err != nil {
 		return Result{Kernel: p.Name(), Arch: arch, Precision: prec, CacheOn: cfg.CacheOn}, err
 	}
@@ -138,8 +132,8 @@ type Prepared struct {
 }
 
 // Prepare is PrepareContext without cancellation.
-func Prepare(p Problem, refArch mcu.Arch, prec mcu.Precision, cfg Config) (*Prepared, error) {
-	return PrepareContext(context.Background(), p, refArch, prec, cfg)
+func Prepare(p Problem, cfg Config) (*Prepared, error) {
+	return PrepareContext(context.Background(), p, mcu.Arch{}, 0, cfg)
 }
 
 // PrepareContext executes the kernel-side phases of a measurement run

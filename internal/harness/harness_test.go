@@ -18,8 +18,7 @@ type vvadd struct {
 	failSet bool
 }
 
-func (v *vvadd) Name() string    { return "vvadd" }
-func (v *vvadd) Dataset() string { return "synthetic" }
+func (v *vvadd) Name() string { return "vvadd" }
 
 func (v *vvadd) Setup() error {
 	if v.failSet {
@@ -157,7 +156,7 @@ func TestFixedRepsHonored(t *testing.T) {
 
 func TestTraceEnergyPreservingBursts(t *testing.T) {
 	est := mcu.M7.Estimate(profile.Counts{F: 5000, I: 3000, M: 4000, B: 1000}, mcu.PrecF32, true)
-	tr, ev := harness.SynthesizeTrace(est, mcu.M7, true, 100, 1)
+	tr, ev := harness.SynthesizeTrace(est, mcu.M7, 100, 1)
 	m, err := harness.Analyze(tr, ev, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +182,7 @@ func (s *solveCounter) Solve() { s.solves++; s.vvadd.Solve() }
 func prepareCounting(t *testing.T, cfg harness.Config) (*harness.Prepared, int) {
 	t.Helper()
 	p := &solveCounter{vvadd: vvadd{n: 16}}
-	pp, err := harness.Prepare(p, mcu.M4, mcu.PrecF32, cfg)
+	pp, err := harness.Prepare(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ type Trace struct {
 // outside-ROI floor is the board model's declared idle draw
 // (Arch.IdlePowerW), so custom boards synthesize with their own sleep
 // current instead of a hard-coded table.
-func SynthesizeTrace(est mcu.Estimate, arch mcu.Arch, cacheOn bool, reps int, seed int64) (Trace, []GPIOEvent) {
+func SynthesizeTrace(est mcu.Estimate, arch mcu.Arch, reps int, seed int64) (Trace, []GPIOEvent) {
 	return synthesizeTrace(nil, est, arch, reps, seed)
 }
 

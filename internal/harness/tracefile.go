@@ -345,7 +345,7 @@ func (tb *TraceBackend) Measure(req MeasureRequest) (Measurement, error) {
 func (pp *Prepared) SynthesizeCapture(arch mcu.Arch, prec mcu.Precision, cfg Config) TraceCapture {
 	model := arch.Estimate(pp.counts, prec, cfg.CacheOn)
 	reps := autoReps(cfg, model.LatencyS)
-	tr, events := SynthesizeTrace(model, arch, cfg.CacheOn, reps, int64(len(pp.name)))
+	tr, events := SynthesizeTrace(model, arch, reps, int64(len(pp.name)))
 	return TraceCapture{
 		Kernel: pp.name, Arch: arch.Name, CacheOn: cfg.CacheOn,
 		Reps: reps, Trace: tr, Events: events,

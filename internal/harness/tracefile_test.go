@@ -2,6 +2,7 @@ package harness_test
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 func synthCaptures(t *testing.T) (*harness.Prepared, []harness.TraceCapture) {
 	t.Helper()
 	cfg := harness.DefaultConfig()
-	pp, err := harness.Prepare(&vvadd{n: 256}, mcu.M4, mcu.PrecF32, cfg)
+	pp, err := harness.Prepare(&vvadd{n: 256}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestTraceBackendGoldenFixture(t *testing.T) {
 		t.Fatal("no M4 board")
 	}
 	cfg := harness.DefaultConfig()
-	pp, err := harness.Prepare(spec.Factory(), arch, spec.Prec, cfg)
+	pp, err := harness.Prepare(spec.Factory(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,4 +269,37 @@ func TestTraceBackendGoldenFixture(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzReadTraceCSV feeds arbitrary bytes through the trace-capture
+// reader. It must never panic, and a capture set it accepts must read
+// back identically after WriteTraceCSV: the writer's encoding carries
+// every field of a capture, so equal encodings are equal captures.
+func FuzzReadTraceCSV(f *testing.F) {
+	seed, err := os.ReadFile("testdata/madgwick_m4_trace.csv")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	encode := func(t *testing.T, captures []harness.TraceCapture) []byte {
+		var buf bytes.Buffer
+		if err := harness.WriteTraceCSV(&buf, captures); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		first, err := harness.ReadTraceCSV(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		out := encode(t, first)
+		again, err := harness.ReadTraceCSV(bytes.NewReader(out))
+		if err != nil {
+			t.Fatalf("written capture set rejected: %v", err)
+		}
+		if len(again) != len(first) || !bytes.Equal(encode(t, again), out) {
+			t.Fatal("capture set changed across a write/read round trip")
+		}
+	})
 }

@@ -1,6 +1,6 @@
 // Package image provides the 8-bit grayscale image machinery the
 // perception kernels run on: clamped access, separable Gaussian blur,
-// image pyramids, bilinear sampling, gradients, and integral images.
+// image pyramids, bilinear sampling, and gradients.
 //
 // Everything is deliberately integer-first: on a Cortex-M the pixel
 // pipeline stays in fixed-width integer arithmetic wherever possible
@@ -69,14 +69,6 @@ func (g *Gray) AtClampedQuiet(x, y int) uint8 {
 func (g *Gray) InBounds(x, y, margin int) bool {
 	profile.AddB(2)
 	return x >= margin && y >= margin && x < g.W-margin && y < g.H-margin
-}
-
-// Clone deep-copies the image.
-func (g *Gray) Clone() *Gray {
-	out := NewGray(g.W, g.H)
-	copy(out.Pix, g.Pix)
-	profile.AddM(uint64(2 * len(g.Pix)))
-	return out
 }
 
 // Bilinear samples the image at fractional coordinates with bilinear
@@ -310,35 +302,6 @@ func (g *Gray) GradientAtQuiet(x, y int) (gx, gy int) {
 	gx = int(g.Pix[y*g.W+x+1]) - int(g.Pix[y*g.W+x-1])
 	gy = int(g.Pix[(y+1)*g.W+x]) - int(g.Pix[(y-1)*g.W+x])
 	return gx, gy
-}
-
-// Integral is a summed-area table: I(x, y) = sum of pixels in [0,x)×[0,y).
-type Integral struct {
-	W, H int
-	Sum  []uint32
-}
-
-// NewIntegral computes the integral image of g.
-func NewIntegral(g *Gray) *Integral {
-	w, h := g.W+1, g.H+1
-	it := &Integral{W: w, H: h, Sum: make([]uint32, w*h)}
-	for y := 1; y < h; y++ {
-		var row uint32
-		for x := 1; x < w; x++ {
-			row += uint32(g.Pix[(y-1)*g.W+x-1])
-			it.Sum[y*w+x] = it.Sum[(y-1)*w+x] + row
-		}
-	}
-	profile.AddI(uint64(3 * g.W * g.H))
-	profile.AddM(uint64(3 * g.W * g.H))
-	return it
-}
-
-// BoxSum returns the sum of pixels in the rectangle [x0,x1)×[y0,y1).
-func (it *Integral) BoxSum(x0, y0, x1, y1 int) uint32 {
-	profile.AddM(4)
-	profile.AddI(3)
-	return it.Sum[y1*it.W+x1] - it.Sum[y0*it.W+x1] - it.Sum[y1*it.W+x0] + it.Sum[y0*it.W+x0]
 }
 
 // String describes the image dimensions.

@@ -45,15 +45,6 @@ func TestInBounds(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	g := gradient(16, 16)
-	c := g.Clone()
-	c.Set(0, 0, 99)
-	if g.At(0, 0) == 99 {
-		t.Error("Clone aliases original")
-	}
-}
-
 func TestBilinearExactOnGrid(t *testing.T) {
 	g := gradient(32, 32)
 	for _, p := range [][2]int{{0, 0}, {5, 7}, {30, 30}} {
@@ -144,23 +135,6 @@ func TestGradientAt(t *testing.T) {
 	}
 }
 
-func TestIntegralImage(t *testing.T) {
-	g := img.NewGray(8, 8)
-	for i := range g.Pix {
-		g.Pix[i] = 1
-	}
-	it := img.NewIntegral(g)
-	if got := it.BoxSum(0, 0, 8, 8); got != 64 {
-		t.Errorf("full box sum = %d, want 64", got)
-	}
-	if got := it.BoxSum(2, 2, 5, 6); got != 12 {
-		t.Errorf("3x4 box sum = %d, want 12", got)
-	}
-	if got := it.BoxSum(3, 3, 3, 3); got != 0 {
-		t.Errorf("empty box sum = %d", got)
-	}
-}
-
 func TestPixelAccessIsProfiled(t *testing.T) {
 	g := gradient(16, 16)
 	c := profile.Collect(func() {
@@ -170,32 +144,6 @@ func TestPixelAccessIsProfiled(t *testing.T) {
 	})
 	if c.M < 3 {
 		t.Errorf("pixel accesses recorded %d M ops, want >= 3", c.M)
-	}
-}
-
-// Property: integral box sums match brute-force sums.
-func TestPropIntegralMatchesBruteForce(t *testing.T) {
-	g := gradient(16, 12)
-	it := img.NewIntegral(g)
-	f := func(a, b, c, d uint8) bool {
-		x0, x1 := int(a)%16, int(b)%16
-		y0, y1 := int(c)%12, int(d)%12
-		if x0 > x1 {
-			x0, x1 = x1, x0
-		}
-		if y0 > y1 {
-			y0, y1 = y1, y0
-		}
-		var want uint32
-		for y := y0; y < y1; y++ {
-			for x := x0; x < x1; x++ {
-				want += uint32(g.Pix[y*g.W+x])
-			}
-		}
-		return it.BoxSum(x0, y0, x1, y1) == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

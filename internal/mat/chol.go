@@ -6,89 +6,6 @@ import (
 	"repro/internal/scalar"
 )
 
-// Cholesky holds the lower-triangular factor L with A = L·Lᵀ.
-type Cholesky[T scalar.Real[T]] struct {
-	l Mat[T]
-}
-
-// CholeskyDecompose factors a symmetric positive-definite matrix. Only
-// the lower triangle of a is read. Non-positive pivots return an error —
-// the EKF kernels use this to detect covariance blow-up.
-func CholeskyDecompose[T scalar.Real[T]](a Mat[T]) (*Cholesky[T], error) {
-	n := a.Rows()
-	if a.Cols() != n {
-		return nil, errors.New("mat: Cholesky of non-square matrix")
-	}
-	if fastKernels() {
-		if c, ok, notPD := cholDecomposeFast(a); ok {
-			if notPD {
-				return nil, errors.New("mat: matrix not positive definite")
-			}
-			return c, nil
-		}
-	}
-	l := Zeros[T](n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			acc := a.At(i, j)
-			for k := 0; k < j; k++ {
-				acc = acc.Sub(l.At(i, k).Mul(l.At(j, k)))
-			}
-			if i == j {
-				if acc.LessEq(scalar.Zero(acc)) {
-					return nil, errors.New("mat: matrix not positive definite")
-				}
-				l.Set(i, i, acc.Sqrt())
-			} else {
-				l.Set(i, j, acc.Div(l.At(j, j)))
-			}
-		}
-	}
-	return &Cholesky[T]{l: l}, nil
-}
-
-// L returns the lower-triangular factor.
-func (c *Cholesky[T]) L() Mat[T] { return c.l }
-
-// Solve returns x with A·x = b using forward/back substitution.
-func (c *Cholesky[T]) Solve(b Vec[T]) Vec[T] {
-	if fastKernels() {
-		if x, ok := cholSolveFast(c, b); ok {
-			return x
-		}
-	}
-	n := c.l.Rows()
-	// L·y = b
-	y, yh := borrowVec[T](n)
-	defer yh.put()
-	for i := 0; i < n; i++ {
-		acc := b[i]
-		for j := 0; j < i; j++ {
-			acc = acc.Sub(c.l.At(i, j).Mul(y[j]))
-		}
-		y[i] = acc.Div(c.l.At(i, i))
-	}
-	// Lᵀ·x = y
-	x := make(Vec[T], n)
-	for i := n - 1; i >= 0; i-- {
-		acc := y[i]
-		for j := i + 1; j < n; j++ {
-			acc = acc.Sub(c.l.At(j, i).Mul(x[j]))
-		}
-		x[i] = acc.Div(c.l.At(i, i))
-	}
-	return x
-}
-
-// SolveMat solves A·X = B column-by-column.
-func (c *Cholesky[T]) SolveMat(b Mat[T]) Mat[T] {
-	out := Zeros[T](b.Rows(), b.Cols())
-	for j := 0; j < b.Cols(); j++ {
-		out.SetCol(j, c.Solve(b.Col(j)))
-	}
-	return out
-}
-
 // LDLT holds an LDLᵀ factorization, used by the OSQP-style QP solver
 // where the KKT matrix is symmetric indefinite (quasi-definite after
 // regularization), so plain Cholesky does not apply.

@@ -94,14 +94,6 @@ func ewScaleNat[F native](a []F, s F) []F {
 	return out
 }
 
-func ewAddScaledNat[F native](a []F, s F, b []F) []F {
-	out := make([]F, len(a))
-	for i := range a {
-		out[i] = a[i] + s*b[i]
-	}
-	return out
-}
-
 func ewNegNat[F native](a []F) []F {
 	out := make([]F, len(a))
 	for i := range a {
@@ -198,14 +190,6 @@ func ewScaleFix(a []fixed.Num, s fixed.Num) []fixed.Num {
 	out := make([]fixed.Num, len(a))
 	for i := range a {
 		out[i] = a[i].MulQuiet(s)
-	}
-	return out
-}
-
-func ewAddScaledFix(a []fixed.Num, s fixed.Num, b []fixed.Num) []fixed.Num {
-	out := make([]fixed.Num, len(a))
-	for i := range a {
-		out[i] = a[i].AddQuiet(s.MulQuiet(b[i]))
 	}
 	return out
 }
@@ -351,26 +335,6 @@ func fastScaleSlice[T scalar.Real[T]](a []T, s T) ([]T, bool) {
 	}
 	costs, _ := scalar.OpCostsOf[T]()
 	chargeEW(n, 2*n, costs.Mul)
-	return d.([]T), true
-}
-
-// fastAddScaledSlice: out[i] = a[i] + s*b[i], charged as n Adds + n Muls
-// plus 3n memory ops.
-func fastAddScaledSlice[T scalar.Real[T]](a []T, s T, b []T) ([]T, bool) {
-	n := uint64(len(a))
-	var d any
-	switch ad := any(a).(type) {
-	case []scalar.F32:
-		d = ewAddScaledNat(ad, any(s).(scalar.F32), any(b).([]scalar.F32))
-	case []scalar.F64:
-		d = ewAddScaledNat(ad, any(s).(scalar.F64), any(b).([]scalar.F64))
-	case []fixed.Num:
-		d = ewAddScaledFix(ad, any(s).(fixed.Num), any(b).([]fixed.Num))
-	default:
-		return nil, false
-	}
-	costs, _ := scalar.OpCostsOf[T]()
-	chargeEW(n, 3*n, costs.Add, costs.Mul)
 	return d.([]T), true
 }
 

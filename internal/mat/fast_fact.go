@@ -1,6 +1,6 @@
 package mat
 
-// Specialized factorization loops (LU, Cholesky, LDLT, QR) for the
+// Specialized factorization loops (LU, LDLT, QR) for the
 // built-in scalar family.
 //
 // Unlike the dense products in fast.go, elimination loops have
@@ -268,187 +268,6 @@ func luSolveFast[T scalar.Real[T]](f *LU[T], b Vec[T]) (Vec[T], bool) {
 		x = luSolveNat(&cnt, d, n, f.pivot, any([]T(b)).([]scalar.F64))
 	case []fixed.Num:
 		x = luSolveFix(&cnt, d, n, f.pivot, any([]T(b)).([]fixed.Num))
-	default:
-		return nil, false
-	}
-	profile.AddCounts(cnt)
-	return Vec[T](x.([]T)), true
-}
-
-// --- Cholesky decomposition ---
-
-func cholNat[F native](cnt *profile.Counts, a []F, l []F, n int) bool {
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			cnt.M++
-			cnt.I++ // a.At(i,j)
-			acc := a[i*n+j]
-			for k := 0; k < j; k++ {
-				cnt.M += 2
-				cnt.I += 2 // l.At(i,k), l.At(j,k)
-				cnt.F += 2 // Mul, Sub
-				acc = acc - l[i*n+k]*l[j*n+k]
-			}
-			if i == j {
-				cnt.B++ // LessEq
-				if acc <= 0 {
-					return false
-				}
-				cnt.F++ // Sqrt
-				cnt.M++
-				cnt.I++ // Set(i,i)
-				l[i*n+i] = F(math.Sqrt(float64(acc)))
-			} else {
-				cnt.M++
-				cnt.I++ // l.At(j,j)
-				cnt.F++ // Div
-				cnt.M++
-				cnt.I++ // Set(i,j)
-				l[i*n+j] = acc / l[j*n+j]
-			}
-		}
-	}
-	return true
-}
-
-func cholFix(cnt *profile.Counts, a []fixed.Num, l []fixed.Num, n int) bool {
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			cnt.M++
-			cnt.I++ // a.At(i,j)
-			acc := a[i*n+j]
-			for k := 0; k < j; k++ {
-				cnt.M += 2
-				cnt.I += 2                             // l.At(i,k), l.At(j,k)
-				cnt.I += fixed.CostMul + fixed.CostSub // Mul, Sub
-				acc = acc.SubQuiet(l[i*n+k].MulQuiet(l[j*n+k]))
-			}
-			if i == j {
-				cnt.B++ // LessEq
-				if acc.LessEqQuiet(acc.FromFloat(0)) {
-					return false
-				}
-				cnt.I += fixed.CostSqrt // Sqrt
-				cnt.M++
-				cnt.I++ // Set(i,i)
-				l[i*n+i] = acc.SqrtQuiet()
-			} else {
-				cnt.M++
-				cnt.I++                // l.At(j,j)
-				cnt.I += fixed.CostDiv // Div
-				cnt.M++
-				cnt.I++ // Set(i,j)
-				l[i*n+j] = acc.DivQuiet(l[j*n+j])
-			}
-		}
-	}
-	return true
-}
-
-// cholDecomposeFast is the dispatcher behind CholeskyDecompose.
-func cholDecomposeFast[T scalar.Real[T]](a Mat[T]) (c *Cholesky[T], ok bool, notPD bool) {
-	if !fastFamily[T]() {
-		return nil, false, false
-	}
-	n := a.rows
-	l := Zeros[T](n, n)
-	var cnt profile.Counts
-	good := false
-	switch d := any(a.d).(type) {
-	case []scalar.F32:
-		good = cholNat(&cnt, d, any(l.d).([]scalar.F32), n)
-	case []scalar.F64:
-		good = cholNat(&cnt, d, any(l.d).([]scalar.F64), n)
-	case []fixed.Num:
-		good = cholFix(&cnt, d, any(l.d).([]fixed.Num), n)
-	}
-	profile.AddCounts(cnt)
-	if !good {
-		return nil, true, true
-	}
-	return &Cholesky[T]{l: l}, true, false
-}
-
-// --- Cholesky solve ---
-
-func cholSolveNat[F native](cnt *profile.Counts, l []F, n int, b []F) []F {
-	y, yh := borrowSlice[F](n)
-	defer yh.put()
-	for i := 0; i < n; i++ {
-		acc := b[i]
-		for j := 0; j < i; j++ {
-			cnt.M++
-			cnt.I++    // At(i,j)
-			cnt.F += 2 // Mul, Sub
-			acc = acc - l[i*n+j]*y[j]
-		}
-		cnt.M++
-		cnt.I++ // At(i,i)
-		cnt.F++ // Div
-		y[i] = acc / l[i*n+i]
-	}
-	x := make([]F, n)
-	for i := n - 1; i >= 0; i-- {
-		acc := y[i]
-		for j := i + 1; j < n; j++ {
-			cnt.M++
-			cnt.I++    // At(j,i)
-			cnt.F += 2 // Mul, Sub
-			acc = acc - l[j*n+i]*x[j]
-		}
-		cnt.M++
-		cnt.I++ // At(i,i)
-		cnt.F++ // Div
-		x[i] = acc / l[i*n+i]
-	}
-	return x
-}
-
-func cholSolveFix(cnt *profile.Counts, l []fixed.Num, n int, b []fixed.Num) []fixed.Num {
-	y, yh := borrowSlice[fixed.Num](n)
-	defer yh.put()
-	for i := 0; i < n; i++ {
-		acc := b[i]
-		for j := 0; j < i; j++ {
-			cnt.M++
-			cnt.I++                                // At(i,j)
-			cnt.I += fixed.CostMul + fixed.CostSub // Mul, Sub
-			acc = acc.SubQuiet(l[i*n+j].MulQuiet(y[j]))
-		}
-		cnt.M++
-		cnt.I++                // At(i,i)
-		cnt.I += fixed.CostDiv // Div
-		y[i] = acc.DivQuiet(l[i*n+i])
-	}
-	x := make([]fixed.Num, n)
-	for i := n - 1; i >= 0; i-- {
-		acc := y[i]
-		for j := i + 1; j < n; j++ {
-			cnt.M++
-			cnt.I++                                // At(j,i)
-			cnt.I += fixed.CostMul + fixed.CostSub // Mul, Sub
-			acc = acc.SubQuiet(l[j*n+i].MulQuiet(x[j]))
-		}
-		cnt.M++
-		cnt.I++                // At(i,i)
-		cnt.I += fixed.CostDiv // Div
-		x[i] = acc.DivQuiet(l[i*n+i])
-	}
-	return x
-}
-
-// cholSolveFast is the dispatcher behind Cholesky.Solve.
-func cholSolveFast[T scalar.Real[T]](c *Cholesky[T], b Vec[T]) (Vec[T], bool) {
-	n := c.l.rows
-	var cnt profile.Counts
-	var x any
-	switch d := any(c.l.d).(type) {
-	case []scalar.F32:
-		x = cholSolveNat(&cnt, d, n, any([]T(b)).([]scalar.F32))
-	case []scalar.F64:
-		x = cholSolveNat(&cnt, d, n, any([]T(b)).([]scalar.F64))
-	case []fixed.Num:
-		x = cholSolveFix(&cnt, d, n, any([]T(b)).([]fixed.Num))
 	default:
 		return nil, false
 	}

@@ -2,7 +2,7 @@
 // family, replacing the Eigen dependency of the original EntoBench suite.
 //
 // Like Eigen in the paper's kernels, it supplies exactly the primitives
-// the insect-scale pipeline needs — small dense matrices, LU/Cholesky/QR
+// the insect-scale pipeline needs — small dense matrices, LU/LDLT/QR
 // factorizations, Jacobi SVD, symmetric eigendecomposition, and real
 // polynomial roots via companion-matrix QR iteration — and nothing more.
 // Everything is generic over scalar.Real so one implementation serves
@@ -108,15 +108,6 @@ func (m Mat[T]) Clone() Mat[T] {
 	d := make([]T, len(m.d))
 	copy(d, m.d)
 	return Mat[T]{rows: m.rows, cols: m.cols, d: d}
-}
-
-// CopyFrom overwrites m with src's contents. Shapes must match.
-func (m Mat[T]) CopyFrom(src Mat[T]) {
-	if m.rows != src.rows || m.cols != src.cols {
-		panic("mat: CopyFrom shape mismatch")
-	}
-	profile.AddM(uint64(len(m.d)))
-	copy(m.d, src.d)
 }
 
 // Transpose returns mᵀ as a new matrix.

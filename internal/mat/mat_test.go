@@ -107,9 +107,6 @@ func TestVecOps(t *testing.T) {
 	if got := v.Dot(w).Float(); got != -1 {
 		t.Errorf("Dot = %g", got)
 	}
-	if got := v.AddScaled(F(2), w).Floats(); got[0] != 5 || got[1] != 2 {
-		t.Errorf("AddScaled = %v", got)
-	}
 	a := mat.VecFromFloats(F(0), []float64{1, 0, 0})
 	b := mat.VecFromFloats(F(0), []float64{0, 1, 0})
 	if got := a.Cross(b).Floats(); got[2] != 1 || got[0] != 0 || got[1] != 0 {
@@ -179,32 +176,6 @@ func TestDet3MatchesLU(t *testing.T) {
 		if math.Abs(d3-dl) > 1e-10*math.Max(1, math.Abs(dl)) {
 			t.Fatalf("Det3 = %g, Det = %g", d3, dl)
 		}
-	}
-}
-
-func TestCholesky(t *testing.T) {
-	// SPD matrix: AᵀA + I.
-	rng := rand.New(rand.NewSource(11))
-	a := randMat(rng, 4, 4)
-	spd := a.Transpose().Mul(a).Add(mat.Identity(4, F(0)))
-	ch, err := mat.CholeskyDecompose(spd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recon := ch.L().Mul(ch.L().Transpose())
-	matClose(t, recon, spd.Floats(), 1e-10)
-	b := mat.VecFromFloats(F(0), []float64{1, 2, 3, 4})
-	x := ch.Solve(b)
-	res := spd.MulVec(x).Sub(b)
-	if res.Norm().Float() > 1e-10 {
-		t.Fatalf("Cholesky solve residual %g", res.Norm().Float())
-	}
-}
-
-func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a := f64mat([][]float64{{1, 0}, {0, -1}})
-	if _, err := mat.CholeskyDecompose(a); err == nil {
-		t.Error("expected not-positive-definite error")
 	}
 }
 
@@ -427,14 +398,14 @@ func near(roots []float64, want float64) bool {
 
 func TestCubicAndQuarticRoots(t *testing.T) {
 	// (x-1)(x-2)(x-3) = x³ - 6x² + 11x - 6
-	r := mat.SolveCubic(F(-6), F(11), F(-6)).Floats()
+	r := mat.PolyFromFloats(F(0), []float64{-6, 11, -6, 1}).RealRoots().Floats()
 	for _, want := range []float64{1, 2, 3} {
 		if !near(r, want) {
 			t.Fatalf("cubic roots = %v, missing %g", r, want)
 		}
 	}
 	// (x²-1)(x²-4) = x⁴ - 5x² + 4
-	r4 := mat.SolveQuartic(F(0), F(-5), F(0), F(4)).Floats()
+	r4 := mat.PolyFromFloats(F(0), []float64{4, 0, -5, 0, 1}).RealRoots().Floats()
 	for _, want := range []float64{-2, -1, 1, 2} {
 		if !near(r4, want) {
 			t.Fatalf("quartic roots = %v, missing %g", r4, want)

@@ -215,19 +215,3 @@ func solveQuadratic[T scalar.Real[T]](a, b, c T) Vec[T] {
 
 // SolveQuadratic exposes the stable quadratic solver.
 func SolveQuadratic[T scalar.Real[T]](a, b, c T) Vec[T] { return solveQuadratic(a, b, c) }
-
-// SolveCubic returns the real roots of x³ + a·x² + b·x + c via the
-// companion path (degree is low enough that the QR iteration is cheap and
-// the code stays branch-free across precisions).
-func SolveCubic[T scalar.Real[T]](a, b, c T) Vec[T] {
-	one := scalar.One(a)
-	p := Poly[T]{c, b, a, one}
-	return p.RealRoots()
-}
-
-// SolveQuartic returns the real roots of x⁴ + a·x³ + b·x² + c·x + d.
-func SolveQuartic[T scalar.Real[T]](a, b, c, d T) Vec[T] {
-	one := scalar.One(a)
-	p := Poly[T]{d, c, b, a, one}
-	return p.RealRoots()
-}

@@ -71,7 +71,7 @@ func TestScratchGoroutineIsolation(t *testing.T) {
 		bvals[i] = g.next()
 	}
 	rhs := VecFromFloats(scalar.F64(0), bvals)
-	c, err := CholeskyDecompose(a)
+	c, err := LDLTDecompose(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestScratchGoroutineIsolation(t *testing.T) {
 				got := c.Solve(rhs)
 				for i := range want {
 					if got[i] != want[i] {
-						errs <- "Cholesky solve diverged across goroutines"
+						errs <- "LDLT solve diverged across goroutines"
 						return
 					}
 				}
@@ -115,7 +115,7 @@ func TestScratchGoroutineIsolation(t *testing.T) {
 }
 
 // TestSolveAllocBudget pins the allocation count of the hot solve path.
-// With the scratch arena the only allocation a Cholesky solve may make
+// With the scratch arena the only allocation an LDLT solve may make
 // is the returned x vector; a regression that reintroduces per-call
 // temporaries fails the budget.
 func TestSolveAllocBudget(t *testing.T) {
@@ -130,7 +130,7 @@ func TestSolveAllocBudget(t *testing.T) {
 		bvals[i] = g.next()
 	}
 	rhs := VecFromFloats(scalar.F32(0), bvals)
-	c, err := CholeskyDecompose(a)
+	c, err := LDLTDecompose(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,6 +139,6 @@ func TestSolveAllocBudget(t *testing.T) {
 	// 1 for the returned x; 1 of slack for a pool refill after a GC
 	// that empties the arena mid-run.
 	if allocs > 2 {
-		t.Fatalf("Cholesky.Solve allocates %.1f times per call, budget is 2", allocs)
+		t.Fatalf("LDLT.Solve allocates %.1f times per call, budget is 2", allocs)
 	}
 }

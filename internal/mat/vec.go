@@ -77,23 +77,6 @@ func (v Vec[T]) Scale(s T) Vec[T] {
 	return out
 }
 
-// AddScaled returns v + s·b without a temporary, the workhorse of the
-// iterative solvers.
-func (v Vec[T]) AddScaled(s T, b Vec[T]) Vec[T] {
-	v.checkLen(b)
-	if fastKernels() {
-		if d, ok := fastAddScaledSlice[T](v, s, b); ok {
-			return d
-		}
-	}
-	out := make(Vec[T], len(v))
-	for i := range v {
-		out[i] = v[i].Add(s.Mul(b[i]))
-	}
-	profile.AddM(uint64(3 * len(v)))
-	return out
-}
-
 // Dot returns v·b.
 func (v Vec[T]) Dot(b Vec[T]) T {
 	v.checkLen(b)

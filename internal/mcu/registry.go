@@ -296,28 +296,6 @@ func Set(name string) ([]Arch, bool) {
 	return out, true
 }
 
-// RegisterSet names a reusable arch set. Every member must already be
-// registered and the name must be free.
-func RegisterSet(name string, members []string) error {
-	ensureBuiltins()
-	if strings.TrimSpace(name) == "" {
-		return fmt.Errorf("mcu: set has no name")
-	}
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	key := strings.ToLower(name)
-	if _, dup := registry.sets[key]; dup {
-		return fmt.Errorf("mcu: set %q already registered", name)
-	}
-	for _, m := range members {
-		if _, ok := registry.byName[strings.ToLower(m)]; !ok {
-			return fmt.Errorf("mcu: set %q references unknown board %q", name, m)
-		}
-	}
-	registry.sets[key] = append([]string(nil), members...)
-	return nil
-}
-
 // SetNames lists the registered set names, sorted.
 func SetNames() []string {
 	ensureBuiltins()

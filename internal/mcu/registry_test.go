@@ -270,37 +270,6 @@ func TestResolveArchs(t *testing.T) {
 	}
 }
 
-func TestRegisterSet(t *testing.T) {
-	if err := mcu.Register(testBoard("SetMember1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := mcu.RegisterSet("progset", []string{"SetMember1", "M33"}); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := mcu.Set("progset")
-	if !ok || len(got) != 2 {
-		t.Fatalf("Set(progset) = %v, %v", got, ok)
-	}
-	if err := mcu.RegisterSet("progset", nil); err == nil {
-		t.Error("duplicate set name should fail")
-	}
-	if err := mcu.RegisterSet("", []string{"M4"}); err == nil {
-		t.Error("empty set name should fail")
-	}
-	if err := mcu.RegisterSet("ghostset", []string{"NoSuchBoard"}); err == nil {
-		t.Error("set over an unknown board should fail")
-	}
-	found := false
-	for _, n := range mcu.SetNames() {
-		if n == "progset" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("SetNames() = %v, missing progset", mcu.SetNames())
-	}
-}
-
 func TestAllSetIsDynamic(t *testing.T) {
 	before, ok := mcu.Set("all")
 	if !ok {

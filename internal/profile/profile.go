@@ -7,8 +7,8 @@
 // instrumentation; here it is recorded live by the instrumented scalar and
 // matrix layers while a kernel executes.
 //
-// Records are goroutine-scoped: Begin/End/Collect attach a profiling
-// session to the calling goroutine (see session.go), so distinct
+// Records are goroutine-scoped: Collect attaches a profiling session
+// to the calling goroutine (see session.go), so distinct
 // goroutines can profile concurrently without cross-talk — the property
 // the parallel characterization sweep builds on. Within one goroutine
 // the profiler keeps its original shape: a stack of active records with
@@ -68,26 +68,6 @@ func (c Counts) Scale(k float64) Counts {
 	}
 }
 
-// Begin activates a fresh record on the calling goroutine and returns
-// it. The returned pointer stays live until the matching End and
-// accumulates every hooked operation the goroutine executes in between.
-func Begin() *Counts {
-	return ensureSession().push(false)
-}
-
-// End deactivates the innermost record begun on the calling goroutine.
-// The record returned by the matching Begin retains its final values.
-// End without a matching Begin is a no-op.
-func End() {
-	s := current()
-	if s == nil {
-		return
-	}
-	if s.pop() {
-		s.drop()
-	}
-}
-
 // Active reports whether the calling goroutine has a profiling record
 // attached.
 func Active() bool { return current() != nil }
@@ -99,7 +79,7 @@ func Active() bool { return current() != nil }
 // fully isolated from one another.
 func Collect(fn func()) Counts {
 	s := ensureSession()
-	rec := s.push(true)
+	rec := s.push()
 	defer func() {
 		if s.pop() {
 			s.drop()

@@ -40,7 +40,6 @@ func TestCollectNested(t *testing.T) {
 }
 
 func TestInactiveHooksAreNoOps(t *testing.T) {
-	End()
 	AddF(100)
 	AddI(100)
 	AddM(100)
@@ -51,17 +50,18 @@ func TestInactiveHooksAreNoOps(t *testing.T) {
 	}
 }
 
+// Collect begins a session and ends it on return: Active reports the
+// session only in between.
 func TestBeginEnd(t *testing.T) {
-	rec := Begin()
-	if !Active() {
-		t.Fatal("Active = false after Begin")
-	}
-	AddF(7)
-	End()
+	rec := Collect(func() {
+		if !Active() {
+			t.Fatal("Active = false inside Collect")
+		}
+		AddF(7)
+	})
 	if Active() {
-		t.Fatal("Active = true after End")
+		t.Fatal("Active = true after Collect")
 	}
-	AddF(1) // must not land anywhere
 	if rec.F != 7 {
 		t.Fatalf("rec.F = %d, want 7", rec.F)
 	}

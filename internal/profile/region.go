@@ -32,11 +32,10 @@ type Acc struct {
 // into the record that was innermost at open time.
 //
 // A region must be opened, used, and closed on one goroutine, inside one
-// Begin/End (or Collect) pairing. Misuse degrades to a no-op rather than
-// corrupting counts: if the enclosing record has already been popped by
-// End when Close runs — or the goroutine was never profiled at all — the
-// tallies are dropped, because there is no longer a record they
-// legitimately belong to.
+// Collect. Misuse degrades to a no-op rather than corrupting counts: if
+// the enclosing record has already been popped when Close runs — or the
+// goroutine was never profiled at all — the tallies are dropped, because
+// there is no longer a record they legitimately belong to.
 func Region() Acc {
 	s := current()
 	if s == nil {
@@ -65,16 +64,16 @@ func (a *Acc) Pending() Counts { return a.n }
 
 // Close flushes the region's tallies into the record captured at open
 // time, provided that record is still live on the session's stack; a
-// record already deactivated by End (or a region opened on an unprofiled
-// goroutine) drops the tallies. Close is idempotent — after the first
+// record already popped (or a region opened on an unprofiled goroutine)
+// drops the tallies. Close is idempotent — after the first
 // call the accumulator is empty and detached.
 func (a *Acc) Close() {
 	if a.s != nil {
 		// The session is owned by this goroutine, so the stack scan is
-		// race-free; after End popped the record (or dropped the whole
-		// session) the scan finds nothing and the tallies die here.
+		// race-free; after its Collect popped the record (or dropped the
+		// whole session) the scan finds nothing and the tallies die here.
 		for i := len(a.s.stack) - 1; i >= 0; i-- {
-			if a.s.stack[i].rec == a.rec {
+			if a.s.stack[i] == a.rec {
 				a.rec.Add(a.n)
 				break
 			}

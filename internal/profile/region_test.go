@@ -24,15 +24,18 @@ func TestRegionFlushesIntoOpenRecord(t *testing.T) {
 	}
 }
 
-// Closing a region after End has popped its record must drop the tallies
-// rather than write into a record the profiler no longer owns.
+// Closing a region after its Collect has popped the record must drop the
+// tallies rather than write into a record the profiler no longer owns.
 func TestRegionCloseAfterEndDropsTallies(t *testing.T) {
-	rec := Begin()
-	reg := Region()
-	reg.AddF(100)
-	End()
+	var reg Acc
+	var rec *Counts
+	got := Collect(func() {
+		reg = Region()
+		rec = reg.rec
+		reg.AddF(100)
+	})
 	reg.Close()
-	if *rec != (Counts{}) {
+	if got != (Counts{}) || *rec != (Counts{}) {
 		t.Errorf("tallies leaked into ended record: %+v", *rec)
 	}
 	// The goroutine profiles cleanly afterwards.

@@ -50,14 +50,6 @@ func runtime_setProfLabel(p unsafe.Pointer)
 // the session id.
 const sessionLabel = "entobench.profile.session"
 
-// frame is one active record on a session's stack.
-type frame struct {
-	rec *Counts
-	// credit: fold this record into the enclosing one on pop, the
-	// additive composition of nested Collects.
-	credit bool
-}
-
 // session is the profiling state of one goroutine: a stack of active
 // records (top cached for the hook path) plus the label-pointer key
 // that locates it from a hook.
@@ -65,7 +57,7 @@ type session struct {
 	key   unsafe.Pointer // goroutine's label pointer while the session lives
 	prev  unsafe.Pointer // label pointer to restore when the session ends
 	top   *Counts        // stack's innermost record; invariant: non-nil while registered
-	stack []frame
+	stack []*Counts
 }
 
 // ctrSessions counts session creations — one per profiled Solve a
@@ -236,26 +228,25 @@ func (s *session) drop() {
 }
 
 // push activates a fresh record on top of the stack.
-func (s *session) push(credit bool) *Counts {
+func (s *session) push() *Counts {
 	rec := &Counts{}
-	s.stack = append(s.stack, frame{rec: rec, credit: credit})
+	s.stack = append(s.stack, rec)
 	s.top = rec
 	return rec
 }
 
-// pop deactivates the innermost record, crediting the enclosing record
-// when the frame asks for it, and reports whether the stack is empty.
+// pop deactivates the innermost record, crediting it to the enclosing
+// record (the additive composition of nested Collects), and reports
+// whether the stack is empty.
 func (s *session) pop() bool {
 	n := len(s.stack) - 1
-	f := s.stack[n]
+	rec := s.stack[n]
 	s.stack = s.stack[:n]
 	if n == 0 {
 		s.top = nil
 		return true
 	}
-	s.top = s.stack[n-1].rec
-	if f.credit {
-		s.top.Add(*f.rec)
-	}
+	s.top = s.stack[n-1]
+	s.top.Add(*rec)
 	return false
 }

@@ -106,13 +106,11 @@ func TestHooksIgnoreOtherGoroutinesSessions(t *testing.T) {
 	}
 }
 
-// Begin/End sessions must release their registry entry so the global
-// hook gate returns to its zero fast path.
+// A session must release its registry entry when its Collect returns,
+// so the global hook gate returns to its zero fast path.
 func TestBeginEndReleasesSession(t *testing.T) {
 	before := sessionCount.Load()
-	rec := Begin()
-	AddM(3)
-	End()
+	rec := Collect(func() { AddM(3) })
 	if rec.M != 3 {
 		t.Fatalf("rec.M = %d, want 3", rec.M)
 	}
@@ -151,20 +149,20 @@ func TestSessionChurnIsolation(t *testing.T) {
 		go func() {
 			defer hookWG.Done()
 			f := uint64(g + 1)
-			rec := Begin()
 			var n uint64
-			for running := true; running; n++ {
-				AddF(f)
-				AddB(1)
-				select {
-				case <-stop:
-					running = false
-				default:
+			rec := Collect(func() {
+				for running := true; running; n++ {
+					AddF(f)
+					AddB(1)
+					select {
+					case <-stop:
+						running = false
+					default:
+					}
 				}
-			}
-			End()
-			if want := (Counts{F: n * f, B: n}); *rec != want {
-				t.Errorf("hooker %d: got %+v, want %+v", g, *rec, want)
+			})
+			if want := (Counts{F: n * f, B: n}); rec != want {
+				t.Errorf("hooker %d: got %+v, want %+v", g, rec, want)
 			}
 		}()
 	}
@@ -179,11 +177,9 @@ func TestSessionChurnIsolation(t *testing.T) {
 					AddI(i)
 					AddM(m)
 				})
-				rec := Begin()
-				AddCounts(Counts{I: i, B: m})
-				End()
-				if got != (Counts{I: i, M: m}) || *rec != (Counts{I: i, B: m}) {
-					t.Errorf("churner %d iter %d: Collect %+v, Begin/End %+v", g, it, got, *rec)
+				bulk := Collect(func() { AddCounts(Counts{I: i, B: m}) })
+				if got != (Counts{I: i, M: m}) || bulk != (Counts{I: i, B: m}) {
+					t.Errorf("churner %d iter %d: hooked %+v, bulk %+v", g, it, got, bulk)
 					return
 				}
 			}

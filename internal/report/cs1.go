@@ -66,7 +66,7 @@ func RunCS1() (CS1Result, error) {
 				CyclesK: map[string]float64{},
 			}
 			cfg := harness.DefaultConfig()
-			pp, err := harness.Prepare(p, mcu.Arch{}, mcu.PrecF32, cfg)
+			pp, err := harness.Prepare(p, cfg)
 			if err != nil {
 				return out, err
 			}

@@ -42,7 +42,7 @@ func RunCS3() (CS3Result, error) {
 			MeasEnergy: map[string]float64{},
 		}
 		cfg := harness.DefaultConfig()
-		pp, err := harness.Prepare(spec.Factory(), mcu.Arch{}, spec.Prec, cfg)
+		pp, err := harness.Prepare(spec.Factory(), cfg)
 		if err != nil {
 			return out, err
 		}

@@ -211,3 +211,38 @@ func TestReadJSONReportRejects(t *testing.T) {
 		t.Errorf("minimal valid report rejected: %v", err)
 	}
 }
+
+// FuzzReadJSONReport feeds arbitrary bytes through the v1 export
+// reader. It must never panic, and an export it accepts must reach a
+// fixed point after one write: write, read and write again give the
+// same bytes.
+func FuzzReadJSONReport(f *testing.F) {
+	for _, path := range []string{goldenPath, boardsGoldenPath} {
+		seed, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
+	write := func(t *testing.T, rep report.JSONReport) []byte {
+		var buf bytes.Buffer
+		if err := report.WriteJSONReport(&buf, rep); err != nil {
+			t.Fatalf("accepted export does not encode: %v", err)
+		}
+		return buf.Bytes()
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rep, err := report.ReadJSONReport(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		first := write(t, rep)
+		again, err := report.ReadJSONReport(bytes.NewReader(first))
+		if err != nil {
+			t.Fatalf("written export rejected: %v", err)
+		}
+		if second := write(t, again); !bytes.Equal(first, second) {
+			t.Fatalf("write/read/write is not a fixed point:\n%s\nvs\n%s", first, second)
+		}
+	})
+}
