@@ -255,7 +255,10 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		err = harness.WriteResultsCSV(f, []harness.Result{res})
+		fi, err := f.Stat()
+		if err == nil {
+			err = harness.WriteResultsCSV(f, []harness.Result{res}, fi.Size() == 0)
+		}
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -344,7 +347,7 @@ func resolveSweepArchs(boardFiles, query string) ([]mcu.Arch, error) {
 // carries a failures block with partial:true, and the exit code is
 // non-zero. -failfast restores stop-at-first-failure. SIGINT cancels
 // the sweep and still flushes the partial tables/JSON/trace.
-func sweep(args []string) error {
+func sweep(args []string) (err error) {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	j := fs.Int("j", 0, "characterization worker goroutines (0 = GOMAXPROCS)")
 	boardFiles := fs.String("boards", "", "comma-separated board files to load before the sweep")
@@ -382,9 +385,9 @@ func sweep(args []string) error {
 	// covers the whole sweep; the heap profile snapshots after the run,
 	// post-GC, like go test's -memprofile.
 	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return err
+		f, cerr := os.Create(*cpuProf)
+		if cerr != nil {
+			return cerr
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			f.Close()
@@ -393,7 +396,7 @@ func sweep(args []string) error {
 		defer func() {
 			pprof.StopCPUProfile()
 			if cerr := f.Close(); cerr != nil {
-				fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", cerr)
+				err = errors.Join(err, fmt.Errorf("cpuprofile: %w", cerr))
 			}
 		}()
 	}
@@ -401,7 +404,7 @@ func sweep(args []string) error {
 		path := *memProf
 		defer func() {
 			if merr := writeMemProfile(path); merr != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", merr)
+				err = errors.Join(err, fmt.Errorf("memprofile: %w", merr))
 			}
 		}()
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/csv"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,10 +11,10 @@ import (
 	"repro/internal/report"
 )
 
-// TestOutputFlagFailures: `trace -o` and `merge -o` must fail when the
-// output cannot be written, whether the create fails (a missing
-// directory) or the write does (/dev/full), and succeed on a writable
-// path.
+// TestOutputFlagFailures: `trace -o`, `merge -o` and `sweep
+// -memprofile` must fail when the output cannot be written, whether the
+// create fails (a missing directory) or the write does (/dev/full), and
+// succeed on a writable path.
 func TestOutputFlagFailures(t *testing.T) {
 	dir := t.TempDir()
 	spec, ok := core.ByName("madgwick")
@@ -47,6 +48,10 @@ func TestOutputFlagFailures(t *testing.T) {
 	if fi, err := os.Stat(good); err != nil || fi.Size() == 0 {
 		t.Fatalf("merge -o wrote nothing: %v", err)
 	}
+	sweepArgs := func(path string) []string { return []string{"-archs", "M4", "-json", "-memprofile", path} }
+	if err := sweep(sweepArgs(good)); err != nil {
+		t.Fatalf("sweep -memprofile %s: %v", good, err)
+	}
 
 	bad := map[string]string{"missing-dir": filepath.Join(dir, "no-such-dir", "out")}
 	if _, err := os.Stat("/dev/full"); err == nil {
@@ -60,6 +65,38 @@ func TestOutputFlagFailures(t *testing.T) {
 			if err := merge([]string{"-o", path, bundle}); err == nil {
 				t.Errorf("merge -o %s succeeded", path)
 			}
+			if err := sweep(sweepArgs(path)); err == nil {
+				t.Errorf("sweep -memprofile %s succeeded", path)
+			}
 		})
+	}
+}
+
+// TestRunCSVAppendsOneTable: repeated `run -csv` calls into one file
+// build a single CSV table — the header once, then one row per run.
+func TestRunCSVAppendsOneTable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log.csv")
+	kernels := []string{"madgwick", "fly-lqr"}
+	for _, k := range kernels {
+		if err := run([]string{k, "-csv", path}); err != nil {
+			t.Fatalf("run %s -csv: %v", k, err)
+		}
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1+len(kernels) || recs[0][0] != "kernel" {
+		t.Fatalf("log = %q, want one header and %d rows", recs, len(kernels))
+	}
+	for i, k := range kernels {
+		if recs[1+i][0] != k {
+			t.Errorf("row %d kernel = %q, want %q", i, recs[1+i][0], k)
+		}
 	}
 }

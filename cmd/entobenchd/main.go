@@ -2,8 +2,8 @@
 // long-running HTTP daemon that answers sweep queries — the full suite
 // × Table IV grid or any kernel-subset × board-set selection — to many
 // concurrent clients, with an in-memory memo of completed results and
-// one shared kernel-execution table behind them, so concurrent or
-// overlapping queries execute each kernel once.
+// one kernel-execution table behind them, both owned by its server, so
+// concurrent or overlapping queries execute each kernel once.
 // A served sweep is byte-identical to `entobench sweep -json` for the
 // same query; docs/server.md is the operations guide and the complete
 // wire reference.
@@ -131,8 +131,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if _, err := mcu.LoadFiles(cfg.boards); err != nil {
 		return err
 	}
-	report.SetSweepCacheCapacity(cfg.cacheCap)
-
 	logf := func(format string, a ...any) {
 		fmt.Fprintf(stderr, "entobenchd: "+format+"\n", a...)
 	}
@@ -143,6 +141,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		MaxQueue:        cfg.maxQueue,
 		MaxDeadline:     cfg.maxDeadline,
 		MaxFinishedJobs: cfg.maxJobs,
+		MemoCapacity:    cfg.cacheCap,
 		Logf:            logf,
 	}
 	if cfg.cacheDir != "" {

@@ -229,10 +229,12 @@ type Characterization = report.Characterization
 // Sweep characterizes the full suite across a board selection — the
 // Table IV cores (ArchSet("tableiv")), the result of LoadBoards, any
 // mix — and is the library's one sweep entry point. It goes through
-// report.RunSweepQuery: repeated calls, the table writers below, and
-// every entobenchd client share one memoized result per distinct
-// selection, concurrent callers execute each kernel once between them,
-// and the result is identical for every worker count.
+// report.RunSweepQuery, the process's default sweep engine: repeated
+// calls and the table writers below share one memoized result per
+// distinct selection, concurrent callers execute each kernel once
+// between them, and the result is identical for every worker count.
+// The memo key leaves out opts.CellCache: a call answered from the memo
+// writes no cells to the cell cache it was passed.
 //
 // opts carries the worker count, progress reporting, FailFast, the
 // per-cell watchdog, a cancellation context, a persistent cell cache,

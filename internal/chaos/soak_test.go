@@ -87,8 +87,6 @@ func TestChaosSoak(t *testing.T) {
 		clients, perClient = 8, 8
 	}
 
-	report.InvalidateCharacterization()
-	defer report.InvalidateCharacterization()
 	for i := 0; i < 4; i++ {
 		spec := faultinject.SlowSpec(fmt.Sprintf("chaos-slow-%d", i), 20*time.Millisecond)
 		if err := core.Register(spec); err != nil {
@@ -103,13 +101,14 @@ func TestChaosSoak(t *testing.T) {
 	store := cc.Backing()
 	store.SetProbeInterval(0) // recovery probes on every Put: the soak must not wait out the default interval
 
-	ts := httptest.NewServer(server.New(server.Options{
+	opts := server.Options{
 		Workers:     2,
 		CellTimeout: 5 * time.Second,
 		CellCache:   cc,
 		MaxInflight: 2,
 		MaxQueue:    2,
-	}).Handler())
+	}
+	ts := httptest.NewServer(server.New(opts).Handler())
 	defer ts.Close()
 
 	// Golden: the clean-path export before any fault exists.
@@ -169,10 +168,13 @@ func TestChaosSoak(t *testing.T) {
 	}
 
 	// Phase 4 — the clean path survived the excursion: re-running the
-	// golden query cold (memory cache invalidated, cells now loading
-	// from the recovered store) must reproduce the golden bytes.
-	report.InvalidateCharacterization()
-	if again := mustPost(t, ts.URL, goldenQ); !bytes.Equal(golden, again) {
+	// golden query cold (a restarted server with an empty memo, cells
+	// now loading from the recovered store) must reproduce the golden
+	// bytes.
+	restarted := httptest.NewServer(server.New(opts).Handler())
+	again := mustPost(t, restarted.URL, goldenQ)
+	restarted.Close()
+	if !bytes.Equal(golden, again) {
 		t.Fatalf("post-recovery export differs from clean-path golden:\n%s\n---\n%s", golden, again)
 	}
 

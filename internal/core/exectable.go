@@ -28,8 +28,9 @@ import (
 // execTableBound entries every completed one is dropped. The zero value
 // is ready.
 //
-// CharacterizeSuiteOpts runs each call against a private table;
-// report.RunSweepQuery attaches one process-wide table (WithExecTable).
+// Characterize sweeps against a table; CharacterizeSuiteOpts runs each
+// call against a private one, and each report.Engine owns one that all
+// its sweeps share.
 type ExecTable struct {
 	mu sync.Mutex
 	m  map[execKey]*execEntry
@@ -71,26 +72,6 @@ type execEntry struct {
 type execValue struct {
 	static StaticCellResult
 	prep   *harness.Prepared
-}
-
-type execTableCtxKey struct{}
-
-// WithExecTable returns a context that makes CharacterizeSuiteOpts run
-// against t instead of a private table, sharing kernel executions with
-// every other sweep on t.
-func WithExecTable(ctx context.Context, t *ExecTable) context.Context {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return context.WithValue(ctx, execTableCtxKey{}, t)
-}
-
-// execTableOf returns the table ctx carries, or a fresh private one.
-func execTableOf(ctx context.Context) *ExecTable {
-	if t, ok := ctx.Value(execTableCtxKey{}).(*ExecTable); ok {
-		return t
-	}
-	return new(ExecTable)
 }
 
 // Reset empties the table. Executions in flight still reach their

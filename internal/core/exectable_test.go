@@ -196,8 +196,7 @@ func TestExecTableRetainsOutcomeOnly(t *testing.T) {
 	spec := Spec{Name: "big", Stage: Control, Prec: mcu.PrecF32, Factory: factory}
 	var tbl ExecTable
 	archs := []mcu.Arch{mcu.M4}
-	ctx := WithExecTable(context.Background(), &tbl)
-	if _, err := CharacterizeSuiteOpts([]Spec{spec}, archs, SweepOptions{Context: ctx, Workers: 1}); err != nil {
+	if _, err := tbl.Characterize([]Spec{spec}, archs, SweepOptions{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if n := tbl.PendingJobs([]Spec{spec}, archs); n != 0 {

@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -22,12 +24,17 @@ func extSpec(t *testing.T, name string) core.Spec {
 	return s
 }
 
+// extSeq makes TestRegisterExternalKernel's kernel name unique, so the
+// test stays repeatable under -count.
+var extSeq atomic.Int64
+
 func TestRegisterExternalKernel(t *testing.T) {
-	s := extSpec(t, "ext-lqr-clone")
+	name := fmt.Sprintf("ext-lqr-clone-%d", extSeq.Add(1))
+	s := extSpec(t, name)
 	if err := core.Register(s); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := core.ByName("ext-lqr-clone")
+	got, ok := core.ByName(name)
 	if !ok {
 		t.Fatal("registered kernel does not resolve")
 	}
@@ -37,7 +44,7 @@ func TestRegisterExternalKernel(t *testing.T) {
 	suite := core.Suite()
 	found := false
 	for _, k := range suite {
-		if k.Name == "ext-lqr-clone" {
+		if k.Name == name {
 			found = true
 		}
 	}
@@ -128,8 +135,10 @@ func TestSweepOverCustomBoard(t *testing.T) {
 	big.Board = "test fixture"
 	big.SRAMKB = 4096
 	big.Source = ""
-	if err := mcu.Register(big); err != nil {
-		t.Fatal(err)
+	if _, ok := mcu.ByName("SweepBig"); !ok { // registered once per process
+		if err := mcu.Register(big); err != nil {
+			t.Fatal(err)
+		}
 	}
 	reg, _ := mcu.ByName("sweepbig")
 	recs, err := core.CharacterizeSuiteOpts(core.Suite(), []mcu.Arch{reg}, core.SweepOptions{Workers: 1})
@@ -137,7 +146,7 @@ func TestSweepOverCustomBoard(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range recs {
-		if r.Spec.Name == "ext-lqr-clone" {
+		if strings.HasPrefix(r.Spec.Name, "ext-lqr-clone") {
 			continue // may or may not be registered depending on test order
 		}
 		if len(r.Cells) != 2 {

@@ -325,8 +325,14 @@ func CellErrors(err error) []*CellError {
 	return out
 }
 
-// CharacterizeSuiteOpts is the sweep engine, uncached: it
-// characterizes specs across archs using a bounded worker pool
+// CharacterizeSuiteOpts is the sweep engine, uncached: Characterize
+// against a private table.
+func CharacterizeSuiteOpts(specs []Spec, archs []mcu.Arch, opts SweepOptions) ([]Record, error) {
+	return new(ExecTable).Characterize(specs, archs, opts)
+}
+
+// Characterize is the sweep engine: it characterizes specs across
+// archs using a bounded worker pool
 // (opts.Workers <= 0 means runtime.GOMAXPROCS(0)) and returns one
 // Record per spec, in specs order, with cells in the serial
 // (arch-major, cache on/off) order — one row of Tables III and IV per
@@ -337,10 +343,10 @@ func CellErrors(err error) []*CellError {
 // one CellError per failed job in serial order (opts.FailFast and
 // opts.CellTimeout select fail-fast and watchdog variants).
 //
-// Each call executes its kernels against a private ExecTable unless
-// opts.Context carries one (WithExecTable), and records into the
+// Each call executes its kernels against t, sharing every execution
+// another sweep on t holds or has in flight, and records into the
 // context's obs.Recorder, if any.
-func CharacterizeSuiteOpts(specs []Spec, archs []mcu.Arch, opts SweepOptions) ([]Record, error) {
+func (t *ExecTable) Characterize(specs []Spec, archs []mcu.Arch, opts SweepOptions) ([]Record, error) {
 	if opts.ShardCount > 0 && (opts.ShardIndex < 1 || opts.ShardIndex > opts.ShardCount) {
 		return nil, fmt.Errorf("core: shard index %d out of range 1..%d", opts.ShardIndex, opts.ShardCount)
 	}
@@ -354,7 +360,6 @@ func CharacterizeSuiteOpts(specs []Spec, archs []mcu.Arch, opts SweepOptions) ([
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	tbl := execTableOf(ctx)
 	rec := obs.RecorderFrom(ctx)
 	records := make([]Record, len(specs))
 	var jobs []job
@@ -434,7 +439,7 @@ func CharacterizeSuiteOpts(specs []Spec, archs []mcu.Arch, opts SweepOptions) ([
 			}
 		}
 		start := time.Now()
-		res, status, err := executeJob(ctx, tbl, spec, archs, &jobs[j], opts)
+		res, status, err := executeJob(ctx, t, spec, archs, &jobs[j], opts)
 		if rec != nil {
 			recordJobSpan(rec, &jobs[j], records, start, sweepStart, lane, status)
 		}

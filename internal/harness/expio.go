@@ -20,11 +20,15 @@ var csvHeader = []string{
 	"reps", "valid",
 }
 
-// WriteResultsCSV streams harness results as a measurement log.
-func WriteResultsCSV(w io.Writer, results []Result) error {
+// WriteResultsCSV streams harness results as a measurement log, led by
+// the column line when header is set; an append to a log that already
+// has one leaves it out.
+func WriteResultsCSV(w io.Writer, results []Result, header bool) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return err
+	if header {
+		if err := cw.Write(csvHeader); err != nil {
+			return err
+		}
 	}
 	for _, r := range results {
 		row := []string{

@@ -22,7 +22,7 @@ func TestResultsCSVRoundTrip(t *testing.T) {
 		results = append(results, res)
 	}
 	var buf bytes.Buffer
-	if err := harness.WriteResultsCSV(&buf, results); err != nil {
+	if err := harness.WriteResultsCSV(&buf, results, true); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := csv.NewReader(&buf).ReadAll()
@@ -63,7 +63,7 @@ func TestResultsCSVRoundTrip(t *testing.T) {
 
 	// No results still yields the header.
 	buf.Reset()
-	if err := harness.WriteResultsCSV(&buf, nil); err != nil {
+	if err := harness.WriteResultsCSV(&buf, nil, true); err != nil {
 		t.Fatal(err)
 	}
 	if got := buf.String(); got != header+"\n" {

@@ -19,8 +19,9 @@ const (
 // Counter names.
 const (
 	// CounterSweepCacheHit counts queries served from a completed entry
-	// of the keyed sweep cache (report.RunSweepQuery: ento.Sweep, the
-	// CLIs, and every entobenchd sweep request).
+	// of a keyed sweep cache (report.Engine.Sweep: ento.Sweep and the
+	// CLIs on the default engine, every entobenchd sweep request on its
+	// server's engine), summed over engines.
 	CounterSweepCacheHit = "sweep.cache.hit"
 	// CounterSweepCacheMiss counts queries the memo had no completed
 	// entry for, each of which ran its own sweep.
@@ -30,8 +31,8 @@ const (
 	// the kernel-execution table (core.ExecTable) instead of running.
 	CounterSweepCacheCoalesced = "sweep.cache.coalesced"
 	// CounterSweepCacheEvicted counts completed cache entries dropped,
-	// least recently hit first, by the capacity bound that
-	// report.SetSweepCacheCapacity sets (entobenchd -cachecap).
+	// least recently hit first, by an engine's capacity bound
+	// (server.Options.MemoCapacity, entobenchd -cachecap).
 	CounterSweepCacheEvicted = "sweep.cache.evicted"
 	// CounterServerRequests counts HTTP requests the entobenchd handler
 	// served, across all routes.

@@ -121,14 +121,18 @@ func TestCustomBoardSweepDeterminism(t *testing.T) {
 	big.Board = "test fixture"
 	big.SRAMKB = 4096
 	big.Source = ""
-	if err := mcu.Register(big); err != nil {
-		t.Fatal(err)
+	if _, ok := mcu.ByName("DetBoard"); !ok { // registered once per process
+		if err := mcu.Register(big); err != nil {
+			t.Fatal(err)
+		}
 	}
 	reg, _ := mcu.ByName("DetBoard")
 	archs := append(mcu.TableIVSet(), reg)
 
+	// Each render sweeps on a fresh engine: a shared memo would answer
+	// the second render with the first one's result.
 	render := func(workers int) []byte {
-		c, err := report.RunSweepQuery(core.Suite(), archs, core.SweepOptions{Workers: workers})
+		c, err := report.NewEngine(0).Sweep(core.Suite(), archs, core.SweepOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

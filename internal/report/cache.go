@@ -10,19 +10,20 @@ import (
 	"repro/internal/obs"
 )
 
-// Cached characterization, shared by every consumer — the table
-// writers, ento.Sweep, the CLIs, every entobenchd request — in two
-// layers: a memo of completed results keyed by SweepKey, which answers
-// a repeated query without sweeping, and one process-wide
-// kernel-execution table (core.ExecTable), which every sweep on a memo
-// miss runs against, on its caller's own context and progress hook, so
-// concurrent and overlapping queries execute each kernel once. The
-// memo is bounded (SetSweepCacheCapacity, least-recently-hit evicted
-// first), its one mutex is never held across a sweep, and it retains
-// only complete, healthy sweeps: a partial run is returned to its
-// caller but never memoized.
+// Cached characterization. An Engine answers queries in two layers: a
+// memo of completed results keyed by SweepKey, which answers a repeated
+// query without sweeping, and a kernel-execution table
+// (core.ExecTable), which every sweep on a memo miss runs against, on
+// its caller's own context and progress hook, so concurrent and
+// overlapping queries execute each kernel once. The memo is bounded
+// (least-recently-hit evicted first), its one mutex is never held
+// across a sweep, and it retains only complete, healthy sweeps: a
+// partial run is returned to its caller but never memoized. Each
+// entobenchd server owns an Engine; the CLIs, ento and the table
+// writers share one package default through RunSweepQuery and
+// InvalidateCharacterization.
 
-// Memo counters (docs/observability.md).
+// Memo counters (docs/observability.md), summed over every engine.
 var (
 	ctrCacheHit     = obs.NewCounter(obs.CounterSweepCacheHit)
 	ctrCacheMiss    = obs.NewCounter(obs.CounterSweepCacheMiss)
@@ -35,103 +36,93 @@ var (
 // result memory in the low megabytes.
 const DefaultSweepCacheCapacity = 64
 
-// executions is the kernel-execution table every RunSweepQuery sweep
-// shares.
-var executions core.ExecTable
-
 // memoEntry is one completed query in the memo's LRU list.
 type memoEntry struct {
 	key string
 	c   Characterization
 }
 
-// sweepMemo maps keys to elements of lru (most recently hit first),
-// never longer than capacity. gen counts invalidations, so a sweep
-// that straddles one is not memoized.
-type sweepMemo struct {
+// Engine is one sweep engine, made by NewEngine: the memo, which maps
+// keys to elements of lru (most recently hit first) and never holds
+// more than capacity, and the execution table its misses sweep
+// against. gen counts invalidations, so a sweep that straddles one is
+// not memoized.
+type Engine struct {
 	mu       sync.Mutex
 	entries  map[string]*list.Element
 	lru      *list.List
 	capacity int
 	gen      uint64
+	table    core.ExecTable
 }
 
-var memo = &sweepMemo{
-	entries:  make(map[string]*list.Element),
-	lru:      list.New(),
-	capacity: DefaultSweepCacheCapacity,
+// NewEngine returns an empty engine that retains at most capacity
+// completed sweeps; capacity <= 0 means DefaultSweepCacheCapacity.
+func NewEngine(capacity int) *Engine {
+	if capacity <= 0 {
+		capacity = DefaultSweepCacheCapacity
+	}
+	return &Engine{entries: make(map[string]*list.Element), lru: list.New(), capacity: capacity}
 }
+
+// defaultEngine backs RunSweepQuery and InvalidateCharacterization.
+var defaultEngine = NewEngine(0)
 
 // get returns key's completed result, promoting it, plus the
 // generation a miss should memoize under.
-func (m *sweepMemo) get(key string) (Characterization, bool, uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	el, ok := m.entries[key]
+func (e *Engine) get(key string) (Characterization, bool, uint64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	el, ok := e.entries[key]
 	if !ok {
-		return Characterization{}, false, m.gen
+		return Characterization{}, false, e.gen
 	}
-	m.lru.MoveToFront(el)
-	return el.Value.(*memoEntry).c, true, m.gen
+	e.lru.MoveToFront(el)
+	return el.Value.(*memoEntry).c, true, e.gen
 }
 
 // put memoizes a completed result unless the memo was invalidated
-// since gen or a concurrent identical query landed first.
-func (m *sweepMemo) put(key string, gen uint64, c Characterization) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, landed := m.entries[key]; landed || gen != m.gen {
+// since gen or a concurrent identical query landed first, then drops
+// least-recently-hit entries until the capacity bound holds.
+func (e *Engine) put(key string, gen uint64, c Characterization) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if _, landed := e.entries[key]; landed || gen != e.gen {
 		return
 	}
-	m.entries[key] = m.lru.PushFront(&memoEntry{key: key, c: c})
-	m.evictLocked()
-}
-
-// evictLocked drops least-recently-hit entries until the capacity
-// bound holds.
-func (m *sweepMemo) evictLocked() {
-	for m.lru.Len() > m.capacity {
-		delete(m.entries, m.lru.Remove(m.lru.Back()).(*memoEntry).key)
+	e.entries[key] = e.lru.PushFront(&memoEntry{key: key, c: c})
+	for e.lru.Len() > e.capacity {
+		delete(e.entries, e.lru.Remove(e.lru.Back()).(*memoEntry).key)
 		ctrCacheEvicted.Inc()
 	}
 }
 
-// SetSweepCacheCapacity bounds how many completed sweeps the memo
-// retains (minimum one). Lowering it evicts the least recently hit
-// entries at once. entobenchd exposes this as -cachecap.
-func SetSweepCacheCapacity(n int) {
-	memo.mu.Lock()
-	memo.capacity = max(n, 1)
-	memo.evictLocked()
-	memo.mu.Unlock()
-}
-
-// RunSweepQuery is the cached way to characterize: it returns the
+// Sweep is the cached way to characterize: it returns the
 // characterization of the given kernel set on the given boards from
 // the memo when an identical query already completed, and otherwise
-// sweeps against the process-wide execution table, sharing every
-// kernel execution another sweep holds or has in flight. Options shape
-// only a sweep (the worker count never changes the result); the
-// caller's Progress hook is not invoked on a memo hit. The hit or miss
+// sweeps against the engine's execution table, sharing every kernel
+// execution another sweep holds or has in flight. Options shape only a
+// sweep (the worker count never changes the result); the caller's
+// Progress hook is not invoked on a memo hit, and the memo key leaves
+// out opts.CellCache, so a hit writes no cells to it. The hit or miss
 // is counted on the recorder opts.Context carries, if any, as well as
 // process-wide. Callers must treat the shared records as read-only.
-func RunSweepQuery(specs []core.Spec, archs []mcu.Arch, opts core.SweepOptions) (Characterization, error) {
+func (e *Engine) Sweep(specs []core.Spec, archs []mcu.Arch, opts core.SweepOptions) (Characterization, error) {
 	var rec *obs.Recorder
 	if opts.Context != nil {
 		rec = obs.RecorderFrom(opts.Context)
 	}
 	key := queryKey(specs, archs, opts.Backend)
-	c, ok, gen := memo.get(key)
+	c, ok, gen := e.get(key)
 	if ok {
 		rec.Inc(ctrCacheHit)
 		return c, nil
 	}
 	rec.Inc(ctrCacheMiss)
-	opts.Context = core.WithExecTable(opts.Context, &executions)
-	recs, err := core.CharacterizeSuiteOpts(specs, archs, opts)
+	recs, err := e.table.Characterize(specs, archs, opts)
 	c = Characterization{Records: recs}
 	if err == nil && !c.Partial() {
-		memo.put(key, gen, c)
+		e.put(key, gen, c)
 	}
 	return c, err
 }
@@ -142,29 +133,38 @@ func queryKey(specs []core.Spec, archs []mcu.Arch, be harness.Backend) string {
 	return SweepKey(specs, archs, harness.DefaultConfig(), harness.BackendSalt(be))
 }
 
-// AdmissionWeight is the compute a query would pin, in sweep-engine
-// jobs: 0 when the memo holds it (a probe that counts as a hit for
-// recency), otherwise the job count of the
-// kernels whose executions the process-wide table neither holds nor
-// has in flight (core.ExecTable.PendingJobs). The server's admission
-// controller charges it; a query weighing 0 is admission-exempt.
-func AdmissionWeight(specs []core.Spec, archs []mcu.Arch, be harness.Backend) int {
-	if _, ok, _ := memo.get(queryKey(specs, archs, be)); ok {
+// Weight is the compute a query would pin, in sweep-engine jobs: 0
+// when the memo holds it (a probe that counts as a hit for recency),
+// otherwise the job count of the kernels whose executions the table
+// neither holds nor has in flight (core.ExecTable.PendingJobs). The
+// server's admission controller charges it; a query weighing 0 is
+// admission-exempt.
+func (e *Engine) Weight(specs []core.Spec, archs []mcu.Arch, be harness.Backend) int {
+	if _, ok, _ := e.get(queryKey(specs, archs, be)); ok {
 		return 0
 	}
-	return executions.PendingJobs(specs, archs)
+	return e.table.PendingJobs(specs, archs)
 }
 
-// InvalidateCharacterization empties the memo and the execution table,
-// so the next query executes every kernel again — the explicit
-// invalidation hook for tests and for callers that mutate the modeled
-// cost parameters. Sweeps already running complete for their callers
-// but are not retained.
-func InvalidateCharacterization() {
-	memo.mu.Lock()
-	memo.entries = make(map[string]*list.Element)
-	memo.lru = list.New()
-	memo.gen++
-	memo.mu.Unlock()
-	executions.Reset()
+// Invalidate empties the memo and the execution table, so the next
+// query executes every kernel again. Sweeps already running complete
+// for their callers but are not retained.
+func (e *Engine) Invalidate() {
+	e.mu.Lock()
+	e.entries = make(map[string]*list.Element)
+	e.lru = list.New()
+	e.gen++
+	e.mu.Unlock()
+	e.table.Reset()
 }
+
+// RunSweepQuery is Sweep on the package's default engine, which the
+// CLIs, ento.Sweep and the table writers share.
+func RunSweepQuery(specs []core.Spec, archs []mcu.Arch, opts core.SweepOptions) (Characterization, error) {
+	return defaultEngine.Sweep(specs, archs, opts)
+}
+
+// InvalidateCharacterization invalidates the default engine — the
+// explicit hook for tests and for callers that mutate the modeled cost
+// parameters.
+func InvalidateCharacterization() { defaultEngine.Invalidate() }

@@ -10,14 +10,10 @@ import (
 	"repro/internal/report"
 )
 
-// The keyed sweep cache retains exactly SetSweepCacheCapacity completed
-// sweeps and evicts the least recently hit one first: a hit promotes an
+// An engine's memo retains exactly its capacity of completed sweeps
+// and evicts the least recently hit one first: a hit promotes an
 // entry, so the oldest surviving entry is the one nobody asked for.
 func TestSweepCacheCapacityBound(t *testing.T) {
-	defer report.InvalidateCharacterization()
-	defer report.SetSweepCacheCapacity(report.DefaultSweepCacheCapacity)
-	report.SetSweepCacheCapacity(2)
-
 	m4 := []mcu.Arch{mcu.M4}
 	kernel := func(name string) []core.Spec {
 		spec, ok := core.ByName(name)
@@ -27,9 +23,10 @@ func TestSweepCacheCapacityBound(t *testing.T) {
 		return []core.Spec{spec}
 	}
 	madgwick, mahony, lqr := kernel("madgwick"), kernel("mahony"), kernel("fly-lqr")
+	var eng *report.Engine
 	query := func(specs []core.Spec) {
 		t.Helper()
-		if _, err := report.RunSweepQuery(specs, m4, core.SweepOptions{Workers: 1}); err != nil {
+		if _, err := eng.Sweep(specs, m4, core.SweepOptions{Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,7 +51,7 @@ func TestSweepCacheCapacityBound(t *testing.T) {
 		{"hit-promotes", true, [2][]core.Spec{madgwick, lqr}, mahony},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			report.InvalidateCharacterization()
+			eng = report.NewEngine(2)
 			query(madgwick)
 			query(mahony)
 			if tc.hitOldest {
@@ -77,30 +74,30 @@ func TestSweepCacheCapacityBound(t *testing.T) {
 	}
 }
 
-// InvalidateCharacterization empties both the memo and the execution
-// table: after it a query weighs its full job count again and executes
-// its kernel again, however often it ran before.
+// Invalidate empties both the memo and the execution table: after it a
+// query weighs its full job count again and executes its kernel again,
+// however often it ran before.
 func TestInvalidateEmptiesMemoAndTable(t *testing.T) {
-	defer report.InvalidateCharacterization()
 	spec, ok := core.ByName("madgwick")
 	if !ok {
 		t.Fatal("madgwick missing from suite")
 	}
 	specs, m4 := []core.Spec{spec}, []mcu.Arch{mcu.M4}
 	hostReps := func() uint64 { return obs.Counters()[obs.CounterHarnessHostReps] }
+	eng := report.NewEngine(0)
 	for i := 0; i < 2; i++ {
-		report.InvalidateCharacterization()
-		if w := report.AdmissionWeight(specs, m4, nil); w != 3 {
+		eng.Invalidate()
+		if w := eng.Weight(specs, m4, nil); w != 3 {
 			t.Fatalf("round %d: weight after invalidation = %d, want 3 (nothing retained)", i, w)
 		}
 		before := hostReps()
-		if _, err := report.RunSweepQuery(specs, m4, core.SweepOptions{Workers: 1}); err != nil {
+		if _, err := eng.Sweep(specs, m4, core.SweepOptions{Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 		if hostReps() == before {
 			t.Fatalf("round %d: the query executed no kernel reps after invalidation", i)
 		}
-		if w := report.AdmissionWeight(specs, m4, nil); w != 0 {
+		if w := eng.Weight(specs, m4, nil); w != 0 {
 			t.Fatalf("round %d: weight after the query = %d, want 0", i, w)
 		}
 	}
@@ -110,8 +107,7 @@ func TestInvalidateEmptiesMemoAndTable(t *testing.T) {
 // still hears of it: two identical queries, each with its own recorder,
 // read one miss and then one hit.
 func TestSweepQueryCountsOnCallerRecorder(t *testing.T) {
-	report.InvalidateCharacterization()
-	defer report.InvalidateCharacterization()
+	eng := report.NewEngine(0)
 	spec, ok := core.ByName("mahony")
 	if !ok {
 		t.Fatal("mahony missing from suite")
@@ -120,7 +116,7 @@ func TestSweepQueryCountsOnCallerRecorder(t *testing.T) {
 		t.Helper()
 		rec := obs.NewRecorder()
 		opts := core.SweepOptions{Workers: 1, Context: obs.WithRecorder(context.Background(), rec)}
-		if _, err := report.RunSweepQuery([]core.Spec{spec}, []mcu.Arch{mcu.M4}, opts); err != nil {
+		if _, err := eng.Sweep([]core.Spec{spec}, []mcu.Arch{mcu.M4}, opts); err != nil {
 			t.Fatal(err)
 		}
 		return rec

@@ -16,8 +16,8 @@ type Characterization struct {
 
 // The "more than 400 measured datapoints" sweep — every kernel × {M4,
 // M33, M7} × {cache on, off} plus the static proxy runs — lives in
-// cache.go: RunSweepQuery memoizes it per process and fans the cells
-// across a worker pool (core.CharacterizeSuiteOpts).
+// cache.go: an Engine memoizes it and fans the cells across a worker
+// pool (core.ExecTable.Characterize).
 
 // Datapoints counts the measurement cells in the sweep. Only healthy
 // cells count: a failed, timed-out, or skipped cell produced no

@@ -10,7 +10,7 @@ import (
 
 // Weighted admission control for the sweep path (docs/server.md
 // "Overload & degraded mode"). Every sweep request carries a weight —
-// report.AdmissionWeight: the sweep-engine job count of the kernels
+// report.Engine.Weight: the sweep-engine job count of the kernels
 // whose executions are neither retained nor in flight, a direct proxy
 // for the compute it will pin — and must acquire that weight from a
 // global in-flight budget before running. A request weighing 0 (a memo

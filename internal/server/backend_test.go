@@ -8,8 +8,8 @@ import (
 )
 
 // srvLab is a measured backend covering madgwick on M4, registered once
-// for the wire tests. Registration is process-global, like the kernels
-// other tests register.
+// per process for the wire tests. Registration is process-global, like
+// the kernels other tests register.
 type srvLab struct{}
 
 func (srvLab) Name() string        { return "srv-lab" }
@@ -27,8 +27,10 @@ func (srvLab) Measure(req harness.MeasureRequest) (harness.Measurement, error) {
 // keeps the classic unlabeled bytes, and an unknown name is a 400 that
 // lists the vocabulary — never a 500.
 func TestSweepBackendField(t *testing.T) {
-	if err := harness.RegisterBackend(srvLab{}); err != nil {
-		t.Fatal(err)
+	if _, ok := harness.BackendByName("srv-lab"); !ok {
+		if err := harness.RegisterBackend(srvLab{}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	h := newTestServer()
 

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/report"
 	"repro/internal/server"
 )
 
@@ -26,7 +25,6 @@ import (
 // The recorded numbers and budgets live in BENCH_server_baseline.json,
 // enforced by tools/benchguard in CI next to BENCH_baseline.json.
 func BenchmarkServerSweepLoad(b *testing.B) {
-	report.InvalidateCharacterization()
 	ts := httptest.NewServer(server.New(server.Options{Workers: 4}).Handler())
 	defer ts.Close()
 
@@ -94,7 +92,6 @@ func BenchmarkServerSweepLoad(b *testing.B) {
 // client) so ns/op isolates the handler, not the network stack; the
 // budget lives in BENCH_server_baseline.json.
 func BenchmarkAdmissionUncontended(b *testing.B) {
-	report.InvalidateCharacterization()
 	h := server.New(server.Options{Workers: 4}).Handler()
 	const q = `{"kernels":["madgwick"],"archs":"M4"}`
 	warm := httptest.NewRecorder()

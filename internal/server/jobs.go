@@ -15,15 +15,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/mcu"
-	"repro/internal/report"
 )
 
 // Sweep submission and retrieval. Every POST /v1/sweep creates a job —
 // a server-side handle with an id, live progress, and (when done) the
-// rendered v1 JSON report. Each job runs its own sweep through
-// report.RunSweepQuery on its own context and progress hook; repeated
-// queries are served from the memo, and concurrent or overlapping
-// queries share kernel executions through the process-wide execution
+// rendered v1 JSON report. Each job runs its own sweep through the
+// server's report.Engine on its own context and progress hook; repeated
+// queries are served from the engine's memo, and concurrent or
+// overlapping queries share kernel executions through its execution
 // table, so ten jobs for identical queries execute each kernel once.
 
 // SweepRequest is the POST /v1/sweep body. The zero value (or an empty
@@ -362,10 +361,10 @@ func (s *Server) sweepDeadline(req SweepRequest) time.Duration {
 }
 
 // handleSweep is POST /v1/sweep: decode, validate, resolve, pass
-// admission, run through report.RunSweepQuery, respond. Synchronous
+// admission, run through the server's engine, respond. Synchronous
 // requests block until the report is ready and stream nothing; async
 // requests return 202 immediately and are watched via /v1/sweep/{id}
-// and its /events stream. Requests weighing 0 (report.AdmissionWeight)
+// and its /events stream. Requests weighing 0 (report.Engine.Weight)
 // bypass admission — only kernels that still need executing consume
 // the in-flight budget.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -401,7 +400,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	deadline := s.sweepDeadline(req)
 	// The weight is advisory: an entry evicted between weighing and
 	// running just makes this one an unadmitted sweep.
-	weight := report.AdmissionWeight(specs, archs, opts.Backend)
+	weight := s.engine.Weight(specs, archs, opts.Backend)
 
 	if req.Async {
 		s.handleSweepAsync(w, specs, archs, opts, deadline, weight)
@@ -475,7 +474,7 @@ func (s *Server) handleSweepAsync(w http.ResponseWriter, specs []core.Spec, arch
 	writeJSON(w, http.StatusAccepted, accepted)
 }
 
-// runJob executes one job through report.RunSweepQuery under the
+// runJob executes one job through the server's engine under the
 // resolved deadline, publishes its outcome, and returns its admission
 // weight. A partial sweep — contained kernel failures, watchdog
 // timeouts — still renders: the report carries the failures block and
@@ -491,7 +490,7 @@ func (s *Server) runJob(ctx context.Context, j *job, specs []core.Spec, archs []
 	defer func() { s.adm.release(weight, time.Since(start)) }()
 	opts.Context = ctx
 	opts.Progress = j.update
-	c, err := report.RunSweepQuery(specs, archs, opts)
+	c, err := s.engine.Sweep(specs, archs, opts)
 	// A sweep whose context ended before any job completed has nothing
 	// to report; the request context tells a deadline death apart from
 	// a disconnect.

@@ -21,11 +21,10 @@ import (
 // request validation, deadline resolution, bounded job retention, and
 // the degraded /healthz report. These tests hold the admission budget
 // directly (s.adm.tryAcquire) instead of racing slow sweeps, so every
-// shed is deterministic. This file runs in the internal test package,
-// before every server_test.go test, and registers no kernels.
+// shed is deterministic. This file runs in the internal test package
+// and registers no kernels.
 
-// overloadBody is a cheap fresh query; tests that need a cache miss
-// call report.InvalidateCharacterization() first.
+// overloadBody is a cheap query, fresh on every new server.
 const overloadBody = `{"kernels":["madgwick"],"archs":"M4"}`
 
 // post drives one request through the handler without a listener.
@@ -82,8 +81,7 @@ func checkShed(t *testing.T, rec *httptest.ResponseRecorder, status int) {
 // board — over the kernels whose executions are still missing, and 0
 // once the memo or the execution table covers the query.
 func TestSweepWeight(t *testing.T) {
-	report.InvalidateCharacterization()
-	defer report.InvalidateCharacterization()
+	eng := report.NewEngine(0)
 	sp, ok := core.ByName("madgwick")
 	if !ok {
 		t.Fatal("madgwick left the suite")
@@ -101,11 +99,11 @@ func TestSweepWeight(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := []core.Spec{sp}
-	weight := func(archs []mcu.Arch) int { return report.AdmissionWeight(specs, archs, nil) }
+	weight := func(archs []mcu.Arch) int { return eng.Weight(specs, archs, nil) }
 	if got := weight(m4); got != 3 {
 		t.Fatalf("cold weight = %d, want 3 (1 static + 2 cells)", got)
 	}
-	if _, err := report.RunSweepQuery(specs, m4, core.SweepOptions{Workers: 1}); err != nil {
+	if _, err := eng.Sweep(specs, m4, core.SweepOptions{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if got := weight(m4); got != 0 {
@@ -118,7 +116,7 @@ func TestSweepWeight(t *testing.T) {
 			t.Fatalf("held-execution weight on %s first = %d, want 0", archs[0].Name, got)
 		}
 	}
-	if got := report.AdmissionWeight(nil, nil, nil); got != 0 {
+	if got := eng.Weight(nil, nil, nil); got != 0 {
 		t.Fatalf("empty weight = %d, want 0", got)
 	}
 }
@@ -263,7 +261,6 @@ func TestValidationNegativeFields(t *testing.T) {
 // once its query is warm it bypasses admission entirely, succeeding
 // even with the budget exhausted.
 func TestSyncShedAndRecovery(t *testing.T) {
-	report.InvalidateCharacterization()
 	obs.ResetCounters()
 	s := New(Options{Workers: 2, MaxInflight: 1})
 	h := s.Handler()
@@ -293,7 +290,6 @@ func TestSyncShedAndRecovery(t *testing.T) {
 		t.Fatalf("shed_total after warm bypass = %d, want still 1", n)
 	}
 	s.adm.release(1, time.Millisecond)
-	report.InvalidateCharacterization()
 }
 
 // TestAsyncEvictionShed: with the budget held and a one-slot queue, a
@@ -301,7 +297,6 @@ func TestSyncShedAndRecovery(t *testing.T) {
 // with the shed contract, its SSE stream terminates with an error
 // frame, and the survivor runs to completion once capacity frees.
 func TestAsyncEvictionShed(t *testing.T) {
-	report.InvalidateCharacterization()
 	obs.ResetCounters()
 	s := New(Options{Workers: 2, MaxInflight: 1, MaxQueue: 1})
 	h := s.Handler()
@@ -353,14 +348,12 @@ func TestAsyncEvictionShed(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	report.InvalidateCharacterization()
 }
 
 // TestAsyncRefusedWithoutQueue: MaxQueue < 0 disables queueing, so an
 // over-budget async submission is refused outright with 503 — and the
 // never-disclosed job handle does not linger in the table.
 func TestAsyncRefusedWithoutQueue(t *testing.T) {
-	report.InvalidateCharacterization()
 	s := New(Options{Workers: 2, MaxInflight: 1, MaxQueue: -1})
 	h := s.Handler()
 	if !s.adm.tryAcquire(1) {
@@ -422,7 +415,6 @@ func TestJobRingRetention(t *testing.T) {
 // forgets the first — its id answers 404 while the newest stays
 // servable.
 func TestJobRetentionOverHTTP(t *testing.T) {
-	report.InvalidateCharacterization()
 	h := New(Options{Workers: 2, MaxFinishedJobs: 1}).Handler()
 	first := post(h, `{"kernels":["madgwick"],"archs":"M4"}`)
 	if first.Code != http.StatusOK {
@@ -441,7 +433,6 @@ func TestJobRetentionOverHTTP(t *testing.T) {
 	if rec := get(h, "/v1/sweep/"+secondID); rec.Code != http.StatusOK {
 		t.Fatalf("retained job poll = %d, want 200", rec.Code)
 	}
-	report.InvalidateCharacterization()
 }
 
 // TestHealthzDegradedAndBack: a persistent cell store flipped read-only

@@ -13,9 +13,9 @@
 //
 // The server is a thin shell over the same machinery the CLIs use: a
 // sweep request resolves through the registries (internal/mcu,
-// internal/core), runs through report.RunSweepQuery — repeated queries
-// are served from the memo, and every other request sweeps on its own
-// context against the process-wide kernel-execution table, so
+// internal/core), runs through the server's own report.Engine —
+// repeated queries are served from its memo, and every other request
+// sweeps on its own context against its kernel-execution table, so
 // concurrent or overlapping queries execute each kernel once — and
 // renders through the deterministic v1 JSON encoder, which is what
 // makes a served sweep byte-identical to `entobench sweep -json` for
@@ -71,7 +71,7 @@ type Options struct {
 	// MaxInflight bounds the total weight (measurement cells) of
 	// cache-filling sweeps running at once — the admission budget
 	// (entobenchd -maxinflight); <= 0 means DefaultMaxInflight.
-	// Requests weighing 0 (report.AdmissionWeight) bypass the budget;
+	// Requests weighing 0 (report.Engine.Weight) bypass the budget;
 	// synchronous requests over it are shed with 429.
 	MaxInflight int
 	// MaxQueue bounds the admitted-but-waiting async job queue
@@ -87,6 +87,10 @@ type Options struct {
 	// MaxFinishedJobs bounds retained finished job handles (entobenchd
 	// -maxjobs); <= 0 means DefaultMaxFinishedJobs.
 	MaxFinishedJobs int
+	// MemoCapacity bounds the completed sweeps the server's engine
+	// retains (entobenchd -cachecap); <= 0 means
+	// report.DefaultSweepCacheCapacity.
+	MemoCapacity int
 	// Logf, when non-nil, receives one line per completed sweep job
 	// (Printf-style). Nil disables logging.
 	Logf func(format string, args ...any)
@@ -99,12 +103,13 @@ type healthReporter interface {
 }
 
 // Server is the entobenchd HTTP handler state: the route mux, the
-// sweep job table, and the admission controller.
+// sweep job table, the admission controller, and the sweep engine.
 type Server struct {
-	opts Options
-	mux  *http.ServeMux
-	jobs jobTable
-	adm  *admission
+	opts   Options
+	mux    *http.ServeMux
+	jobs   jobTable
+	adm    *admission
+	engine *report.Engine
 }
 
 // New builds a Server and registers its routes.
@@ -114,7 +119,8 @@ func New(opts Options) *Server {
 	} else if opts.MaxQueue < 0 {
 		opts.MaxQueue = 0
 	}
-	s := &Server{opts: opts, mux: http.NewServeMux(), adm: newAdmission(opts.MaxInflight, opts.MaxQueue)}
+	s := &Server{opts: opts, mux: http.NewServeMux(), adm: newAdmission(opts.MaxInflight, opts.MaxQueue),
+		engine: report.NewEngine(opts.MemoCapacity)}
 	s.jobs.init(opts.MaxFinishedJobs)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)

@@ -26,9 +26,8 @@ import (
 // promises, a served sweep is byte-identical to the CLI export,
 // identical concurrent queries execute each kernel once, and
 // a fault-injected kernel degrades the report (failures block, 200) —
-// never the server (500). The fault-injection test registers a kernel
-// into the process-global suite, which is permanent, so it is
-// ZZ-named to run last in the file.
+// never the server (500). Each test builds its own server, so no memo
+// or execution table carries over between tests.
 
 // newTestServer builds a handler-under-test around a small worker pool.
 func newTestServer() http.Handler {
@@ -224,7 +223,6 @@ func TestSweepCoalesces(t *testing.T) { checkExecutesOnce(t, false) }
 func TestSweepCoalescesSharedFactory(t *testing.T) { checkExecutesOnce(t, true) }
 
 func checkExecutesOnce(t *testing.T, shared bool) {
-	report.InvalidateCharacterization()
 	obs.ResetCounters()
 	h := newTestServer()
 	a, aStatic, aPrep := countingSpec(t, "coalesce-a", 20*time.Millisecond, shared)
@@ -312,7 +310,6 @@ func readSSE(t *testing.T, r io.Reader) []sseEvent {
 // its SSE stream delivers monotone progress frames terminated by one
 // done frame, and the result endpoint then serves the full report.
 func TestSweepAsyncAndSSE(t *testing.T) {
-	report.InvalidateCharacterization()
 	ts := httptest.NewServer(newTestServer())
 	defer ts.Close()
 
@@ -414,7 +411,6 @@ func TestSweepAsyncAndSSE(t *testing.T) {
 // the server returns to its goroutine baseline — no abandoned workers,
 // no stuck SSE fanout.
 func TestSweepCancellationNoGoroutineLeak(t *testing.T) {
-	report.InvalidateCharacterization()
 	ts := httptest.NewServer(newTestServer())
 	defer ts.Close()
 
@@ -435,7 +431,6 @@ func TestSweepCancellationNoGoroutineLeak(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= base+3 {
-			report.InvalidateCharacterization()
 			return
 		}
 		time.Sleep(50 * time.Millisecond)
@@ -447,17 +442,15 @@ func TestSweepCancellationNoGoroutineLeak(t *testing.T) {
 // TestZZFaultInjectedSweepIs200Partial: a request whose kernel set
 // includes a panicking kernel still gets a 200 and a well-formed
 // report — the healthy kernel's cells intact, partial:true, and one
-// failures entry per lost job. Kernel registration is process-
-// permanent, hence the ZZ prefix (this must run after every test that
-// depends on the unmodified suite).
+// failures entry per lost job.
 func TestZZFaultInjectedSweepIs200Partial(t *testing.T) {
-	if err := core.Register(faultinject.PanickerSpec("zz-server-panic")); err != nil {
+	panicker := uniqueName("zz-server-panic")
+	if err := core.Register(faultinject.PanickerSpec(panicker)); err != nil {
 		t.Fatal(err)
 	}
-	report.InvalidateCharacterization()
 	h := newTestServer()
 
-	rec := postSweep(t, h, `{"kernels":["madgwick","zz-server-panic"],"archs":"M4"}`)
+	rec := postSweep(t, h, `{"kernels":["madgwick","`+panicker+`"],"archs":"M4"}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d, want 200 (faults degrade the report, not the server): %s",
 			rec.Code, rec.Body.String())
@@ -473,7 +466,7 @@ func TestZZFaultInjectedSweepIs200Partial(t *testing.T) {
 		t.Fatal("report lost its failures block")
 	}
 	for _, f := range rep.Failures {
-		if f.Kernel != "zz-server-panic" {
+		if f.Kernel != panicker {
 			t.Fatalf("healthy kernel charged with a failure: %+v", f)
 		}
 	}
@@ -489,5 +482,4 @@ func TestZZFaultInjectedSweepIs200Partial(t *testing.T) {
 	if !found {
 		t.Fatal("healthy kernel missing from the partial report")
 	}
-	report.InvalidateCharacterization()
 }
