@@ -348,11 +348,12 @@ func BenchmarkFig5(b *testing.B) {
 }
 
 // BenchmarkProfileHookOverhead prices the profiling hook on its three
-// paths: no session anywhere (the gate check every scalar op pays in
+// paths: no session anywhere (the nil-registry check every hook pays in
 // unprofiled execution), a session on another goroutine only, and a
 // session on this goroutine (the profiled ROI itself) — alone, and with
-// 1, 15 and 127 other sessions live, as when a parallel sweep or the
-// daemon profiles several kernels at once.
+// 1, 15 and 127 other sessions live. One sweep holds at most GOMAXPROCS
+// sessions; the larger registries occur only when many daemon sweeps
+// profile at once.
 func BenchmarkProfileHookOverhead(b *testing.B) {
 	b.Run("idle", func(b *testing.B) {
 		b.ReportAllocs()

@@ -13,9 +13,11 @@ import (
 )
 
 func TestSuiteAndKernelLookup(t *testing.T) {
+	// The 31 curated Table III kernels lead Suite(); kernels other tests
+	// register append after them.
 	suite := ento.Suite()
-	if len(suite) != 31 {
-		t.Fatalf("suite has %d kernels, want 31", len(suite))
+	if len(suite) < 31 || suite[0].Name != "fastbrief" || suite[30].Name != "bee-smac" {
+		t.Fatalf("suite does not lead with the 31 curated kernels: %d kernels", len(suite))
 	}
 	if _, ok := ento.Kernel("p3p"); !ok {
 		t.Error("Kernel(p3p) not found")

@@ -1,7 +1,10 @@
 package ento_test
 
 import (
+	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/ento"
@@ -9,6 +12,22 @@ import (
 
 // The user-extensibility surface: boards and kernels enter through the
 // public API and behave like built-ins everywhere downstream.
+//
+// Registration is permanent for the process, so each test registers a
+// unique name or registers once per process: the tests then pass in
+// any order and under -count.
+
+// nameSeq makes the names of registered test boards and kernels unique.
+var nameSeq atomic.Int64
+
+// uniqueName returns prefix with a process-unique suffix.
+func uniqueName(prefix string) string { return fmt.Sprintf("%s%d", prefix, nameSeq.Add(1)) }
+
+// loadM85 loads examples/custom-board/m85.json once per process; a
+// second load would fail on the already-registered name.
+var loadM85 = sync.OnceValues(func() ([]ento.Arch, error) {
+	return ento.LoadBoards("../examples/custom-board/m85.json")
+})
 
 func TestRegisterArchAndRun(t *testing.T) {
 	base, ok := ento.ArchByName("M33")
@@ -16,7 +35,7 @@ func TestRegisterArchAndRun(t *testing.T) {
 		t.Fatal("M33 missing")
 	}
 	custom := base
-	custom.Name = "SurfBoard"
+	custom.Name = uniqueName("SurfBoard")
 	custom.Board = "test fixture"
 	custom.Source = ""
 	if err := ento.RegisterArch(custom); err != nil {
@@ -25,21 +44,21 @@ func TestRegisterArchAndRun(t *testing.T) {
 	if err := ento.RegisterArch(custom); err == nil {
 		t.Error("re-registering the same name should fail")
 	}
-	got, ok := ento.ArchByName("surfboard")
+	got, ok := ento.ArchByName(strings.ToLower(custom.Name))
 	if !ok {
 		t.Fatal("registered board does not resolve case-insensitively")
 	}
 	if got.Source == "" {
 		t.Error("registry should stamp a provenance source")
 	}
-	res, err := ento.Run("madgwick", "SurfBoard", true)
+	res, err := ento.Run("madgwick", custom.Name, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Valid || res.Measured.LatencyS <= 0 {
 		t.Errorf("custom-board run: valid=%v latency=%g", res.Valid, res.Measured.LatencyS)
 	}
-	if !containsArch(ento.Archs(), "SurfBoard") {
+	if !containsArch(ento.Archs(), custom.Name) {
 		t.Error("Archs() missing the registered board")
 	}
 }
@@ -54,7 +73,7 @@ func containsArch(archs []ento.Arch, name string) bool {
 }
 
 func TestLoadBoardsAndArchSet(t *testing.T) {
-	boards, err := ento.LoadBoards("../examples/custom-board/m85.json")
+	boards, err := loadM85()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,15 +112,11 @@ func TestSweepCustomBoard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite sweep")
 	}
-	arch, ok := ento.ArchByName("M85")
-	if !ok {
-		var err error
-		if _, err = ento.LoadBoards("../examples/custom-board/m85.json"); err != nil {
-			t.Fatal(err)
-		}
-		arch, _ = ento.ArchByName("M85")
+	boards, err := loadM85()
+	if err != nil {
+		t.Fatal(err)
 	}
-	c, err := ento.Sweep([]ento.Arch{arch}, ento.SweepOptions{Workers: 2})
+	c, err := ento.Sweep(boards, ento.SweepOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,19 +143,19 @@ func TestRegisterKernel(t *testing.T) {
 		t.Fatal("fly-lqr missing")
 	}
 	s := base
-	s.Name = "surf-ext-kernel"
+	s.Name = uniqueName("surf-ext-kernel-")
 	s.Category = "External"
 	if err := ento.RegisterKernel(s); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ento.Kernel("surf-ext-kernel"); !ok {
+	if _, ok := ento.Kernel(s.Name); !ok {
 		t.Fatal("registered kernel does not resolve")
 	}
 	suite := ento.Suite()
-	if suite[len(suite)-1].Name != "surf-ext-kernel" {
+	if suite[len(suite)-1].Name != s.Name {
 		t.Errorf("registered kernel should append after the curated suite, got %s last", suite[len(suite)-1].Name)
 	}
-	res, err := ento.Run("surf-ext-kernel", "M4", true)
+	res, err := ento.Run(s.Name, "M4", true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -74,6 +75,19 @@ func healthz(t *testing.T, baseURL string) string {
 	return string(payload)
 }
 
+// registerSlow registers the soak's four slow kernels, chaos-slow-0 to
+// chaos-slow-3, once per process: registration is permanent, and the
+// soak's queries name them.
+var registerSlow = sync.OnceValue(func() error {
+	for i := 0; i < 4; i++ {
+		spec := faultinject.SlowSpec(fmt.Sprintf("chaos-slow-%d", i), 20*time.Millisecond)
+		if err := core.Register(spec); err != nil {
+			return err
+		}
+	}
+	return nil
+})
+
 // TestChaosSoak drives the full overload-and-recovery arc against one
 // server: a client storm past the admission budget (every response a
 // report or a well-formed shed), an injected disk-full flipping the
@@ -87,11 +101,8 @@ func TestChaosSoak(t *testing.T) {
 		clients, perClient = 8, 8
 	}
 
-	for i := 0; i < 4; i++ {
-		spec := faultinject.SlowSpec(fmt.Sprintf("chaos-slow-%d", i), 20*time.Millisecond)
-		if err := core.Register(spec); err != nil {
-			t.Fatal(err)
-		}
+	if err := registerSlow(); err != nil {
+		t.Fatal(err)
 	}
 
 	cc, err := report.OpenCellCache(t.TempDir())

@@ -372,16 +372,21 @@ func TestFaultInjectStaticSlotParity(t *testing.T) {
 	}
 }
 
+// registerPanicker registers the "panic" mode's kernel into the global
+// suite once per process: registration is permanent, and a second
+// RegisterModes("panic") would fail on the taken name.
+var registerPanicker = sync.OnceValue(func() error { return faultinject.RegisterModes("panic") })
+
 // TestFaultInjectZZCacheNeverMemoizesPartial registers a panicker into
-// the global suite (registration is permanent, which is why this test
-// runs last in the file) and asks the memoized characterization twice:
-// both calls must actually sweep — the cache may never serve a partial
-// result as if it were the full dataset.
+// the global suite and asks the memoized characterization twice: both
+// calls must actually sweep — the cache may never serve a partial
+// result as if it were the full dataset. No other test here sweeps the
+// global suite, so the permanent panicker affects none of them.
 func TestFaultInjectZZCacheNeverMemoizesPartial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full-suite sweeps")
 	}
-	if err := faultinject.RegisterModes("panic"); err != nil {
+	if err := registerPanicker(); err != nil {
 		t.Fatal(err)
 	}
 	report.InvalidateCharacterization()

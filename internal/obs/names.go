@@ -7,8 +7,11 @@ package obs
 
 // Span names emitted by the sweep engine.
 const (
-	// SpanSweep covers one whole CharacterizeSuiteOpts call, coordinator
-	// goroutine (tid 0), from job construction to record assembly.
+	// SpanSweep covers one whole (*core.ExecTable).Characterize call —
+	// the sweep body of CharacterizeSuiteOpts and report.Engine.Sweep —
+	// on the coordinator goroutine (tid 0), from job construction to
+	// record assembly. Its arguments are kernels, jobs, workers, failed
+	// and skipped.
 	SpanSweep = "sweep"
 	// SpanSweepStatic is one per-kernel static-proxy job.
 	SpanSweepStatic = "sweep.static"
@@ -51,10 +54,11 @@ const (
 	// eviction). Exported as a Prometheus gauge.
 	CounterServerQueueDepth = "server.queue_depth"
 	// CounterProfileSessions counts goroutine-scoped profiling sessions
-	// created (profile.ensureSession).
+	// created (profile.ensureSession): one per outermost profiled
+	// Collect.
 	CounterProfileSessions = "profile.sessions.created"
-	// CounterHarnessRuns counts full harness measurement runs
-	// (harness.Run calls).
+	// CounterHarnessRuns counts measurements: every MeasureOn or
+	// MeasureOnBackend call, one per harness.Run and per computed cell.
 	CounterHarnessRuns = "harness.runs"
 	// CounterHarnessHostReps counts kernel Solve invocations the host
 	// actually executed inside ROIs: one profiled ROI Solve per executed

@@ -34,15 +34,13 @@ const fastMargin = 3
 // corners after 3×3 non-maximum suppression on the arc score.
 //
 // The segment test touches every interior pixel five to twenty-one
-// times, so it accounts in bulk through a profile.Region: pixels are
-// read straight from g.Pix, and the exact per-pixel mix the hooked
-// loop charged — one center load, four compass loads, four integer
-// compares and branches, plus for the pixels that survive the compass
-// reject the full 16-ring cost and segmentScore's arc walk — is tallied
-// analytically.
+// times, so it accounts in bulk: pixels are read straight from g.Pix,
+// and the exact per-pixel mix the hooked loop charged — one center
+// load, four compass loads, four integer compares and branches, plus
+// for the pixels that survive the compass reject the full 16-ring cost
+// and segmentScore's arc walk — is tallied analytically and charged
+// with profile.AddCounts.
 func DetectFAST(g *img.Gray, threshold int) []Keypoint {
-	reg := profile.Region()
-	defer reg.Close()
 	scores := make([]int, g.W*g.H)
 	var ring [16]int
 	candidates := uint64(0)
@@ -77,7 +75,7 @@ func DetectFAST(g *img.Gray, threshold int) []Keypoint {
 	// 16 ring loads plus the 32-compare arc-walk setup on top, and
 	// segmentScoreCost.
 	interior := uint64(g.H-2*fastMargin) * uint64(g.W-2*fastMargin)
-	reg.AddCounts(profile.Counts{
+	profile.AddCounts(profile.Counts{
 		M: 5*interior + 16*candidates,
 		I: 4*interior + (32+segmentScoreCost.I)*candidates,
 		B: 4*interior + (32+segmentScoreCost.B)*candidates,
@@ -109,7 +107,7 @@ func DetectFAST(g *img.Gray, threshold int) []Keypoint {
 			}
 		}
 	}
-	reg.AddCounts(profile.Counts{M: 9 * scored, B: 8 * scored})
+	profile.AddCounts(profile.Counts{M: 9 * scored, B: 8 * scored})
 	return out
 }
 

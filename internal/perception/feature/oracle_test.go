@@ -327,8 +327,6 @@ func intensityCentroidAngleHooked(g *img.Gray, x, y int) float64 {
 }
 
 func detectFASTHooked(g *img.Gray, threshold int) []Keypoint {
-	reg := profile.Region()
-	defer reg.Close()
 	scores := make([]int, g.W*g.H)
 	var ring [16]int
 	candidates := uint64(0)
@@ -362,7 +360,7 @@ func detectFASTHooked(g *img.Gray, threshold int) []Keypoint {
 	// Every interior pixel paid 5 loads + 4 compares; candidates paid
 	// 16 ring loads plus the 32-compare arc-walk setup on top.
 	interior := uint64(g.H-2*fastMargin) * uint64(g.W-2*fastMargin)
-	reg.AddCounts(profile.Counts{
+	profile.AddCounts(profile.Counts{
 		M: 5*interior + 16*candidates,
 		I: 4*interior + 32*candidates,
 		B: 4*interior + 32*candidates,
@@ -394,7 +392,7 @@ func detectFASTHooked(g *img.Gray, threshold int) []Keypoint {
 			}
 		}
 	}
-	reg.AddCounts(profile.Counts{M: 9 * scored, B: 8 * scored})
+	profile.AddCounts(profile.Counts{M: 9 * scored, B: 8 * scored})
 	return out
 }
 
