@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/report"
@@ -16,7 +17,9 @@ import (
 // determinism tests compare two runs of the same code, so without these
 // pins a drifted count or a changed low bit in any real kernel would
 // pass every test. A deliberate change to a kernel, a cost model or a
-// renderer must re-record them in the same commit and say why.
+// renderer must re-record them in the same commit and say why. The
+// Case Study #1 and #2 pins were recorded before fixed point left mat's
+// bulk fast paths for the hooked bodies.
 const (
 	// Uncached full-suite Table IV sweep, v1 JSON export (the bytes of
 	// `entobench sweep -json`).
@@ -26,6 +29,14 @@ const (
 	// Fig 5 at pinFig5N problems per datapoint.
 	pinFig5  = "7cf70335cd342715b57ac6994dc410bce6e5016ad321a7194645377eaf7f9312"
 	pinFig5N = 10
+	// Case Study #1: Table VI and Fig 3.
+	pinTable6 = "d0586f90742c7f59984bc1abd09e05fcab2b0c4c97089e63d1e51bfdc480ea84"
+	pinFig3   = "206895872112de22f0bcf1d9c9b7531e357176b7de9c9ba35c089b7274c280c4"
+	// Case Study #2: Table VII, and Fig 4 at pinFig4Step fraction-bit
+	// steps: the suite's only fixed-point linear algebra.
+	pinTable7   = "f9af8a55a938c1beb164d42c85df43cd15888b0bd878b3950b36d4c38cb25cb0"
+	pinFig4     = "f1f9fc7a7ec80575ba143f6af03b9f37012d26213a85ff8e5d8dd86329a9247a"
+	pinFig4Step = 2
 )
 
 func digest(b []byte) string {
@@ -63,6 +74,43 @@ func TestOutputDigestsPinned(t *testing.T) {
 		r.WriteTable8(&buf)
 		if got := digest(buf.Bytes()); got != pinTable8 {
 			t.Errorf("Table VIII digest %s, want %s\n%s", got, pinTable8, buf.String())
+		}
+	})
+	cs1 := sync.OnceValues(report.RunCS1)
+	t.Run("table6", func(t *testing.T) {
+		r, err := cs1()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		r.WriteTable6(&buf)
+		if got := digest(buf.Bytes()); got != pinTable6 {
+			t.Errorf("Table VI digest %s, want %s\n%s", got, pinTable6, buf.String())
+		}
+	})
+	t.Run("fig3", func(t *testing.T) {
+		r, err := cs1()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		r.WriteFig3(&buf)
+		if got := digest(buf.Bytes()); got != pinFig3 {
+			t.Errorf("Fig 3 digest %s, want %s\n%s", got, pinFig3, buf.String())
+		}
+	})
+	t.Run("table7", func(t *testing.T) {
+		var buf bytes.Buffer
+		report.RunCS2Table7().WriteTable7(&buf)
+		if got := digest(buf.Bytes()); got != pinTable7 {
+			t.Errorf("Table VII digest %s, want %s\n%s", got, pinTable7, buf.String())
+		}
+	})
+	t.Run("fig4", func(t *testing.T) {
+		var buf bytes.Buffer
+		report.RunFig4(pinFig4Step).WriteFig4(&buf)
+		if got := digest(buf.Bytes()); got != pinFig4 {
+			t.Errorf("Fig 4 digest %s, want %s", got, pinFig4)
 		}
 	})
 	t.Run("fig5", func(t *testing.T) {
