@@ -51,10 +51,9 @@ func NewQP[T scalar.Real[T]](p mat.Mat[T], q mat.Vec[T], a mat.Mat[T], l, u mat.
 	}
 }
 
-// Solve runs the ADMM iteration. For F32 and F64 it runs natively
-// (solveNat) and charges the hooked body's mix; fixed.Num, other Real
-// types and the reference-kernel mode (mat.SetReferenceKernels) take
-// the hooked body, solveHooked.
+// Solve runs the ADMM iteration: natively (solveNat), charging the
+// hooked body's mix, or through the hooked body, solveHooked, as the
+// mat package's fast-path rule picks.
 func (s *QP[T]) Solve() (QPResult[T], error) {
 	if !mat.ReferenceKernels() {
 		switch sp := any(s).(type) {

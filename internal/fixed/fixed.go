@@ -131,9 +131,7 @@ func shiftTo(raw int64, from, to uint8) int64 {
 }
 
 // Modeled instruction-mix cost of each arithmetic operation, in integer
-// ops. The hooked methods charge exactly these values, and mat's bulk
-// fast paths use the same constants to charge whole loops analytically,
-// so the two accountings cannot drift apart.
+// ops, as the methods below charge it.
 const (
 	CostAdd  = 1 // saturating add
 	CostSub  = 1 // saturating subtract
@@ -147,14 +145,6 @@ const (
 // Add returns a+b, saturating. Cost: one integer op.
 func (a Num) Add(b Num) Num {
 	profile.AddI(CostAdd)
-	return a.AddQuiet(b)
-}
-
-// AddQuiet is Add without the profiler hook — identical numerics and
-// Status side effects. The bulk fast paths in internal/mat run their
-// inner loops on the Quiet variants and charge the aggregate mix in one
-// call, using the Cost constants above.
-func (a Num) AddQuiet(b Num) Num {
 	x, y, f := a.align(b)
 	return Num{raw: clamp(x + y), frac: f}
 }
@@ -162,11 +152,6 @@ func (a Num) AddQuiet(b Num) Num {
 // Sub returns a-b, saturating.
 func (a Num) Sub(b Num) Num {
 	profile.AddI(CostSub)
-	return a.SubQuiet(b)
-}
-
-// SubQuiet is Sub without the profiler hook.
-func (a Num) SubQuiet(b Num) Num {
 	x, y, f := a.align(b)
 	return Num{raw: clamp(x - y), frac: f}
 }
@@ -177,11 +162,6 @@ func (a Num) SubQuiet(b Num) Num {
 // cores. Cost: two integer ops (mul + shift).
 func (a Num) Mul(b Num) Num {
 	profile.AddI(CostMul)
-	return a.MulQuiet(b)
-}
-
-// MulQuiet is Mul without the profiler hook.
-func (a Num) MulQuiet(b Num) Num {
 	x, y, f := a.align(b)
 	wide := x * y // fits: both operands are 32-bit range
 	if f > 0 {
@@ -194,11 +174,6 @@ func (a Num) MulQuiet(b Num) Num {
 // records a ZeroDivides event. Cost: two integer ops (shift + divide).
 func (a Num) Div(b Num) Num {
 	profile.AddI(CostDiv)
-	return a.DivQuiet(b)
-}
-
-// DivQuiet is Div without the profiler hook.
-func (a Num) DivQuiet(b Num) Num {
 	x, y, f := a.align(b)
 	if y == 0 {
 		status.ZeroDivides++
@@ -217,22 +192,12 @@ func (a Num) DivQuiet(b Num) Num {
 // Neg returns -a.
 func (a Num) Neg() Num {
 	profile.AddI(CostNeg)
-	return a.NegQuiet()
-}
-
-// NegQuiet is Neg without the profiler hook.
-func (a Num) NegQuiet() Num {
 	return Num{raw: clamp(-a.raw), frac: a.frac}
 }
 
 // Abs returns |a|.
 func (a Num) Abs() Num {
 	profile.AddI(CostAbs)
-	return a.AbsQuiet()
-}
-
-// AbsQuiet is Abs without the profiler hook.
-func (a Num) AbsQuiet() Num {
 	if a.raw < 0 {
 		return Num{raw: clamp(-a.raw), frac: a.frac}
 	}
@@ -245,11 +210,6 @@ func (a Num) AbsQuiet() Num {
 // ops, approximating the iteration count of a 32-bit integer sqrt.
 func (a Num) Sqrt() Num {
 	profile.AddI(CostSqrt)
-	return a.SqrtQuiet()
-}
-
-// SqrtQuiet is Sqrt without the profiler hook.
-func (a Num) SqrtQuiet() Num {
 	if a.raw < 0 {
 		status.SqrtNeg++
 		return Num{raw: 0, frac: a.frac}
@@ -286,11 +246,6 @@ func isqrt64(v uint64) uint64 {
 // Less reports a < b. Cost: one branch/compare.
 func (a Num) Less(b Num) bool {
 	profile.AddB(1)
-	return a.LessQuiet(b)
-}
-
-// LessQuiet is Less without the profiler hook.
-func (a Num) LessQuiet(b Num) bool {
 	x, y, _ := a.align(b)
 	return x < y
 }
@@ -298,11 +253,6 @@ func (a Num) LessQuiet(b Num) bool {
 // LessEq reports a <= b.
 func (a Num) LessEq(b Num) bool {
 	profile.AddB(1)
-	return a.LessEqQuiet(b)
-}
-
-// LessEqQuiet is LessEq without the profiler hook.
-func (a Num) LessEqQuiet(b Num) bool {
 	x, y, _ := a.align(b)
 	return x <= y
 }

@@ -23,8 +23,7 @@ func SymEigen[T scalar.Real[T]](a Mat[T]) SymEigResult[T] {
 }
 
 // symEigenHooked is SymEigen through the hooked matrix and scalar
-// layers: the path of fixed.Num, custom Real types and the
-// reference-kernel mode, and the oracle of symEigenNat.
+// layers, and the oracle of symEigenNat.
 func symEigenHooked[T scalar.Real[T]](a Mat[T]) SymEigResult[T] {
 	n := a.Rows()
 	like := a.like()

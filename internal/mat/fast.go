@@ -5,35 +5,37 @@ package mat
 // The generic kernels in this package charge the profiler inside their
 // inner loops: every element access is a hooked At/Set and every
 // arithmetic step a hooked scalar method, so a matrix-heavy Solve pays
-// one goroutine-session lookup per operation — the dominant cost of the
-// simulated characterization sweep. The fast paths below remove that
-// cost without changing a single recorded count: they type-switch the
-// element slice to its native representation (float32/float64 for
-// F32/F64, hook-free Quiet arithmetic for fixed.Num), run the identical
-// loop on raw values, and charge the exact aggregate F/I/M/B mix — the
-// same op-by-op sum the hooked loop would have produced, priced from
-// scalar.OpCosts — in a single profile.AddCounts call.
+// one goroutine-session lookup per operation. The fast paths remove
+// that cost without changing a single recorded count: they run the
+// identical loop on raw float32/float64 values and charge the exact
+// aggregate F/I/M/B mix — the same op-by-op sum the hooked loop would
+// have produced, priced from scalar.FloatOpCosts — in one
+// profile.AddCounts call.
+//
+// One rule picks the body, here and in every package that has native
+// twins of its own (control's QP solve, pose's Jacobian, reprojection
+// and Sampson error): F32 and F64 take the native bodies; fixed.Num,
+// custom Real types and reference mode (SetReferenceKernels(true)) take
+// the hooked generic bodies, which are the oracle the native ones are
+// tested against. Fixed point runs only in Case Study #2's attitude
+// filters, so a fixed-point copy of every loop would buy host time on
+// that one study at the price of twice the code. Transpose, which
+// moves elements and does no arithmetic, is the one bulk path every T
+// shares.
 //
 // Exactness is the invariant that makes this safe: Case Study #3 of the
 // paper shows the F/I/M/B mix, not FLOPs alone, predicts latency and
 // energy, so the counts may not drift by even one op. Differential tests
-// (fast_test.go, and the suite-level test in internal/report) assert the
-// fast paths produce bit-identical numeric results and byte-identical
-// Counts against the hooked reference for every kernel and scalar type.
-//
-// The hooked generic path remains in place as the reference oracle:
-// SetReferenceKernels(true) — or ENTOBENCH_REFERENCE_KERNELS=1 in the
-// environment — disables every fast path. Scalar types outside the
-// built-in family (custom Real implementations) always take the hooked
-// path.
+// (fast_test.go, oracle_test.go, and the suite-level test in
+// internal/report) assert the native bodies produce bit-identical
+// numeric results and byte-identical Counts against the hooked
+// reference.
 
 import (
 	"fmt"
 	"math"
-	"os"
 	"sync/atomic"
 
-	"repro/internal/fixed"
 	"repro/internal/profile"
 	"repro/internal/scalar"
 )
@@ -41,12 +43,6 @@ import (
 // refKernels forces the hooked generic loops when set; the fast paths
 // check it once per matrix operation.
 var refKernels atomic.Bool
-
-func init() {
-	if os.Getenv("ENTOBENCH_REFERENCE_KERNELS") == "1" {
-		refKernels.Store(true)
-	}
-}
 
 // SetReferenceKernels switches this package between its bulk fast paths
 // (false, the default) and the hooked generic reference loops (true),
@@ -68,7 +64,21 @@ func fastKernels() bool { return !refKernels.Load() }
 // machine float instructions (F32, F64).
 type native interface{ ~float32 | ~float64 }
 
-// --- element-wise slice kernels, float ---
+// nativeOf reports whether T takes the native bodies: T is F32 or F64
+// and reference mode is off.
+func nativeOf[T scalar.Real[T]]() bool {
+	if !fastKernels() {
+		return false
+	}
+	var z T
+	switch any(z).(type) {
+	case scalar.F32, scalar.F64:
+		return true
+	}
+	return false
+}
+
+// --- element-wise slice kernels ---
 
 func ewAddNat[F native](a, b []F) []F {
 	out := make([]F, len(a))
@@ -165,107 +175,11 @@ func tMulVecNat[F native](a, v, out []F, r, k int) {
 	}
 }
 
-// --- element-wise slice kernels, fixed point ---
-//
-// The Quiet methods share their implementation with the hooked ones, so
-// numerics, saturation, and Status side effects are identical.
-
-func ewAddFix(a, b []fixed.Num) []fixed.Num {
-	out := make([]fixed.Num, len(a))
-	for i := range a {
-		out[i] = a[i].AddQuiet(b[i])
-	}
-	return out
-}
-
-func ewSubFix(a, b []fixed.Num) []fixed.Num {
-	out := make([]fixed.Num, len(a))
-	for i := range a {
-		out[i] = a[i].SubQuiet(b[i])
-	}
-	return out
-}
-
-func ewScaleFix(a []fixed.Num, s fixed.Num) []fixed.Num {
-	out := make([]fixed.Num, len(a))
-	for i := range a {
-		out[i] = a[i].MulQuiet(s)
-	}
-	return out
-}
-
-func ewNegFix(a []fixed.Num) []fixed.Num {
-	out := make([]fixed.Num, len(a))
-	for i := range a {
-		out[i] = a[i].NegQuiet()
-	}
-	return out
-}
-
-func dotFix(a, b []fixed.Num) fixed.Num {
-	var acc fixed.Num
-	for i := range a {
-		acc = acc.AddQuiet(a[i].MulQuiet(b[i]))
-	}
-	return acc
-}
-
-func frobFix(a []fixed.Num) fixed.Num {
-	var acc fixed.Num
-	for _, v := range a {
-		acc = acc.AddQuiet(v.MulQuiet(v))
-	}
-	return acc.SqrtQuiet()
-}
-
-func maxAbsFix(a []fixed.Num) fixed.Num {
-	var best fixed.Num
-	for _, v := range a {
-		x := v.AbsQuiet()
-		if best.LessQuiet(x) {
-			best = x
-		}
-	}
-	return best
-}
-
-func mulFix(a, b, out []fixed.Num, r, k, c int) {
-	for i := 0; i < r; i++ {
-		for j := 0; j < c; j++ {
-			var acc fixed.Num
-			for kk := 0; kk < k; kk++ {
-				acc = acc.AddQuiet(a[i*k+kk].MulQuiet(b[kk*c+j]))
-			}
-			out[i*c+j] = acc
-		}
-	}
-}
-
-func mulVecFix(a, v, out []fixed.Num, r, k int) {
-	for i := 0; i < r; i++ {
-		var acc fixed.Num
-		for kk := 0; kk < k; kk++ {
-			acc = acc.AddQuiet(a[i*k+kk].MulQuiet(v[kk]))
-		}
-		out[i] = acc
-	}
-}
-
-func tMulVecFix(a, v, out []fixed.Num, r, k int) {
-	for j := 0; j < k; j++ {
-		var acc fixed.Num
-		for kk := 0; kk < r; kk++ {
-			acc = acc.AddQuiet(a[kk*k+j].MulQuiet(v[kk]))
-		}
-		out[j] = acc
-	}
-}
-
 // --- slice-level dispatchers, shared by Mat and Vec methods ---
 //
 // Each dispatcher runs the native kernel and charges the exact mix of
 // the hooked loop it replaces: the scalar-op term priced from
-// scalar.OpCosts times the op count, plus the explicit AddM/AddI/AddB
+// scalar.FloatOpCosts times the op count, plus the explicit AddM/AddI/AddB
 // charges of the generic code, in one profile.AddCounts call.
 
 // chargeEW is the arithmetic term of one element-wise pass: every
@@ -290,13 +204,10 @@ func fastAddSlice[T scalar.Real[T]](a, b []T) ([]T, bool) {
 		d = ewAddNat(ad, any(b).([]scalar.F32))
 	case []scalar.F64:
 		d = ewAddNat(ad, any(b).([]scalar.F64))
-	case []fixed.Num:
-		d = ewAddFix(ad, any(b).([]fixed.Num))
 	default:
 		return nil, false
 	}
-	costs, _ := scalar.OpCostsOf[T]()
-	chargeEW(n, 3*n, costs.Add)
+	chargeEW(n, 3*n, scalar.FloatOpCosts.Add)
 	return d.([]T), true
 }
 
@@ -309,13 +220,10 @@ func fastSubSlice[T scalar.Real[T]](a, b []T) ([]T, bool) {
 		d = ewSubNat(ad, any(b).([]scalar.F32))
 	case []scalar.F64:
 		d = ewSubNat(ad, any(b).([]scalar.F64))
-	case []fixed.Num:
-		d = ewSubFix(ad, any(b).([]fixed.Num))
 	default:
 		return nil, false
 	}
-	costs, _ := scalar.OpCostsOf[T]()
-	chargeEW(n, 3*n, costs.Sub)
+	chargeEW(n, 3*n, scalar.FloatOpCosts.Sub)
 	return d.([]T), true
 }
 
@@ -328,13 +236,10 @@ func fastScaleSlice[T scalar.Real[T]](a []T, s T) ([]T, bool) {
 		d = ewScaleNat(ad, any(s).(scalar.F32))
 	case []scalar.F64:
 		d = ewScaleNat(ad, any(s).(scalar.F64))
-	case []fixed.Num:
-		d = ewScaleFix(ad, any(s).(fixed.Num))
 	default:
 		return nil, false
 	}
-	costs, _ := scalar.OpCostsOf[T]()
-	chargeEW(n, 2*n, costs.Mul)
+	chargeEW(n, 2*n, scalar.FloatOpCosts.Mul)
 	return d.([]T), true
 }
 
@@ -347,13 +252,10 @@ func fastNegSlice[T scalar.Real[T]](a []T) ([]T, bool) {
 		d = ewNegNat(ad)
 	case []scalar.F64:
 		d = ewNegNat(ad)
-	case []fixed.Num:
-		d = ewNegFix(ad)
 	default:
 		return nil, false
 	}
-	costs, _ := scalar.OpCostsOf[T]()
-	chargeEW(n, 2*n, costs.Neg)
+	chargeEW(n, 2*n, scalar.FloatOpCosts.Neg)
 	return d.([]T), true
 }
 
@@ -367,14 +269,11 @@ func fastDotSlice[T scalar.Real[T]](a, b []T) (T, bool) {
 		v = dotNat(ad, any(b).([]scalar.F32))
 	case []scalar.F64:
 		v = dotNat(ad, any(b).([]scalar.F64))
-	case []fixed.Num:
-		v = dotFix(ad, any(b).([]fixed.Num))
 	default:
 		var zero T
 		return zero, false
 	}
-	costs, _ := scalar.OpCostsOf[T]()
-	chargeEW(n, 2*n, costs.Add, costs.Mul)
+	chargeEW(n, 2*n, scalar.FloatOpCosts.Add, scalar.FloatOpCosts.Mul)
 	return v.(T), true
 }
 
@@ -388,13 +287,11 @@ func fastFrobSlice[T scalar.Real[T]](a []T) (T, bool) {
 		v = frobNat(ad)
 	case []scalar.F64:
 		v = frobNat(ad)
-	case []fixed.Num:
-		v = frobFix(ad)
 	default:
 		var zero T
 		return zero, false
 	}
-	costs, _ := scalar.OpCostsOf[T]()
+	costs := scalar.FloatOpCosts
 	var cnt profile.Counts
 	cnt.Add(scalar.ScaleCounts(costs.Add, n))
 	cnt.Add(scalar.ScaleCounts(costs.Mul, n))
@@ -414,14 +311,11 @@ func fastMaxAbsSlice[T scalar.Real[T]](a []T) (T, bool) {
 		v = maxAbsNat(ad)
 	case []scalar.F64:
 		v = maxAbsNat(ad)
-	case []fixed.Num:
-		v = maxAbsFix(ad)
 	default:
 		var zero T
 		return zero, false
 	}
-	costs, _ := scalar.OpCostsOf[T]()
-	chargeEW(n, n, costs.Abs, costs.Cmp)
+	chargeEW(n, n, scalar.FloatOpCosts.Abs, scalar.FloatOpCosts.Cmp)
 	return v.(T), true
 }
 
@@ -456,14 +350,10 @@ func fastMul[T scalar.Real[T]](m, b Mat[T]) (Mat[T], bool) {
 		out := make([]scalar.F64, r*c)
 		mulNat(md, any(b.d).([]scalar.F64), out, r, k, c)
 		d = out
-	case []fixed.Num:
-		out := make([]fixed.Num, r*c)
-		mulFix(md, any(b.d).([]fixed.Num), out, r, k, c)
-		d = out
 	default:
 		return Mat[T]{}, false
 	}
-	costs, _ := scalar.OpCostsOf[T]()
+	costs := scalar.FloatOpCosts
 	mac := uint64(r) * uint64(c) * uint64(k)
 	var cnt profile.Counts
 	cnt.Add(scalar.ScaleCounts(costs.Add, mac))
@@ -488,14 +378,10 @@ func fastMulVec[T scalar.Real[T]](m Mat[T], v Vec[T]) (Vec[T], bool) {
 		out := make([]scalar.F64, r)
 		mulVecNat(md, any([]T(v)).([]scalar.F64), out, r, k)
 		d = out
-	case []fixed.Num:
-		out := make([]fixed.Num, r)
-		mulVecFix(md, any([]T(v)).([]fixed.Num), out, r, k)
-		d = out
 	default:
 		return nil, false
 	}
-	costs, _ := scalar.OpCostsOf[T]()
+	costs := scalar.FloatOpCosts
 	mac := uint64(r) * uint64(k)
 	var cnt profile.Counts
 	cnt.Add(scalar.ScaleCounts(costs.Add, mac))
@@ -524,14 +410,10 @@ func fastTMulVec[T scalar.Real[T]](m Mat[T], v Vec[T]) (Vec[T], bool) {
 		out := make([]scalar.F64, c)
 		tMulVecNat(md, any([]T(v)).([]scalar.F64), out, r, c)
 		d = out
-	case []fixed.Num:
-		out := make([]fixed.Num, c)
-		tMulVecFix(md, any([]T(v)).([]fixed.Num), out, r, c)
-		d = out
 	default:
 		return nil, false
 	}
-	costs, _ := scalar.OpCostsOf[T]()
+	costs := scalar.FloatOpCosts
 	mac := uint64(r) * uint64(c)
 	var cnt profile.Counts
 	cnt.Add(scalar.ScaleCounts(costs.Add, mac))

@@ -12,9 +12,8 @@ package mat
 // shifts at its 10 and 20, the bail-out at 60 — so the tallies ride the
 // path rather than a closed form, and the results stay bit-identical
 // because the native loop takes exactly the branches the hooked one
-// would. fixed.Num, custom Real types and the reference-kernel mode
-// keep the hooked bodies (eig.go, poly.go), which oracle_test.go holds
-// these loops to, count for count.
+// would. oracle_test.go holds these loops to the hooked bodies (eig.go,
+// poly.go), count for count.
 
 import (
 	"math"
@@ -23,20 +22,6 @@ import (
 	"repro/internal/profile"
 	"repro/internal/scalar"
 )
-
-// nativeOf reports whether T is F32 or F64, the types these loops
-// serve, and whether fast paths are enabled at all.
-func nativeOf[T scalar.Real[T]]() bool {
-	if !fastKernels() {
-		return false
-	}
-	var z T
-	switch any(z).(type) {
-	case scalar.F32, scalar.F64:
-		return true
-	}
-	return false
-}
 
 // flt converts a float64 at run time, exactly as FromFloat does (a
 // constant conversion could round differently for F32).

@@ -1,7 +1,6 @@
 package mat
 
-// Specialized factorization loops (LU, LDLT, QR) for the
-// built-in scalar family.
+// Native factorization loops (LU, LDLT, QR) for F32 and F64.
 //
 // Unlike the dense products in fast.go, elimination loops have
 // data-dependent control flow — pivot swaps, singularity early-exits,
@@ -9,34 +8,19 @@ package mat
 // single closed-form formula. Each implementation below is a 1:1
 // transcription of its hooked generic counterpart in lu.go/chol.go/qr.go
 // that replaces every hooked At/Set with a direct index plus an M+I
-// tally, and every hooked scalar method with native arithmetic (or a
-// fixed.Num Quiet call) plus its scalar.OpCosts tally, into one local
-// profile.Counts that the dispatcher flushes in a single AddCounts. The
-// charges therefore follow the exact control-flow path the reference
-// would have taken — including the partial charges of an early error
-// return — which the differential tests in fast_test.go verify count for
-// count.
-//
-// Every algorithm exists twice: once generic over the native float types
-// (operators compile to machine instructions and inline) and once for
-// fixed.Num (Quiet methods on a concrete type, also inlinable). A shared
-// generic shim would route arithmetic through dictionary-based method
-// calls, putting a call back in the inner loop — the very cost this file
-// exists to remove.
+// tally, and every hooked scalar method with native arithmetic plus its
+// scalar.FloatOpCosts tally, into one local profile.Counts that the
+// dispatcher flushes in a single AddCounts. The charges therefore follow
+// the exact control-flow path the reference would have taken —
+// including the partial charges of an early error return — which the
+// differential tests in fast_test.go verify count for count.
 
 import (
 	"math"
 
-	"repro/internal/fixed"
 	"repro/internal/profile"
 	"repro/internal/scalar"
 )
-
-// fastFamily reports whether T has specialized factorization loops.
-func fastFamily[T scalar.Real[T]]() bool {
-	_, ok := scalar.OpCostsOf[T]()
-	return ok
-}
 
 // --- LU decomposition ---
 
@@ -102,63 +86,10 @@ func luNat[F native](cnt *profile.Counts, d []F, n int, piv []int) (sign int, ok
 	return sign, true
 }
 
-// luFix is luNat for fixed.Num.
-func luFix(cnt *profile.Counts, d []fixed.Num, n int, piv []int) (sign int, ok bool) {
-	sign = 1
-	for k := 0; k < n; k++ {
-		p := k
-		cnt.M++
-		cnt.I++                // At(k,k)
-		cnt.I += fixed.CostAbs // Abs
-		best := d[k*n+k].AbsQuiet()
-		for i := k + 1; i < n; i++ {
-			cnt.M++
-			cnt.I++                // At(i,k)
-			cnt.I += fixed.CostAbs // Abs
-			v := d[i*n+k].AbsQuiet()
-			cnt.B++ // Less
-			if best.LessQuiet(v) {
-				best, p = v, i
-			}
-		}
-		cnt.B += uint64(n - k)
-		piv[k] = p
-		if p != k {
-			cnt.M += uint64(4 * n) // SwapRows
-			ri := d[p*n : p*n+n]
-			rj := d[k*n : k*n+n]
-			for t := range ri {
-				ri[t], rj[t] = rj[t], ri[t]
-			}
-			sign = -sign
-		}
-		cnt.M++
-		cnt.I++ // At(k,k)
-		pv := d[k*n+k]
-		if pv.IsZero() {
-			return sign, false
-		}
-		for i := k + 1; i < n; i++ {
-			cnt.M += 2
-			cnt.I += 2             // At(i,k) + Set(i,k)
-			cnt.I += fixed.CostDiv // Div
-			m := d[i*n+k].DivQuiet(pv)
-			d[i*n+k] = m
-			for j := k + 1; j < n; j++ {
-				cnt.M += 3
-				cnt.I += 3                             // At(i,j), At(k,j), Set(i,j)
-				cnt.I += fixed.CostMul + fixed.CostSub // Mul, Sub
-				d[i*n+j] = d[i*n+j].SubQuiet(m.MulQuiet(d[k*n+j]))
-			}
-		}
-	}
-	return sign, true
-}
-
 // luDecomposeFast is the dispatcher behind LUDecompose. ok=false means T
 // has no fast path and the caller must run the hooked loop.
 func luDecomposeFast[T scalar.Real[T]](a Mat[T]) (f *LU[T], ok bool, err error) {
-	if !fastFamily[T]() {
+	if !nativeOf[T]() {
 		return nil, false, nil
 	}
 	n := a.rows
@@ -172,8 +103,6 @@ func luDecomposeFast[T scalar.Real[T]](a Mat[T]) (f *LU[T], ok bool, err error) 
 		sign, good = luNat(&cnt, d, n, piv)
 	case []scalar.F64:
 		sign, good = luNat(&cnt, d, n, piv)
-	case []fixed.Num:
-		sign, good = luFix(&cnt, d, n, piv)
 	}
 	profile.AddCounts(cnt)
 	if !good {
@@ -220,42 +149,6 @@ func luSolveNat[F native](cnt *profile.Counts, lu []F, n int, piv []int, b []F) 
 	return x
 }
 
-func luSolveFix(cnt *profile.Counts, lu []fixed.Num, n int, piv []int, b []fixed.Num) []fixed.Num {
-	cnt.M += uint64(2 * n) // b.Clone()
-	x := make([]fixed.Num, n)
-	copy(x, b)
-	for k := 0; k < n; k++ {
-		if p := piv[k]; p != k {
-			x[k], x[p] = x[p], x[k]
-		}
-	}
-	for i := 1; i < n; i++ {
-		acc := x[i]
-		for j := 0; j < i; j++ {
-			cnt.M++
-			cnt.I++                                // At(i,j)
-			cnt.I += fixed.CostMul + fixed.CostSub // Mul, Sub
-			acc = acc.SubQuiet(lu[i*n+j].MulQuiet(x[j]))
-		}
-		x[i] = acc
-	}
-	for i := n - 1; i >= 0; i-- {
-		acc := x[i]
-		for j := i + 1; j < n; j++ {
-			cnt.M++
-			cnt.I++                                // At(i,j)
-			cnt.I += fixed.CostMul + fixed.CostSub // Mul, Sub
-			acc = acc.SubQuiet(lu[i*n+j].MulQuiet(x[j]))
-		}
-		cnt.M++
-		cnt.I++                // At(i,i)
-		cnt.I += fixed.CostDiv // Div
-		x[i] = acc.DivQuiet(lu[i*n+i])
-	}
-	cnt.M += uint64(4 * n)
-	return x
-}
-
 // luSolveFast is the dispatcher behind LU.Solve.
 func luSolveFast[T scalar.Real[T]](f *LU[T], b Vec[T]) (Vec[T], bool) {
 	n := f.lu.rows
@@ -266,8 +159,6 @@ func luSolveFast[T scalar.Real[T]](f *LU[T], b Vec[T]) (Vec[T], bool) {
 		x = luSolveNat(&cnt, d, n, f.pivot, any([]T(b)).([]scalar.F32))
 	case []scalar.F64:
 		x = luSolveNat(&cnt, d, n, f.pivot, any([]T(b)).([]scalar.F64))
-	case []fixed.Num:
-		x = luSolveFix(&cnt, d, n, f.pivot, any([]T(b)).([]fixed.Num))
 	default:
 		return nil, false
 	}
@@ -311,43 +202,9 @@ func ldltNat[F native](cnt *profile.Counts, a []F, l []F, dd []F, n int) bool {
 	return true
 }
 
-func ldltFix(cnt *profile.Counts, a []fixed.Num, l []fixed.Num, dd []fixed.Num, n int) bool {
-	for j := 0; j < n; j++ {
-		cnt.M++
-		cnt.I++ // a.At(j,j)
-		acc := a[j*n+j]
-		for k := 0; k < j; k++ {
-			cnt.M += 2
-			cnt.I += 2                               // l.At(j,k) ×2
-			cnt.I += 2*fixed.CostMul + fixed.CostSub // Mul, Mul, Sub
-			acc = acc.SubQuiet(dd[k].MulQuiet(l[j*n+k]).MulQuiet(l[j*n+k]))
-		}
-		if acc.IsZero() {
-			return false
-		}
-		dd[j] = acc
-		for i := j + 1; i < n; i++ {
-			cnt.M++
-			cnt.I++ // a.At(i,j)
-			v := a[i*n+j]
-			for k := 0; k < j; k++ {
-				cnt.M += 2
-				cnt.I += 2                               // l.At(i,k), l.At(j,k)
-				cnt.I += 2*fixed.CostMul + fixed.CostSub // Mul, Mul, Sub
-				v = v.SubQuiet(dd[k].MulQuiet(l[i*n+k]).MulQuiet(l[j*n+k]))
-			}
-			cnt.I += fixed.CostDiv // Div
-			cnt.M++
-			cnt.I++ // Set(i,j)
-			l[i*n+j] = v.DivQuiet(dd[j])
-		}
-	}
-	return true
-}
-
 // ldltDecomposeFast is the dispatcher behind LDLTDecompose.
 func ldltDecomposeFast[T scalar.Real[T]](a Mat[T]) (f *LDLT[T], ok bool, singular bool) {
-	if !fastFamily[T]() {
+	if !nativeOf[T]() {
 		return nil, false, false
 	}
 	n := a.rows
@@ -367,8 +224,6 @@ func ldltDecomposeFast[T scalar.Real[T]](a Mat[T]) (f *LDLT[T], ok bool, singula
 		good = ldltNat(&cnt, ad, any(l.d).([]scalar.F32), any([]T(d)).([]scalar.F32), n)
 	case []scalar.F64:
 		good = ldltNat(&cnt, ad, any(l.d).([]scalar.F64), any([]T(d)).([]scalar.F64), n)
-	case []fixed.Num:
-		good = ldltFix(&cnt, ad, any(l.d).([]fixed.Num), any([]T(d)).([]fixed.Num), n)
 	}
 	profile.AddCounts(cnt)
 	if !good {
@@ -415,33 +270,10 @@ func ldltSolveNat[F native](l, lt, dd []F, n int, b []F) []F {
 	return x
 }
 
-func ldltSolveFix(l, lt, dd []fixed.Num, n int, b []fixed.Num) []fixed.Num {
-	y, yh := borrowSlice[fixed.Num](n)
-	defer yh.put()
-	for i := 0; i < n; i++ {
-		acc := b[i]
-		for j, lij := range l[i*n : i*n+i] {
-			acc = acc.SubQuiet(lij.MulQuiet(y[j]))
-		}
-		y[i] = acc
-	}
-	x := make([]fixed.Num, n)
-	for i := n - 1; i >= 0; i-- {
-		acc := y[i].DivQuiet(dd[i])
-		xs := x[i+1:]
-		for j, lji := range lt[i*n+i+1 : i*n+n] {
-			acc = acc.SubQuiet(lji.MulQuiet(xs[j]))
-		}
-		x[i] = acc
-	}
-	return x
-}
-
 // ldltSolveFast is the dispatcher behind LDLT.Solve. A factor made by
 // the reference loop carries no Lᵀ and takes the hooked solve.
 func ldltSolveFast[T scalar.Real[T]](f *LDLT[T], b Vec[T]) (Vec[T], bool) {
-	costs, ok := scalar.OpCostsOf[T]()
-	if !ok || f.lt == nil {
+	if !nativeOf[T]() || f.lt == nil {
 		return nil, false
 	}
 	n := len(f.d)
@@ -451,11 +283,10 @@ func ldltSolveFast[T scalar.Real[T]](f *LDLT[T], b Vec[T]) (Vec[T], bool) {
 		x = ldltSolveNat(ld, any(f.lt).([]scalar.F32), any([]T(f.d)).([]scalar.F32), n, any([]T(b)).([]scalar.F32))
 	case []scalar.F64:
 		x = ldltSolveNat(ld, any(f.lt).([]scalar.F64), any([]T(f.d)).([]scalar.F64), n, any([]T(b)).([]scalar.F64))
-	case []fixed.Num:
-		x = ldltSolveFix(ld, any(f.lt).([]fixed.Num), any([]T(f.d)).([]fixed.Num), n, any([]T(b)).([]fixed.Num))
 	}
 	mac := uint64(n) * uint64(n-1) // both passes: n(n−1)/2 each
 	cnt := profile.Counts{M: mac, I: mac}
+	costs := scalar.FloatOpCosts
 	cnt.Add(scalar.ScaleCounts(costs.Mul, mac))
 	cnt.Add(scalar.ScaleCounts(costs.Sub, mac))
 	cnt.Add(scalar.ScaleCounts(costs.Div, uint64(n)))
@@ -525,69 +356,9 @@ func qrNat[F native](cnt *profile.Counts, d []F, m, n int, rdiag []F) {
 	}
 }
 
-func qrFix(cnt *profile.Counts, d []fixed.Num, m, n int, rdiag []fixed.Num) {
-	for k := 0; k < n; k++ {
-		var nrm fixed.Num
-		for i := k; i < m; i++ {
-			cnt.M++
-			cnt.I++ // At(i,k)
-			v := d[i*n+k]
-			cnt.I += fixed.CostMul + fixed.CostAdd // Mul, Add
-			nrm = nrm.AddQuiet(v.MulQuiet(v))
-		}
-		cnt.I += fixed.CostSqrt // Sqrt
-		nrm = nrm.SqrtQuiet()
-		if nrm.IsZero() {
-			rdiag[k] = nrm
-			continue
-		}
-		cnt.M++
-		cnt.I++ // At(k,k)
-		cnt.B++ // Less
-		if d[k*n+k].LessQuiet(nrm.FromFloat(0)) {
-			cnt.I += fixed.CostNeg // Neg
-			nrm = nrm.NegQuiet()
-		}
-		cnt.I += fixed.CostDiv // Div
-		invN := nrm.FromFloat(1).DivQuiet(nrm)
-		for i := k; i < m; i++ {
-			cnt.M += 2
-			cnt.I += 2             // At(i,k) + Set(i,k)
-			cnt.I += fixed.CostMul // Mul
-			d[i*n+k] = d[i*n+k].MulQuiet(invN)
-		}
-		cnt.M += 2
-		cnt.I += 2             // At(k,k) + Set(k,k)
-		cnt.I += fixed.CostAdd // Add
-		d[k*n+k] = d[k*n+k].AddQuiet(nrm.FromFloat(1))
-		for j := k + 1; j < n; j++ {
-			var s fixed.Num
-			for i := k; i < m; i++ {
-				cnt.M += 2
-				cnt.I += 2                             // At(i,k), At(i,j)
-				cnt.I += fixed.CostMul + fixed.CostAdd // Mul, Add
-				s = s.AddQuiet(d[i*n+k].MulQuiet(d[i*n+j]))
-			}
-			cnt.I += fixed.CostNeg // Neg
-			cnt.M++
-			cnt.I++                // At(k,k)
-			cnt.I += fixed.CostDiv // Div
-			s = s.NegQuiet().DivQuiet(d[k*n+k])
-			for i := k; i < m; i++ {
-				cnt.M += 3
-				cnt.I += 3                             // At(i,j), At(i,k), Set(i,j)
-				cnt.I += fixed.CostMul + fixed.CostAdd // Mul, Add
-				d[i*n+j] = d[i*n+j].AddQuiet(s.MulQuiet(d[i*n+k]))
-			}
-		}
-		cnt.I += fixed.CostNeg // Neg
-		rdiag[k] = nrm.NegQuiet()
-	}
-}
-
 // qrDecomposeFast is the dispatcher behind QRDecompose.
 func qrDecomposeFast[T scalar.Real[T]](a Mat[T]) (f *QR[T], ok bool) {
-	if !fastFamily[T]() {
+	if !nativeOf[T]() {
 		return nil, false
 	}
 	m, n := a.rows, a.cols
@@ -599,8 +370,6 @@ func qrDecomposeFast[T scalar.Real[T]](a Mat[T]) (f *QR[T], ok bool) {
 		qrNat(&cnt, d, m, n, any([]T(rdiag)).([]scalar.F32))
 	case []scalar.F64:
 		qrNat(&cnt, d, m, n, any([]T(rdiag)).([]scalar.F64))
-	case []fixed.Num:
-		qrFix(&cnt, d, m, n, any([]T(rdiag)).([]fixed.Num))
 	}
 	profile.AddCounts(cnt)
 	return &QR[T]{qr: qr, rdiag: rdiag}, true
@@ -653,51 +422,6 @@ func qrSolveNat[F native](cnt *profile.Counts, d []F, m, n int, rdiag []F, b []F
 	return x
 }
 
-func qrSolveFix(cnt *profile.Counts, d []fixed.Num, m, n int, rdiag []fixed.Num, b []fixed.Num) []fixed.Num {
-	cnt.M += uint64(2 * m) // b.Clone()
-	y, yh := borrowSlice[fixed.Num](m)
-	defer yh.put()
-	copy(y, b)
-	for k := 0; k < n; k++ {
-		cnt.M++
-		cnt.I++ // At(k,k)
-		if d[k*n+k].IsZero() {
-			continue
-		}
-		var s fixed.Num
-		for i := k; i < m; i++ {
-			cnt.M++
-			cnt.I++                                // At(i,k)
-			cnt.I += fixed.CostMul + fixed.CostAdd // Mul, Add
-			s = s.AddQuiet(d[i*n+k].MulQuiet(y[i]))
-		}
-		cnt.I += fixed.CostNeg // Neg
-		cnt.M++
-		cnt.I++                // At(k,k)
-		cnt.I += fixed.CostDiv // Div
-		s = s.NegQuiet().DivQuiet(d[k*n+k])
-		for i := k; i < m; i++ {
-			cnt.M++
-			cnt.I++                                // At(i,k)
-			cnt.I += fixed.CostMul + fixed.CostAdd // Mul, Add
-			y[i] = y[i].AddQuiet(s.MulQuiet(d[i*n+k]))
-		}
-	}
-	x := make([]fixed.Num, n)
-	for i := n - 1; i >= 0; i-- {
-		acc := y[i]
-		for j := i + 1; j < n; j++ {
-			cnt.M++
-			cnt.I++                                // At(i,j)
-			cnt.I += fixed.CostMul + fixed.CostSub // Mul, Sub
-			acc = acc.SubQuiet(d[i*n+j].MulQuiet(x[j]))
-		}
-		cnt.I += fixed.CostDiv // Div
-		x[i] = acc.DivQuiet(rdiag[i])
-	}
-	return x
-}
-
 // qrSolveFast is the dispatcher behind QR.Solve; the caller has already
 // performed the FullRank and length checks, which charge nothing.
 func qrSolveFast[T scalar.Real[T]](f *QR[T], b Vec[T]) (Vec[T], bool) {
@@ -709,8 +433,6 @@ func qrSolveFast[T scalar.Real[T]](f *QR[T], b Vec[T]) (Vec[T], bool) {
 		x = qrSolveNat(&cnt, d, m, n, any([]T(f.rdiag)).([]scalar.F32), any([]T(b)).([]scalar.F32))
 	case []scalar.F64:
 		x = qrSolveNat(&cnt, d, m, n, any([]T(f.rdiag)).([]scalar.F64), any([]T(b)).([]scalar.F64))
-	case []fixed.Num:
-		x = qrSolveFix(&cnt, d, m, n, any([]T(f.rdiag)).([]fixed.Num), any([]T(b)).([]fixed.Num))
 	default:
 		return nil, false
 	}

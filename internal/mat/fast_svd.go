@@ -1,17 +1,16 @@
 package mat
 
-// Specialized one-sided Jacobi SVD loops for the built-in scalar family,
-// following the same 1:1 transcription discipline as fast_fact.go: every
-// hooked At/Set becomes a direct index plus an M+I tally, every hooked
-// scalar method native arithmetic (or a fixed.Num Quiet call) plus its
-// scalar.OpCosts tally, accumulated into one local profile.Counts the
-// dispatcher flushes in a single AddCounts. The Jacobi sweep is heavily
-// data-dependent — pairs that pass the convergence threshold skip the
-// rotation entirely, and the rotation scalar formula branches on the
-// sign of zeta — so the tallies are taken along the exact control-flow
-// path, which is also why the numeric results stay bit-identical: the
-// fast sweep converges in precisely the same pair order as the hooked
-// reference.
+// Native one-sided Jacobi SVD loops for F32 and F64, following the same
+// 1:1 transcription discipline as fast_fact.go: every hooked At/Set
+// becomes a direct index plus an M+I tally, every hooked scalar method
+// native arithmetic plus its tally, accumulated into one local
+// profile.Counts the dispatcher flushes in a single AddCounts. The
+// Jacobi sweep is heavily data-dependent — pairs that pass the
+// convergence threshold skip the rotation entirely, and the rotation
+// scalar formula branches on the sign of zeta — so the tallies are
+// taken along the exact control-flow path, which is also why the
+// numeric results stay bit-identical: the fast sweep converges in
+// precisely the same pair order as the hooked reference.
 //
 // The shared pre-loop setup (EpsOf probe, tolerance, Clone, Identity)
 // still runs through the hooked helpers: it is outside the hot loops and
@@ -21,7 +20,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/fixed"
 	"repro/internal/profile"
 	"repro/internal/scalar"
 )
@@ -152,130 +150,16 @@ func svdKernelNat[F native](cnt *profile.Counts, u, v []F, m, n int, tol F) (us 
 	return us, ss, vs
 }
 
-// svdKernelFix is svdKernelNat for fixed.Num.
-func svdKernelFix(cnt *profile.Counts, u, v []fixed.Num, m, n int, one, two, tol fixed.Num) (us, ss, vs []fixed.Num) {
-	zero := one.FromFloat(0)
-	const maxSweeps = 60
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		converged := true
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				var app, aqq, apq fixed.Num
-				for i := 0; i < m; i++ {
-					cnt.M += 2
-					cnt.I += 2 + 3*fixed.CostMul + 3*fixed.CostAdd
-					up, uq := u[i*n+p], u[i*n+q]
-					app = app.AddQuiet(up.MulQuiet(up))
-					aqq = aqq.AddQuiet(uq.MulQuiet(uq))
-					apq = apq.AddQuiet(up.MulQuiet(uq))
-				}
-				cnt.I += 2*fixed.CostMul + fixed.CostSqrt
-				thresh := tol.MulQuiet(app.MulQuiet(aqq).SqrtQuiet())
-				cnt.I += fixed.CostAbs
-				cnt.B++ // LessEq
-				if apq.AbsQuiet().LessEqQuiet(thresh) {
-					continue
-				}
-				converged = false
-				cnt.I += fixed.CostSub + fixed.CostMul + fixed.CostDiv
-				zeta := aqq.SubQuiet(app).DivQuiet(two.MulQuiet(apq))
-				var t fixed.Num
-				cnt.B++ // Less(0)
-				if zeta.LessQuiet(zero) {
-					cnt.I += 2*fixed.CostNeg + fixed.CostMul + 2*fixed.CostAdd + fixed.CostSqrt + fixed.CostDiv
-					t = one.NegQuiet().DivQuiet(zeta.NegQuiet().AddQuiet(one.AddQuiet(zeta.MulQuiet(zeta)).SqrtQuiet()))
-				} else {
-					cnt.I += fixed.CostMul + 2*fixed.CostAdd + fixed.CostSqrt + fixed.CostDiv
-					t = one.DivQuiet(zeta.AddQuiet(one.AddQuiet(zeta.MulQuiet(zeta)).SqrtQuiet()))
-				}
-				cnt.I += fixed.CostMul + fixed.CostAdd + fixed.CostSqrt + fixed.CostDiv
-				c := one.DivQuiet(one.AddQuiet(t.MulQuiet(t)).SqrtQuiet())
-				cnt.I += fixed.CostMul
-				s := c.MulQuiet(t)
-				for i := 0; i < m; i++ {
-					cnt.M += 4
-					cnt.I += 4 + 4*fixed.CostMul + fixed.CostSub + fixed.CostAdd
-					up, uq := u[i*n+p], u[i*n+q]
-					u[i*n+p] = c.MulQuiet(up).SubQuiet(s.MulQuiet(uq))
-					u[i*n+q] = s.MulQuiet(up).AddQuiet(c.MulQuiet(uq))
-				}
-				for i := 0; i < n; i++ {
-					cnt.M += 4
-					cnt.I += 4 + 4*fixed.CostMul + fixed.CostSub + fixed.CostAdd
-					vp, vq := v[i*n+p], v[i*n+q]
-					v[i*n+p] = c.MulQuiet(vp).SubQuiet(s.MulQuiet(vq))
-					v[i*n+q] = s.MulQuiet(vp).AddQuiet(c.MulQuiet(vq))
-				}
-			}
-		}
-		if converged {
-			break
-		}
-	}
-
-	sv, svh := borrowSlice[fixed.Num](n)
-	defer svh.put()
-	for j := 0; j < n; j++ {
-		var acc fixed.Num
-		for i := 0; i < m; i++ {
-			cnt.M++
-			cnt.I += 1 + fixed.CostMul + fixed.CostAdd
-			x := u[i*n+j]
-			acc = acc.AddQuiet(x.MulQuiet(x))
-		}
-		cnt.I += fixed.CostSqrt
-		sv[j] = acc.SqrtQuiet()
-		if !sv[j].IsZero() {
-			cnt.I += fixed.CostDiv
-			inv := one.DivQuiet(sv[j])
-			for i := 0; i < m; i++ {
-				cnt.M += 2
-				cnt.I += 2 + fixed.CostMul
-				u[i*n+j] = u[i*n+j].MulQuiet(inv)
-			}
-		}
-	}
-
-	idx, idxh := borrowSlice[int](n)
-	defer idxh.put()
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(x, y int) bool {
-		cnt.B++ // Less
-		return sv[idx[y]].LessQuiet(sv[idx[x]])
-	})
-	us = make([]fixed.Num, m*n)
-	vs = make([]fixed.Num, n*n)
-	ss = make([]fixed.Num, n)
-	for newJ, oldJ := range idx {
-		ss[newJ] = sv[oldJ]
-		for i := 0; i < m; i++ {
-			cnt.M += 2
-			cnt.I += 2
-			us[i*n+newJ] = u[i*n+oldJ]
-		}
-		for i := 0; i < n; i++ {
-			cnt.M += 2
-			cnt.I += 2
-			vs[i*n+newJ] = v[i*n+oldJ]
-		}
-	}
-	return us, ss, vs
-}
-
 // svdFast is the bulk path of SVD for m >= n inputs. The setup phase
 // (epsilon probe, tolerance, Clone, Identity) runs through the same
 // hooked helpers as the generic path; only the sweeps onward are
 // transcribed.
 func svdFast[T scalar.Real[T]](a Mat[T]) (SVDResult[T], bool) {
-	if !fastFamily[T]() {
+	if !nativeOf[T]() {
 		return SVDResult[T]{}, false
 	}
 	m, n := a.rows, a.cols
 	like := a.like()
-	one := scalar.One(like)
-	two := like.FromFloat(2)
 	eps := EpsOf(like)
 	tol := eps.Mul(like.FromFloat(8))
 
@@ -290,10 +174,6 @@ func svdFast[T scalar.Real[T]](a Mat[T]) (SVDResult[T], bool) {
 		us, ss, vs = a2, b2, c2
 	case []scalar.F64:
 		a2, b2, c2 := svdKernelNat(&cnt, ud, any(v.d).([]scalar.F64), m, n, any(tol).(scalar.F64))
-		us, ss, vs = a2, b2, c2
-	case []fixed.Num:
-		a2, b2, c2 := svdKernelFix(&cnt, ud, any(v.d).([]fixed.Num), m, n,
-			any(one).(fixed.Num), any(two).(fixed.Num), any(tol).(fixed.Num))
 		us, ss, vs = a2, b2, c2
 	default:
 		return SVDResult[T]{}, false

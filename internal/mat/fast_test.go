@@ -3,11 +3,12 @@ package mat
 // Differential tests for the bulk-accounting fast paths: every
 // specialized operation is run twice — fast and with
 // SetReferenceKernels(true) — and must produce bit-identical numeric
-// results, byte-identical profile.Counts, identical errors, and (for
-// fixed point) identical Status side effects, across all three built-in
-// scalar types and across the data-dependent control-flow paths
-// (pivot swaps, singular matrices, non-positive-definite inputs, zero
-// Householder columns).
+// results, byte-identical profile.Counts and identical errors across the
+// data-dependent control-flow paths (pivot swaps, singular matrices,
+// non-positive-definite inputs, zero Householder columns). For F32 and
+// F64 that pits the native bodies against the hooked ones. Fixed point
+// takes the hooked bodies in both modes, so its runs pin that the mode
+// switch leaves its counts, results and Status side effects alone.
 
 import (
 	"fmt"
@@ -382,18 +383,26 @@ func TestReferenceKernelsSwitch(t *testing.T) {
 	}
 }
 
-// TestFastPathCustomScalarFallsBack checks that a scalar type outside
-// the built-in family still works through the hooked generic path even
-// with fast kernels enabled.
+// TestFastPathCustomScalarFallsBack checks that scalar types other
+// than F32 and F64 — a custom Real and fixed.Num — take the hooked
+// generic path, and work through it, even with fast kernels enabled.
 func TestFastPathCustomScalarFallsBack(t *testing.T) {
-	a := FromFloats(customReal{}, [][]float64{{1, 2}, {3, 4}})
-	b := FromFloats(customReal{}, [][]float64{{5, 6}, {7, 8}})
+	t.Run("custom", func(t *testing.T) { hookedMul(t, customReal{}) })
+	t.Run("q16.15", func(t *testing.T) { hookedMul(t, fixed.New(0, 15)) })
+}
+
+func hookedMul[T scalar.Real[T]](t *testing.T, like T) {
+	if nativeOf[T]() {
+		t.Fatalf("%T takes the native bodies", like)
+	}
+	a := FromFloats(like, [][]float64{{1, 2}, {3, 4}})
+	b := FromFloats(like, [][]float64{{5, 6}, {7, 8}})
 	got := a.Mul(b)
 	want := [][]float64{{19, 22}, {43, 50}}
 	for i, row := range got.Floats() {
 		for j, v := range row {
 			if v != want[i][j] {
-				t.Fatalf("custom scalar Mul[%d][%d] = %v, want %v", i, j, v, want[i][j])
+				t.Fatalf("%T Mul[%d][%d] = %v, want %v", like, i, j, v, want[i][j])
 			}
 		}
 	}

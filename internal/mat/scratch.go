@@ -28,21 +28,20 @@ package mat
 import (
 	"sync"
 
-	"repro/internal/fixed"
 	"repro/internal/scalar"
 )
 
-// One pool per built-in element type; each stores *[]T handles so a
-// put boxes only a pointer (no per-cycle interface allocation).
+// One pool per native element type and one for sort permutations;
+// each stores *[]T handles so a put boxes only a pointer (no per-cycle
+// interface allocation).
 var (
 	scratchF32 sync.Pool // *[]scalar.F32
 	scratchF64 sync.Pool // *[]scalar.F64
-	scratchFix sync.Pool // *[]fixed.Num
 	scratchInt sync.Pool // *[]int
 )
 
 // scratchHandle returns a borrowed buffer to its pool. The zero value
-// is a no-op, covering element types outside the pooled family.
+// is a no-op, covering element types without a pool.
 type scratchHandle struct {
 	pool *sync.Pool
 	buf  any // the *[]T handle to recycle
@@ -56,7 +55,7 @@ func (h scratchHandle) put() {
 }
 
 // scratchPoolFor selects the pool backing element type T, or nil when T
-// is outside the built-in scalar family.
+// has none (fixed.Num, custom Real types).
 func scratchPoolFor[T any]() *sync.Pool {
 	var z T
 	switch any(z).(type) {
@@ -64,8 +63,6 @@ func scratchPoolFor[T any]() *sync.Pool {
 		return &scratchF32
 	case scalar.F64:
 		return &scratchF64
-	case fixed.Num:
-		return &scratchFix
 	case int:
 		return &scratchInt
 	}
@@ -75,7 +72,7 @@ func scratchPoolFor[T any]() *sync.Pool {
 // borrowSlice loans a zeroed length-n slice of T from the type's pool,
 // growing the pooled buffer when needed. Element types without a pool
 // fall back to a plain make with a no-op handle, so callers are generic
-// over the whole scalar family.
+// over every Real type.
 func borrowSlice[T any](n int) ([]T, scratchHandle) {
 	pool := scratchPoolFor[T]()
 	if pool == nil {

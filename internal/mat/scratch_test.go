@@ -46,8 +46,8 @@ func TestBorrowSliceZeroedAndSized(t *testing.T) {
 }
 
 func TestBorrowSliceUnpooledFallback(t *testing.T) {
-	// Element types outside the built-in scalar family get a plain make
-	// and a no-op handle; put must not panic.
+	// Element types without a pool (fixed.Num, custom types) get a
+	// plain make and a no-op handle; put must not panic.
 	type custom struct{ a, b float64 }
 	s, h := borrowSlice[custom](9)
 	if len(s) != 9 {
@@ -119,9 +119,6 @@ func TestScratchGoroutineIsolation(t *testing.T) {
 // is the returned x vector; a regression that reintroduces per-call
 // temporaries fails the budget.
 func TestSolveAllocBudget(t *testing.T) {
-	if !fastKernels() {
-		t.Skip("reference kernels active; budget pins the fast path")
-	}
 	const n = 8
 	var g lcg
 	a := FromFloats(scalar.F32(0), spd(&g, n))

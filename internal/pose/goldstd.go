@@ -39,9 +39,9 @@ func RefineAbsPose[T scalar.Real[T]](init Pose[T], corrs []AbsCorrespondence[T],
 
 // absJacobian returns the 2n×6 Jacobian of the reprojection residuals
 // at p and the residuals themselves; a correspondence within 1e-9 of
-// the camera plane leaves its two rows zero. For F32 and F64 with a
-// 3×3 rotation it runs natively (absJacobianNat); fixed.Num, other Real
-// types and the reference-kernel mode take absJacobianHooked.
+// the camera plane leaves its two rows zero. With a 3×3 rotation it
+// runs natively (absJacobianNat) or through absJacobianHooked, as the
+// mat package's fast-path rule picks.
 func absJacobian[T scalar.Real[T]](p Pose[T], corrs []AbsCorrespondence[T]) (mat.Mat[T], mat.Vec[T]) {
 	if p.R.Rows() == 3 && p.R.Cols() == 3 && !mat.ReferenceKernels() {
 		switch pp := any(p).(type) {

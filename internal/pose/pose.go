@@ -93,9 +93,9 @@ func homog[T scalar.Real[T]](u mat.Vec[T]) mat.Vec[T] {
 // sentinel value.
 //
 // RANSAC scores every correspondence against every hypothesis with it,
-// so for F32 and F64 it runs natively on stack arrays (reprojectNat) and
-// charges its mix once; fixed.Num, other Real types and the
-// reference-kernel mode take the hooked body, reprojectHooked.
+// so it has a native body on stack arrays (reprojectNat) that charges
+// its mix once, beside the hooked body, reprojectHooked; the mat
+// package's fast-path rule picks between them.
 func ReprojectErr[T scalar.Real[T]](p Pose[T], c AbsCorrespondence[T]) T {
 	if p.R.Rows() == 3 && p.R.Cols() == 3 && !mat.ReferenceKernels() {
 		var out T

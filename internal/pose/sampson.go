@@ -12,10 +12,10 @@ import (
 // for a correspondence under essential matrix e.
 //
 // RANSAC scores every correspondence against every hypothesis with it,
-// so for F32 and F64 it runs natively on stack arrays and charges its
-// mix once (see sampsonCost). fixed.Num, other Real types and the
-// reference-kernel mode (mat.SetReferenceKernels) take the hooked body,
-// sampsonHooked, which charges the same counts op by op.
+// so it has a native body on stack arrays that charges its mix once
+// (see sampsonCost), beside the hooked body, sampsonHooked, which
+// charges the same counts op by op; the mat package's fast-path rule
+// picks between them.
 func SampsonErr[T scalar.Real[T]](e mat.Mat[T], c RelCorrespondence[T]) T {
 	if e.Rows() == 3 && e.Cols() == 3 && !mat.ReferenceKernels() {
 		var out T

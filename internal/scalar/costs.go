@@ -1,16 +1,10 @@
 package scalar
 
-import (
-	"repro/internal/fixed"
-	"repro/internal/profile"
-)
+import "repro/internal/profile"
 
 // OpCosts is the per-operation instruction-mix price of one scalar
 // implementation: exactly what each hooked Real method charges the
-// profiler per call. The bulk fast paths in internal/mat use these
-// tables to charge whole inner loops analytically — N calls of an op
-// cost N times its entry — so bulk accounting and per-op hooks cannot
-// disagree without a differential test catching it.
+// profiler per call.
 type OpCosts struct {
 	Add  profile.Counts
 	Sub  profile.Counts
@@ -19,14 +13,14 @@ type OpCosts struct {
 	Neg  profile.Counts
 	Abs  profile.Counts
 	Sqrt profile.Counts
-	// Cmp is the price of Less/LessEq (one branch/compare for every
-	// built-in scalar type).
+	// Cmp is the price of Less/LessEq.
 	Cmp profile.Counts
 }
 
 // FloatOpCosts prices F32 and F64: every arithmetic method is one F op
 // (the MCU model charges double-precision penalties downstream, not
-// here), comparisons are one branch.
+// here), comparisons are one branch. mat's native bodies price whole
+// loops from it.
 var FloatOpCosts = OpCosts{
 	Add:  profile.Counts{F: 1},
 	Sub:  profile.Counts{F: 1},
@@ -36,33 +30,6 @@ var FloatOpCosts = OpCosts{
 	Abs:  profile.Counts{F: 1},
 	Sqrt: profile.Counts{F: 1},
 	Cmp:  profile.Counts{B: 1},
-}
-
-// FixedOpCosts prices fixed.Num, built from the same Cost constants its
-// hooked methods charge.
-var FixedOpCosts = OpCosts{
-	Add:  profile.Counts{I: fixed.CostAdd},
-	Sub:  profile.Counts{I: fixed.CostSub},
-	Mul:  profile.Counts{I: fixed.CostMul},
-	Div:  profile.Counts{I: fixed.CostDiv},
-	Neg:  profile.Counts{I: fixed.CostNeg},
-	Abs:  profile.Counts{I: fixed.CostAbs},
-	Sqrt: profile.Counts{I: fixed.CostSqrt},
-	Cmp:  profile.Counts{B: 1},
-}
-
-// OpCostsOf returns the cost table for T. ok is false for scalar types
-// outside the built-in family (custom Real implementations), which have
-// no bulk fast path and keep the per-op hooked accounting.
-func OpCostsOf[T Real[T]]() (c OpCosts, ok bool) {
-	var z T
-	switch any(z).(type) {
-	case F32, F64:
-		return FloatOpCosts, true
-	case fixed.Num:
-		return FixedOpCosts, true
-	}
-	return OpCosts{}, false
 }
 
 // ScaleCounts returns cost repeated n times — the aggregate charge of n
