@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"runtime"
+	"sort"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -34,9 +36,13 @@ const (
 	pinFig3   = "206895872112de22f0bcf1d9c9b7531e357176b7de9c9ba35c089b7274c280c4"
 	// Case Study #2: Table VII, and Fig 4 at pinFig4Step fraction-bit
 	// steps: the suite's only fixed-point linear algebra.
-	pinTable7   = "f9af8a55a938c1beb164d42c85df43cd15888b0bd878b3950b36d4c38cb25cb0"
-	pinFig4     = "f1f9fc7a7ec80575ba143f6af03b9f37012d26213a85ff8e5d8dd86329a9247a"
-	pinFig4Step = 2
+	pinTable7 = "f9af8a55a938c1beb164d42c85df43cd15888b0bd878b3950b36d4c38cb25cb0"
+	// Table VII's per-update values at full float64 precision: the
+	// rendered table prints two to three digits, which hides a drift of
+	// a few ops per update.
+	pinTable7Values = "5f2564782cb8d28d26359bd21d532993010d97339c331f99e9d38331358ba502"
+	pinFig4         = "f1f9fc7a7ec80575ba143f6af03b9f37012d26213a85ff8e5d8dd86329a9247a"
+	pinFig4Step     = 2
 )
 
 func digest(b []byte) string {
@@ -104,6 +110,27 @@ func TestOutputDigestsPinned(t *testing.T) {
 		report.RunCS2Table7().WriteTable7(&buf)
 		if got := digest(buf.Bytes()); got != pinTable7 {
 			t.Errorf("Table VII digest %s, want %s\n%s", got, pinTable7, buf.String())
+		}
+	})
+	t.Run("table7-values", func(t *testing.T) {
+		var buf bytes.Buffer
+		for _, row := range report.RunCS2Table7().Rows {
+			buf.WriteString(row.Filter + " " + row.Mode + " " + row.Format + "\n")
+			archs := make([]string, 0, len(row.LatencyUs))
+			for a := range row.LatencyUs {
+				archs = append(archs, a)
+			}
+			sort.Strings(archs)
+			for _, a := range archs {
+				buf.WriteString(a)
+				for _, v := range []float64{row.LatencyUs[a], row.EnergyNJ[a], row.PeakMW[a]} {
+					buf.WriteString(" " + strconv.FormatFloat(v, 'g', -1, 64))
+				}
+				buf.WriteString("\n")
+			}
+		}
+		if got := digest(buf.Bytes()); got != pinTable7Values {
+			t.Errorf("Table VII values digest %s, want %s\n%s", got, pinTable7Values, buf.String())
 		}
 	})
 	t.Run("fig4", func(t *testing.T) {
