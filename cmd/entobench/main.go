@@ -24,8 +24,8 @@
 //	                               # through the trace backend;
 //	                               # -cachedir persists per-cell results so
 //	                               # overlapping sweeps compute only the delta;
-//	                               # -shard runs slice I of an N-way partition
-//	                               # and emits a shard bundle (requires -json)
+//	                               # -shard I/N sweeps every N-th kernel starting
+//	                               # at I and emits a shard bundle (requires -json)
 //	entobench trace <kernel> [-arch M4] [-boards FILE] [-o FILE]
 //	                               # export a synthesized trace-capture CSV
 //	entobench merge [-o FILE] <shard.json>...
@@ -360,7 +360,7 @@ func sweep(args []string) (err error) {
 	cacheDir := fs.String("cachedir", "", "persistent per-cell result cache directory (created if missing)")
 	backendName := fs.String("backend", "", "measurement backend for the cells (sim, trace, or a registered name; default sim)")
 	traceFile := fs.String("tracefile", "", "trace-capture CSV replayed by the trace backend (implies -backend trace)")
-	shardSpec := fs.String("shard", "", "run slice I of an N-way grid partition (\"I/N\") and emit a shard bundle; requires -json")
+	shardSpec := fs.String("shard", "", "sweep every N-th kernel starting at I (\"I/N\") and emit a shard bundle; requires -json")
 	cpuProf := fs.String("cpuprofile", "", "write a pprof CPU profile of the sweep to FILE")
 	memProf := fs.String("memprofile", "", "write a pprof heap profile after the sweep to FILE")
 	if err := fs.Parse(reorderArgs(fs, args)); err != nil {
@@ -423,11 +423,12 @@ func sweep(args []string) (err error) {
 		}
 		opts.CellCache = cc
 	}
+	var shard, of int
 	if *shardSpec != "" {
 		if !*jsonOut {
 			return errors.New("-shard emits a machine-readable bundle and requires -json")
 		}
-		opts.ShardIndex, opts.ShardCount, err = parseShard(*shardSpec)
+		shard, of, err = parseShard(*shardSpec)
 		if err != nil {
 			return err
 		}
@@ -442,26 +443,15 @@ func sweep(args []string) (err error) {
 		rec = obs.NewRecorder()
 		opts.Context = obs.WithRecorder(ctx, rec)
 	}
-	if opts.ShardCount > 0 {
-		// A shard run: straight to the engine (partial by construction,
-		// so the in-memory sweep cache must not retain it), bundle to
-		// stdout. Any owned-cell failure aborts with no bundle — merge
-		// inputs are healthy by construction.
-		sr, serr := report.RunShard(core.Suite(), archs, opts)
-		if prog != nil {
-			prog.Done()
-		}
-		if *tracePath != "" {
-			if terr := writeTrace(*tracePath, rec); terr != nil && serr == nil {
-				serr = terr
-			}
-		}
-		if serr != nil {
-			return serr
-		}
-		return report.WriteShardReport(os.Stdout, sr)
+	// A shard run sweeps its kernels and writes a bundle; any failure
+	// aborts it with no bundle, so merge inputs are healthy.
+	var c report.Characterization
+	var sr report.ShardReport
+	if of > 0 {
+		sr, err = report.RunShard(core.Suite(), archs, shard, of, opts)
+	} else {
+		c, err = report.RunSweepQuery(core.Suite(), archs, opts)
 	}
-	c, err := report.RunSweepQuery(core.Suite(), archs, opts)
 	if prog != nil {
 		prog.Done()
 	}
@@ -469,6 +459,12 @@ func sweep(args []string) (err error) {
 		if terr := writeTrace(*tracePath, rec); terr != nil && err == nil {
 			err = terr
 		}
+	}
+	if of > 0 {
+		if err != nil {
+			return err
+		}
+		return report.WriteShardReport(os.Stdout, sr)
 	}
 	if err != nil && len(c.Records) == 0 {
 		return err // nothing assembled — a plain failure, not a partial run
@@ -556,8 +552,8 @@ func parseShard(s string) (index, count int, err error) {
 // merge joins shard bundles (entobench sweep -shard I/N -json) into the
 // single v1 JSON report a one-process sweep of the same query would
 // have produced, byte for byte. The bundles must form a complete
-// partition of one sweep; anything stale, duplicated, or missing is an
-// error.
+// partition of one sweep; anything stale, duplicated, missing, or
+// edited is an error.
 func merge(args []string) error {
 	fs := flag.NewFlagSet("merge", flag.ExitOnError)
 	out := fs.String("o", "", "write the merged report to FILE instead of stdout")

@@ -21,8 +21,7 @@ func TestOutputFlagFailures(t *testing.T) {
 	if !ok {
 		t.Fatal("madgwick not in the suite")
 	}
-	sr, err := report.RunShard([]core.Spec{spec}, []mcu.Arch{mcu.M4},
-		core.SweepOptions{Workers: 1, ShardIndex: 1, ShardCount: 1})
+	sr, err := report.RunShard([]core.Spec{spec}, []mcu.Arch{mcu.M4}, 1, 1, core.SweepOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,8 +53,7 @@ type (
 	// SweepOptions configures a characterization sweep: worker count,
 	// progress hook, fail-fast vs contained failures, the per-cell
 	// watchdog timeout, a cancellation context (DESIGN.md §12), a
-	// persistent cell cache, a measurement backend, and shard
-	// partitioning.
+	// persistent cell cache, and a measurement backend.
 	SweepOptions = core.SweepOptions
 	// CellCache serves and persists per-cell sweep results; plug one
 	// into SweepOptions.CellCache so overlapping sweeps compute only

@@ -141,8 +141,8 @@ func TestFLOPClaimsPresent(t *testing.T) {
 // records are deeply identical and the v1 export byte-identical for any
 // worker count, and cells stay in serial (arch-major, cache on/off)
 // order. A 3-way sharded run merged through report.MergeShards must
-// give the same bytes, which proves shard ownership still follows the
-// serial job index when workers take whole kernel executions.
+// give the same bytes: the merge places each kernel's record by its
+// index in kernel order, whichever shard swept it.
 func TestCharacterizeSuiteDeterministicAcrossWorkers(t *testing.T) {
 	specs := core.Suite()
 	archs := mcu.TableIVSet()
@@ -188,7 +188,7 @@ func TestCharacterizeSuiteDeterministicAcrossWorkers(t *testing.T) {
 
 	var shards []report.ShardReport
 	for i := 1; i <= 3; i++ {
-		sr, err := report.RunShard(specs, archs, core.SweepOptions{Workers: 2, ShardIndex: i, ShardCount: 3})
+		sr, err := report.RunShard(specs, archs, i, 3, core.SweepOptions{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,9 +37,8 @@ import (
 // proxy-run static job and its cells as two groups, so the proxy run
 // overlaps the prepare. Counts and validity are arch-independent, so
 // grouping changes no assembled byte; each job keeps its serial index,
-// which fixes its record slot, shard ownership and error order, and
-// classification, the cell cache, the watchdog, progress and spans all
-// stay per job.
+// which fixes its record slot and error order, and classification, the
+// cell cache, the watchdog, progress and spans all stay per job.
 //
 // Failure model (DESIGN.md §12): a cell that panics, errors, or trips
 // the watchdog costs exactly its own slot. Panics are recovered with
@@ -235,21 +234,6 @@ type SweepOptions struct {
 	// cells. The backend's identity salts cell-cache keys so modeled
 	// and measured results never collide.
 	Backend harness.Backend
-	// ShardIndex/ShardCount partition the job grid deterministically
-	// across processes: with ShardCount = N > 0 and ShardIndex = i in
-	// 1..N, the sweep executes only jobs whose serial index ≡ i-1
-	// (mod N) and marks every foreign job CellSkipped (with no error),
-	// so N shard runs cover each job exactly once and report.MergeShards
-	// reassembles the single-process bytes. ShardCount 0 disables
-	// sharding.
-	ShardIndex int
-	ShardCount int
-}
-
-// ownsJob reports whether this sweep's shard executes serial job index
-// j. With sharding off every job is owned.
-func (o SweepOptions) ownsJob(j int) bool {
-	return o.ShardCount <= 0 || j%o.ShardCount == o.ShardIndex-1
 }
 
 // PanicError is a recovered kernel panic: the panic value plus the
@@ -347,9 +331,6 @@ func CharacterizeSuiteOpts(specs []Spec, archs []mcu.Arch, opts SweepOptions) ([
 // another sweep on t holds or has in flight, and records into the
 // context's obs.Recorder, if any.
 func (t *ExecTable) Characterize(specs []Spec, archs []mcu.Arch, opts SweepOptions) ([]Record, error) {
-	if opts.ShardCount > 0 && (opts.ShardIndex < 1 || opts.ShardIndex > opts.ShardCount) {
-		return nil, fmt.Errorf("core: shard index %d out of range 1..%d", opts.ShardIndex, opts.ShardCount)
-	}
 	// Selecting the simulator explicitly is the classic path: normalize
 	// it to nil so keys, labels, and bytes are identical either way.
 	if _, isSim := opts.Backend.(harness.SimBackend); isSim {
@@ -409,15 +390,6 @@ func (t *ExecTable) Characterize(specs []Spec, archs []mcu.Arch, opts SweepOptio
 	// run executes serial job j on the given worker lane; every job of
 	// a group is classified, cached, watched and reported on its own.
 	run := func(j, lane int) {
-		if !opts.ownsJob(j) {
-			// A foreign shard's job: skipped with no error, so this
-			// shard's bundle carries exactly its own cells and a
-			// healthy shard run exits clean.
-			commitSkip(records, &jobs[j], nil)
-			skipped.Add(1)
-			progress()
-			return
-		}
 		if (opts.FailFast && failed.Load()) || ctx.Err() != nil {
 			commitSkip(records, &jobs[j], ctx.Err())
 			skipped.Add(1)
