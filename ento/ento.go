@@ -122,7 +122,8 @@ func ArchSet(query string) ([]Arch, error) { return mcu.ResolveArchs(query) }
 
 // RegisterKernel adds an external kernel spec to the suite; it then
 // appears in Suite, ByName lookups, and every sweep, after the curated
-// Table III rows.
+// Table III rows. A registered kernel's sweep prepare runs one warm-up
+// Solve before its profiled ROI Solve, as the paper's harness does.
 func RegisterKernel(s Spec) error { return core.Register(s) }
 
 // RegisterBackend adds a measurement backend to the process registry —

@@ -49,6 +49,12 @@ type Spec struct {
 	// nil means the first Solve of the Factory problem the sweep
 	// already executes, so no extra problem is built.
 	StaticFactory func() harness.Problem
+	// oneSolve marks a built-in whose second Solve repeats its first op
+	// for op and leaves Validate's verdict unchanged, so its prepare
+	// runs one profiled Solve that serves as warm-up, ROI and first
+	// Solve. Unexported: a registered kernel keeps warm-up plus ROI.
+	// It is not part of the kernel descriptor the cache keys hash.
+	oneSolve bool
 }
 
 // Fits reports whether the kernel's dataset fits on the given core.

@@ -168,7 +168,11 @@ func (t *ExecTable) prepare(ctx context.Context, spec Spec, archs []mcu.Arch, cc
 				return execValue{prep: harness.RehydratePrepared(mr.Name, mr.Counts, mr.Valid, validE)}, nil
 			}
 		}
-		pp, err := harness.PrepareContext(ctx, spec.Factory(), mcu.Arch{}, spec.Prec, harness.DefaultConfig())
+		cfg := harness.DefaultConfig()
+		if spec.oneSolve {
+			cfg.Warmup = 0
+		}
+		pp, err := harness.PrepareContext(ctx, spec.Factory(), mcu.Arch{}, spec.Prec, cfg)
 		return execValue{prep: pp}, err
 	})
 	return v.prep, err

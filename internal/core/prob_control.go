@@ -15,12 +15,14 @@ func controlSpecs() []Spec {
 		{
 			Name: "fly-tiny-mpc", Stage: Control, Category: "Opt. Ctrl.", Dataset: "fly-traj",
 			Prec: mcu.PrecF32, FLOPs: control.TinyMPCFLOPs,
-			Factory: func() harness.Problem { return newTinyMPCProblem() },
+			Factory:  func() harness.Problem { return newTinyMPCProblem() },
+			oneSolve: true,
 		},
 		{
 			Name: "fly-lqr", Stage: Control, Category: "Opt. Ctrl.", Dataset: "fly-traj",
 			Prec: mcu.PrecF32, FLOPs: control.FlyLQRFLOPs,
-			Factory: func() harness.Problem { return newLQRProblem() },
+			Factory:  func() harness.Problem { return newLQRProblem() },
+			oneSolve: true,
 		},
 		{
 			Name: "bee-mpc", Stage: Control, Category: "Opt. Ctrl.", Dataset: "bee-synth",
@@ -29,13 +31,15 @@ func controlSpecs() []Spec {
 		},
 		{
 			Name: "bee-geom", Stage: Control, Category: "Geom. Ctrl.", Dataset: "bee-synth",
-			Prec:    mcu.PrecF32,
-			Factory: func() harness.Problem { return newGeomProblem() },
+			Prec:     mcu.PrecF32,
+			Factory:  func() harness.Problem { return newGeomProblem() },
+			oneSolve: true,
 		},
 		{
 			Name: "bee-smac", Stage: Control, Category: "Adapt. Ctrl.", Dataset: "bee-traj",
-			Prec:    mcu.PrecF32,
-			Factory: func() harness.Problem { return newSMACProblem() },
+			Prec:     mcu.PrecF32,
+			Factory:  func() harness.Problem { return newSMACProblem() },
+			oneSolve: true,
 		},
 	}
 }

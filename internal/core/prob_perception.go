@@ -29,6 +29,7 @@ func perceptionSpecs() []Spec {
 			StaticFactory: func() harness.Problem {
 				return newFeatureProblem("fastbrief", staticImgSize, dataset.Midd)
 			},
+			oneSolve: true,
 		},
 		{
 			Name: "orb", Stage: Perception, Category: "Feat. Extr.", Dataset: "midd-stereo",
@@ -37,6 +38,7 @@ func perceptionSpecs() []Spec {
 			StaticFactory: func() harness.Problem {
 				return newFeatureProblem("orb", staticImgSize, dataset.Midd)
 			},
+			oneSolve: true,
 		},
 		{
 			Name: "sift", Stage: Perception, Category: "Feat. Extr.", Dataset: "midd-stereo",
@@ -48,6 +50,7 @@ func perceptionSpecs() []Spec {
 			StaticFactory: func() harness.Problem {
 				return newFeatureProblem("sift", staticImgSize, dataset.Midd)
 			},
+			oneSolve: true,
 		},
 		{
 			Name: "lkof", Stage: Perception, Category: "Opt. Flow", Dataset: "midd-flow",
@@ -56,6 +59,7 @@ func perceptionSpecs() []Spec {
 			StaticFactory: func() harness.Problem {
 				return newFlowProblem("lkof", 32, dataset.Midd)
 			},
+			oneSolve: true,
 		},
 		{
 			Name: "iiof", Stage: Perception, Category: "Opt. Flow", Dataset: "midd-flow",
@@ -64,6 +68,7 @@ func perceptionSpecs() []Spec {
 			StaticFactory: func() harness.Problem {
 				return newFlowProblem("iiof", 64, dataset.Midd)
 			},
+			oneSolve: true,
 		},
 		{
 			Name: "bbof", Stage: Perception, Category: "Opt. Flow", Dataset: "midd-flow",
@@ -72,6 +77,7 @@ func perceptionSpecs() []Spec {
 			StaticFactory: func() harness.Problem {
 				return newFlowProblem("bbof", 32, dataset.Midd)
 			},
+			oneSolve: true,
 		},
 	}
 }

@@ -23,28 +23,33 @@ func estimationSpecs() []Spec {
 	specs := []Spec{
 		{
 			Name: "mahony", Stage: Estimation, Category: "Att. Est.", Dataset: "bee-synth",
-			Prec:    mcu.PrecF32,
-			Factory: func() harness.Problem { return newAttitudeProblem("mahony", attitude.IMUOnly) },
+			Prec:     mcu.PrecF32,
+			Factory:  func() harness.Problem { return newAttitudeProblem("mahony", attitude.IMUOnly) },
+			oneSolve: true,
 		},
 		{
 			Name: "madgwick", Stage: Estimation, Category: "Att. Est.", Dataset: "bee-synth",
-			Prec:    mcu.PrecF32,
-			Factory: func() harness.Problem { return newAttitudeProblem("madgwick", attitude.IMUOnly) },
+			Prec:     mcu.PrecF32,
+			Factory:  func() harness.Problem { return newAttitudeProblem("madgwick", attitude.IMUOnly) },
+			oneSolve: true,
 		},
 		{
 			Name: "fourati", Stage: Estimation, Category: "Att. Est.", Dataset: "bee-synth",
-			Prec:    mcu.PrecF32,
-			Factory: func() harness.Problem { return newAttitudeProblem("fourati", attitude.MARG) },
+			Prec:     mcu.PrecF32,
+			Factory:  func() harness.Problem { return newAttitudeProblem("fourati", attitude.MARG) },
+			oneSolve: true,
 		},
 		{
 			Name: "fly-ekf (sync)", Stage: Estimation, Category: "Kalman Filt.", Dataset: "fly-synth",
 			Prec: mcu.PrecF32, FLOPs: ekf.FlyEKFFLOPs,
-			Factory: func() harness.Problem { return newFlyEKFProblem(ekf.Sync) },
+			Factory:  func() harness.Problem { return newFlyEKFProblem(ekf.Sync) },
+			oneSolve: true,
 		},
 		{
 			Name: "fly-ekf (seq)", Stage: Estimation, Category: "Kalman Filt.", Dataset: "fly-synth",
 			Prec: mcu.PrecF32, FLOPs: ekf.FlyEKFFLOPs,
-			Factory: func() harness.Problem { return newFlyEKFProblem(ekf.Sequential) },
+			Factory:  func() harness.Problem { return newFlyEKFProblem(ekf.Sequential) },
+			oneSolve: true,
 		},
 		{
 			Name: "fly-ekf (trunc)", Stage: Estimation, Category: "Kalman Filt.", Dataset: "fly-synth",
@@ -54,7 +59,8 @@ func estimationSpecs() []Spec {
 		{
 			Name: "bee-ceekf", Stage: Estimation, Category: "Kalman Filt.", Dataset: "bee-hil",
 			Prec: mcu.PrecF32, FLOPs: ekf.BeeCEEKFFLOPs,
-			Factory: func() harness.Problem { return newBeeEKFProblem() },
+			Factory:  func() harness.Problem { return newBeeEKFProblem() },
+			oneSolve: true,
 		},
 	}
 	specs = append(specs, poseSpecs()...)
@@ -65,7 +71,8 @@ func poseSpecs() []Spec {
 	abs := func(name, cat, ds string, solve func(*posedProblem)) Spec {
 		return Spec{
 			Name: name, Stage: Estimation, Category: cat, Dataset: ds, Prec: mcu.PrecF32,
-			Factory: func() harness.Problem { return newPoseProblem(name, solve) },
+			Factory:  func() harness.Problem { return newPoseProblem(name, solve) },
+			oneSolve: true,
 		}
 	}
 	return []Spec{

@@ -78,8 +78,12 @@ func registerLocked(s Spec) error {
 // Register adds an external kernel to the suite with the same
 // validation the built-ins pass. Registered kernels appear after the
 // curated Table III rows in Suite() order and characterize through the
-// identical sweep path — the framework's extensibility contract.
+// identical sweep path — the framework's extensibility contract. A
+// registered kernel's prepare runs a warm-up Solve before its profiled
+// ROI Solve, even when s copies a built-in's Spec: the caller's Factory
+// carries no promise that its second Solve repeats the first.
 func Register(s Spec) error {
+	s.oneSolve = false
 	ensureSuite()
 	suiteReg.mu.Lock()
 	defer suiteReg.mu.Unlock()

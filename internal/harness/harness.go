@@ -141,9 +141,11 @@ func Prepare(p Problem, cfg Config) (*Prepared, error) {
 // Solves, the profiled ROI Solve, and Validate right after it. The
 // first Solve after Setup is profiled too — the warm-up, or the ROI
 // Solve itself when cfg.Warmup is 0 — and its counts are kept as
-// FirstCounts. The host runs cfg.Warmup + 1 Solves whatever cfg.Reps
-// says: the trace synthesizer scales the ROI to the full rep count
-// analytically. refArch and prec are ignored; existing callers still
+// FirstCounts. cfg.Reps does not change how many Solves run: the
+// trace synthesizer scales the ROI to the full rep count analytically.
+// The sweep passes Warmup 0 for a built-in kernel whose second Solve
+// repeats its first, and the default one warm-up Solve for any other
+// kernel. refArch and prec are ignored; existing callers still
 // pass them. The context is checked at every phase boundary (after
 // Setup, between warm-up Solves, before the profiled ROI) and a
 // canceled run returns ctx.Err() wrapped. Cancellation is cooperative:

@@ -41,7 +41,9 @@ const fastMargin = 3
 // and segmentScore's arc walk — is tallied analytically and charged
 // with profile.AddCounts.
 func DetectFAST(g *img.Gray, threshold int) []Keypoint {
-	scores := make([]int, g.W*g.H)
+	// An arc score sums at most 16 differences of 8-bit pixels, at most
+	// 16 × 255 = 4080, so two bytes hold every score exactly.
+	scores := make([]uint16, g.W*g.H)
 	var ring [16]int
 	candidates := uint64(0)
 	for y := fastMargin; y < g.H-fastMargin; y++ {
@@ -67,7 +69,7 @@ func DetectFAST(g *img.Gray, threshold int) []Keypoint {
 				ring[i] = int(g.Pix[(y+off[1])*g.W+x+off[0]])
 			}
 			if sc := segmentScore(ring[:], p, threshold); sc > 0 {
-				scores[row+x] = sc
+				scores[row+x] = uint16(sc)
 			}
 		}
 	}
@@ -103,7 +105,7 @@ func DetectFAST(g *img.Gray, threshold int) []Keypoint {
 				}
 			}
 			if isMax {
-				out = append(out, Keypoint{X: x, Y: y, Score: sc})
+				out = append(out, Keypoint{X: x, Y: y, Score: int(sc)})
 			}
 		}
 	}
