@@ -1,5 +1,5 @@
 // Ablation benchmarks for the design decisions called out in DESIGN.md
-// §5, plus the factor-graph extension kernel:
+// §5:
 //
 //	BenchmarkAblationGenericEKF — generic framework vs hand-specialized
 //	    fly-ekf (the sparsity benefit a generic EKF cannot collect).
@@ -7,18 +7,12 @@
 //	    memory-class term (why FLOP-style counting misleads).
 //	BenchmarkAblationTraceEnergy — analytic energy vs the full
 //	    trace-synthesis + analysis pipeline.
-//	BenchmarkExtensionFactorGraph — the AXLE-style chain smoother the
-//	    paper lists as a planned extension.
 package repro
 
 import (
-	"math/rand"
 	"testing"
 
-	"repro/internal/cnn"
-	"repro/internal/dataset"
 	"repro/internal/ekf"
-	"repro/internal/factorgraph"
 	"repro/internal/harness"
 	"repro/internal/mcu"
 	"repro/internal/profile"
@@ -88,58 +82,4 @@ func BenchmarkAblationTraceEnergy(b *testing.B) {
 		relErr = harness.RelError(m.EnergyJ, est.EnergyJ)
 	}
 	b.ReportMetric(relErr, "energyRelErr")
-}
-
-// BenchmarkExtensionFactorGraph measures one Gauss-Newton smoothing
-// iteration over a 100-pose chain — the planned AXLE-style extension.
-func BenchmarkExtensionFactorGraph(b *testing.B) {
-	b.ReportAllocs()
-	type F = scalar.F32
-	rng := rand.New(rand.NewSource(1))
-	odom := make([]factorgraph.Odometry[F], 99)
-	for i := range odom {
-		odom[i] = factorgraph.Odometry[F]{
-			DX: F(0.1 + rng.NormFloat64()*0.01), DY: 0,
-			DTheta: F(rng.NormFloat64() * 0.01),
-			WX:     1e3, WY: 1e3, WTheta: 1e3,
-		}
-	}
-	chain := factorgraph.NewChain(F(0), odom)
-	counts := profile.Collect(func() { chain.Smooth(1) })
-	est := mcu.M4.Estimate(counts, mcu.PrecF32, true)
-	b.ReportMetric(est.LatencyUs(), "µs/M4")
-	b.ReportMetric(est.EnergyUJ(), "µJ/M4")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		chain.Smooth(1)
-	}
-}
-
-// BenchmarkExtensionDepthNet measures the CNN depth-proxy extension:
-// int8 and float inference over a 32×32 crop, with modeled M4 metrics.
-func BenchmarkExtensionDepthNet(b *testing.B) {
-	net := cnn.NewDepthNet()
-	g := dataset.GenImage(dataset.Midd, 32, 32, 3)
-	b.Run("float32", func(b *testing.B) {
-		b.ReportAllocs()
-		counts := profile.Collect(func() { net.Infer(g) })
-		est := mcu.M4.Estimate(counts, mcu.PrecF32, true)
-		b.ReportMetric(est.LatencyUs(), "µs/M4")
-		b.ReportMetric(est.EnergyUJ(), "µJ/M4")
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			net.Infer(g)
-		}
-	})
-	b.Run("int8", func(b *testing.B) {
-		b.ReportAllocs()
-		counts := profile.Collect(func() { net.InferQ(g) })
-		est := mcu.M4.Estimate(counts, mcu.PrecFixed, true)
-		b.ReportMetric(est.LatencyUs(), "µs/M4")
-		b.ReportMetric(est.EnergyUJ(), "µJ/M4")
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			net.InferQ(g)
-		}
-	})
 }

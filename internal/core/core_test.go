@@ -12,13 +12,8 @@ import (
 
 func TestSuiteHasAll31Kernels(t *testing.T) {
 	suite := core.Suite()
-	// 30 curated kernels in Table III; bbof-vec (the 31st of the
-	// abstract) is exposed as a Table VI variant through
-	// NewFlowProblem, not a separate row.
-	if len(suite) != 24 {
-		t.Logf("suite size %d", len(suite))
-	}
-	want := []string{ // the curated rows always lead Suite() in this order
+	// The 31 Table III kernels always lead Suite() in this order.
+	want := []string{
 		"fastbrief", "orb", "sift", "lkof", "iiof", "bbof",
 		"mahony", "madgwick", "fourati",
 		"fly-ekf (sync)", "fly-ekf (seq)", "fly-ekf (trunc)", "bee-ceekf",

@@ -1,6 +1,8 @@
 package mcu_test
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/mcu"
@@ -144,17 +146,9 @@ func TestDoublePenalty(t *testing.T) {
 	}
 }
 
-// Peak power exceeds average power and rises when caches are enabled on
-// the M7 (the energy-vs-peak-power trade-off the paper flags).
+// Peak power rises when caches are enabled on the M7 (the
+// energy-vs-peak-power trade-off the paper flags).
 func TestPeakPowerBehaviour(t *testing.T) {
-	for _, a := range mcu.All() {
-		for _, cache := range []bool{true, false} {
-			e := a.Estimate(mix, mcu.PrecF32, cache)
-			if e.PeakPowerW < e.AvgPowerW {
-				t.Errorf("%s cache=%v: peak %.4g < avg %.4g", a.Name, cache, e.PeakPowerW, e.AvgPowerW)
-			}
-		}
-	}
 	on := mcu.M7.Estimate(mix, mcu.PrecF32, true)
 	off := mcu.M7.Estimate(mix, mcu.PrecF32, false)
 	if on.PeakPowerW <= off.PeakPowerW {
@@ -187,9 +181,6 @@ func TestPowerMagnitudes(t *testing.T) {
 
 func TestEnergyConsistency(t *testing.T) {
 	e := mcu.M4.Estimate(mix, mcu.PrecF32, true)
-	if got := e.AvgPowerW * e.LatencyS; got != e.EnergyJ {
-		t.Errorf("energy %.6g != power*latency %.6g", e.EnergyJ, got)
-	}
 	if e.LatencyUs() != e.LatencyS*1e6 {
 		t.Error("LatencyUs inconsistent")
 	}
@@ -236,5 +227,83 @@ func TestStaticAdjustAndFlash(t *testing.T) {
 func TestPrecisionString(t *testing.T) {
 	if mcu.PrecF32.String() != "f32" || mcu.PrecF64.String() != "f64" || mcu.PrecFixed.String() != "fixed" {
 		t.Error("Precision String values wrong")
+	}
+}
+
+// randomBoard draws a board that passes Arch.Validate: every model
+// parameter within ModelParams.Validate's bounds, in the ranges a
+// Cortex-M board file plausibly declares.
+func randomBoard(rng *rand.Rand, i int, fpu mcu.FPUKind) mcu.Arch {
+	u := func(lo, hi float64) float64 { return lo + rng.Float64()*(hi-lo) }
+	memOn := u(0.5, 4)
+	baseOn := u(0.001, 0.5)
+	return mcu.Arch{
+		Name: fmt.Sprintf("gen%d", i), ClockHz: u(1e6, 600e6), FPU: fpu, SRAMKB: 1 + rng.Intn(2048),
+		Model: mcu.ModelParams{
+			CPIF32: u(0.5, 4), CPIF64: u(0.5, 8), CPII: u(0.5, 3), CPIB: u(0.5, 4),
+			MemOn: memOn, MemOff: memOn + u(0, 20), BranchOffPenalty: u(0, 10), IPC: u(0.5, 2.5),
+			SoftF32: u(1, 60), SoftF64: u(1, 120),
+			BasePowerOnW: baseOn, BasePowerOffW: baseOn * u(0.2, 5),
+			DynFOnW: u(0, 0.1), DynMOnW: u(0, 0.1), DynFOffW: u(0, 0.1), DynMOffW: u(0, 0.1),
+		},
+	}
+}
+
+// TestCostModelRelationsOnGeneratedBoards checks the relations that
+// hold by construction for any valid board, the registered ones and
+// seeded random ones: cycles and latency never fall when one op class
+// grows, cache-off latency is at least cache-on latency, energy is
+// average power times latency, and peak power is at least average
+// power. Counts are random, with some classes zero, at every precision
+// and FPU kind.
+//
+// Energy is deliberately not asserted monotone in op counts: Estimate
+// weights dynamic power by each class's share of the op count, so
+// adding cheap ops can lower energy, as it does on the reference M0+.
+// Changing that changes every energy and power byte of the v1 export,
+// which is out of scope for this test.
+func TestCostModelRelationsOnGeneratedBoards(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	count := func() uint64 {
+		if rng.Intn(4) == 0 {
+			return 0
+		}
+		return uint64(rng.Int63n(1_000_000))
+	}
+	fpus := []mcu.FPUKind{mcu.NoFPU, mcu.SPOnly, mcu.SPDP}
+	boards := mcu.All()
+	for i := 0; i < 60; i++ {
+		a := randomBoard(rng, i, fpus[i%len(fpus)])
+		if err := a.Validate(); err != nil {
+			t.Fatalf("generated board %s is invalid: %v", a.Name, err)
+		}
+		boards = append(boards, a)
+	}
+	for _, a := range boards {
+		for j := 0; j < 50; j++ {
+			c := profile.Counts{F: count(), I: count(), M: count(), B: count()}
+			grown := c
+			*[]*uint64{&grown.F, &grown.I, &grown.M, &grown.B}[rng.Intn(4)] += 1 + uint64(rng.Int63n(100_000))
+			for _, prec := range []mcu.Precision{mcu.PrecF32, mcu.PrecF64, mcu.PrecFixed} {
+				at := fmt.Sprintf("board %s (fpu %s) %s %+v", a.Name, a.FPU, prec, c)
+				on, off := a.Estimate(c, prec, true), a.Estimate(c, prec, false)
+				if off.LatencyS < on.LatencyS {
+					t.Errorf("%s: cache-off latency %g < cache-on %g", at, off.LatencyS, on.LatencyS)
+				}
+				for _, cacheOn := range []bool{true, false} {
+					e, g := a.Estimate(c, prec, cacheOn), a.Estimate(grown, prec, cacheOn)
+					if g.Cycles < e.Cycles || g.LatencyS < e.LatencyS {
+						t.Errorf("%s cache=%v: growing to %+v lowered cycles %g→%g or latency %g→%g",
+							at, cacheOn, grown, e.Cycles, g.Cycles, e.LatencyS, g.LatencyS)
+					}
+					if e.EnergyJ != e.AvgPowerW*e.LatencyS {
+						t.Errorf("%s cache=%v: energy %g != avg power × latency %g", at, cacheOn, e.EnergyJ, e.AvgPowerW*e.LatencyS)
+					}
+					if e.PeakPowerW < e.AvgPowerW {
+						t.Errorf("%s cache=%v: peak power %g < avg %g", at, cacheOn, e.PeakPowerW, e.AvgPowerW)
+					}
+				}
+			}
+		}
 	}
 }

@@ -10,9 +10,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/mcu"
 	"repro/internal/profile"
+	"repro/internal/report"
 )
 
-const countsGoldenPath = "testdata/kernel_counts.golden"
+const (
+	countsGoldenPath    = "testdata/kernel_counts.golden"
+	cs2CountsGoldenPath = "testdata/cs2_counts.golden"
+)
 
 // countsLine renders one kernel's golden line: its static and dynamic
 // F/I/M/B counts and its validation verdict.
@@ -50,15 +54,36 @@ func TestKernelCountsGolden(t *testing.T) {
 	for _, r := range recs {
 		b.WriteString(countsLine(r) + "\n")
 	}
-	got := b.String()
+	checkLinesGolden(t, countsGoldenPath, b.String())
+}
+
+// TestCS2CountsGolden pins Case Study #2's per-update counts: one line
+// per Table VII row (filter, mode, format) and one per Fig 4 Q-format
+// point at the pinned step, so a drift names the filter and format
+// where the Table VII and Fig 4 digests only say that some byte moved.
+// Regenerate after a deliberate change with:
+//
+//	go test ./internal/report -run TestCS2CountsGolden -update
+func TestCS2CountsGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("counts are recorded on amd64; %s may fuse multiply-add and take other data-dependent paths", runtime.GOARCH)
+	}
+	checkLinesGolden(t, cs2CountsGoldenPath, strings.Join(report.CS2CountsLines(pinFig4Step), "\n")+"\n")
+}
+
+// checkLinesGolden compares got with the golden file at path, or
+// rewrites the file under -update. On drift it prints each differing
+// line with its number.
+func checkLinesGolden(t *testing.T, path, got string) {
+	t.Helper()
 	if updateGolden() {
-		if err := os.WriteFile(countsGoldenPath, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("golden regenerated: %s", countsGoldenPath)
+		t.Logf("golden regenerated: %s", path)
 		return
 	}
-	raw, err := os.ReadFile(countsGoldenPath)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read golden (regenerate with -update): %v", err)
 	}
@@ -80,5 +105,5 @@ func TestKernelCountsGolden(t *testing.T) {
 			fmt.Fprintf(&diff, "line %d\n  want %s\n  got  %s\n", i+1, w, g)
 		}
 	}
-	t.Errorf("kernel counts drifted from %s (regenerate with -update if intended):\n%s", countsGoldenPath, diff.String())
+	t.Errorf("counts drifted from %s (regenerate with -update if intended):\n%s", path, diff.String())
 }

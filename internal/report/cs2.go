@@ -34,7 +34,8 @@ func cs2BeeHover() []imu.Record {
 	return imu.Simulate(imu.HoverTrajectory(0.12, 0.1, 2), 3, 400, imu.DefaultNoise(), 21)
 }
 
-// cs2Filters enumerates the filter/mode combinations of Fig 4.
+// cs2Filters enumerates the filter/mode combinations of Table VII and
+// Fig 4, in their row order.
 type cs2Filter struct {
 	Name string
 	Mode attitude.Mode
@@ -146,12 +147,7 @@ type CS2Result struct {
 func RunCS2Table7() CS2Result {
 	recs := cs2BeeHover()
 	var out CS2Result
-	combos := []cs2Filter{
-		{"mahony", attitude.IMUOnly}, {"madgwick", attitude.IMUOnly},
-		{"mahony", attitude.MARG}, {"madgwick", attitude.MARG},
-		{"fourati", attitude.MARG},
-	}
-	for _, f := range combos {
+	for _, f := range append(cs2IMUFilters(), cs2MARGFilters()...) {
 		for _, format := range []string{"f32", "q7.24"} {
 			var run attitudeRun
 			prec := mcu.PrecF32

@@ -83,10 +83,10 @@ func uncachedExport(t *testing.T, kernels ...string) []byte {
 	return buf.Bytes()
 }
 
-// TestZZOverlappingQueriesShareKernelWork: two concurrent queries that
+// TestOverlappingQueriesShareKernelWork: two concurrent queries that
 // overlap in one slow kernel, but are not identical, execute its
 // static run and its prepare once between them.
-func TestZZOverlappingQueriesShareKernelWork(t *testing.T) {
+func TestOverlappingQueriesShareKernelWork(t *testing.T) {
 	h := newTestServer()
 	k, statics, prepares := countingSpec(t, "zz-overlap", 100*time.Millisecond, false)
 
@@ -115,12 +115,12 @@ func TestZZOverlappingQueriesShareKernelWork(t *testing.T) {
 	}
 }
 
-// TestZZDepartingLeaderKeepsWaiters: request A leads a slow kernel's
+// TestDepartingLeaderKeepsWaiters: request A leads a slow kernel's
 // executions and leaves at its deadline; request B, waiting on the
 // same executions with no deadline, still gets the full report,
 // byte-identical to the uncached engine's. A's abandoned prepare is
 // led anew by B; A's static run, which finished, is shared.
-func TestZZDepartingLeaderKeepsWaiters(t *testing.T) {
+func TestDepartingLeaderKeepsWaiters(t *testing.T) {
 	h := newTestServer()
 	k, statics, prepares := countingSpec(t, "zz-leader", 300*time.Millisecond, false)
 	body := func(deadlineMS int) string {

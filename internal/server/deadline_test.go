@@ -15,11 +15,11 @@ import (
 
 // Request-deadline enforcement (deadline_ms, docs/server.md).
 
-// TestZZDeadlineEnforcement: a sweep that produced nothing by its
+// TestDeadlineEnforcement: a sweep that produced nothing by its
 // deadline is an explicit 504 with code deadline_exceeded; one that
 // produced some cells still answers 200 with the partial report — the
 // deadline reclaims the stuck workers either way.
-func TestZZDeadlineEnforcement(t *testing.T) {
+func TestDeadlineEnforcement(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release) // drain the abandoned hang goroutines
 	hang := uniqueName("zz-deadline-hang")

@@ -439,11 +439,11 @@ func TestSweepCancellationNoGoroutineLeak(t *testing.T) {
 		base, runtime.NumGoroutine())
 }
 
-// TestZZFaultInjectedSweepIs200Partial: a request whose kernel set
+// TestFaultInjectedSweepIs200Partial: a request whose kernel set
 // includes a panicking kernel still gets a 200 and a well-formed
 // report — the healthy kernel's cells intact, partial:true, and one
 // failures entry per lost job.
-func TestZZFaultInjectedSweepIs200Partial(t *testing.T) {
+func TestFaultInjectedSweepIs200Partial(t *testing.T) {
 	panicker := uniqueName("zz-server-panic")
 	if err := core.Register(faultinject.PanickerSpec(panicker)); err != nil {
 		t.Fatal(err)
