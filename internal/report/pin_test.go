@@ -28,6 +28,9 @@ const (
 	pinTableIVJSON = "4a54795acf77d598854f368ce87e3adc53c266932efbed51190abda748e4bcef"
 	// Table VIII as `entobench table8` renders it.
 	pinTable8 = "8a2ba78728a11d8f934be13eec14bf8079ae2dac0d7d396589862e9ab7004f23"
+	// Table VIII's per-row values at full float64 precision: the
+	// rendered table prints three significant digits.
+	pinTable8Values = "ef0ac80af356ca89c2d25bbd0684bedff86478683b1fbc41ddc26dd8710d4dbc"
 	// Fig 5 at pinFig5N problems per datapoint.
 	pinFig5  = "7cf70335cd342715b57ac6994dc410bce6e5016ad321a7194645377eaf7f9312"
 	pinFig5N = 10
@@ -48,6 +51,23 @@ const (
 func digest(b []byte) string {
 	s := sha256.Sum256(b)
 	return hex.EncodeToString(s[:])
+}
+
+// writeArchValues writes one line per arch of the first map, in name
+// order: the arch, then its value in each map at full float64 precision.
+func writeArchValues(buf *bytes.Buffer, cols ...map[string]float64) {
+	archs := make([]string, 0, len(cols[0]))
+	for a := range cols[0] {
+		archs = append(archs, a)
+	}
+	sort.Strings(archs)
+	for _, a := range archs {
+		buf.WriteString(a)
+		for _, col := range cols {
+			buf.WriteString(" " + strconv.FormatFloat(col[a], 'g', -1, 64))
+		}
+		buf.WriteString("\n")
+	}
 }
 
 // TestOutputDigestsPinned holds the suite's published outputs to the
@@ -80,6 +100,20 @@ func TestOutputDigestsPinned(t *testing.T) {
 		r.WriteTable8(&buf)
 		if got := digest(buf.Bytes()); got != pinTable8 {
 			t.Errorf("Table VIII digest %s, want %s\n%s", got, pinTable8, buf.String())
+		}
+	})
+	t.Run("table8-values", func(t *testing.T) {
+		r, err := report.RunCS3()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		for _, row := range r.Rows {
+			buf.WriteString(row.Kernel + " " + strconv.Itoa(row.FLOPs) + "\n")
+			writeArchValues(&buf, row.CyclesK, row.MeasEnergy, row.EstEnergy)
+		}
+		if got := digest(buf.Bytes()); got != pinTable8Values {
+			t.Errorf("Table VIII values digest %s, want %s\n%s", got, pinTable8Values, buf.String())
 		}
 	})
 	cs1 := sync.OnceValues(report.RunCS1)
@@ -116,18 +150,7 @@ func TestOutputDigestsPinned(t *testing.T) {
 		var buf bytes.Buffer
 		for _, row := range report.RunCS2Table7().Rows {
 			buf.WriteString(row.Filter + " " + row.Mode + " " + row.Format + "\n")
-			archs := make([]string, 0, len(row.LatencyUs))
-			for a := range row.LatencyUs {
-				archs = append(archs, a)
-			}
-			sort.Strings(archs)
-			for _, a := range archs {
-				buf.WriteString(a)
-				for _, v := range []float64{row.LatencyUs[a], row.EnergyNJ[a], row.PeakMW[a]} {
-					buf.WriteString(" " + strconv.FormatFloat(v, 'g', -1, 64))
-				}
-				buf.WriteString("\n")
-			}
+			writeArchValues(&buf, row.LatencyUs, row.EnergyNJ, row.PeakMW)
 		}
 		if got := digest(buf.Bytes()); got != pinTable7Values {
 			t.Errorf("Table VII values digest %s, want %s\n%s", got, pinTable7Values, buf.String())
