@@ -98,7 +98,7 @@ var commands = []command{
 		run: func([]string) error { return ento.WriteTable8(os.Stdout) }},
 	{name: "fig5", args: "[-n N]", summary: "relative-pose solver panels (Case Study #4)",
 		run: fig5},
-	{name: "sweep", args: "[-j N] [-boards FILE] [-archs LIST] [-json] [-backend NAME] [-tracefile FILE] [-cachedir DIR] [-shard I/N] [-trace FILE] [-progress] [-failfast] [-celltimeout DUR] [-cpuprofile FILE] [-memprofile FILE]",
+	{name: "sweep", args: "[-j N] [-boards FILE] [-archs LIST] [-json] [-backend NAME] [-tracefile FILE] [-cachedir DIR] [-shard I/N] [-trace FILE] [-progress] [-celltimeout DUR] [-cpuprofile FILE] [-memprofile FILE]",
 		summary: "full characterization with the datapoint count",
 		run:     sweep},
 	{name: "trace", args: "<kernel> [-arch M4] [-boards FILE] [-o FILE]",
@@ -345,8 +345,8 @@ func resolveSweepArchs(boardFiles, query string) ([]mcu.Arch, error) {
 // trips the -celltimeout watchdog costs only its own cells — the sweep
 // completes, the failures are summarized on stderr, the JSON export
 // carries a failures block with partial:true, and the exit code is
-// non-zero. -failfast restores stop-at-first-failure. SIGINT cancels
-// the sweep and still flushes the partial tables/JSON/trace.
+// non-zero. SIGINT cancels the sweep and still flushes the partial
+// tables/JSON/trace.
 func sweep(args []string) (err error) {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	j := fs.Int("j", 0, "characterization worker goroutines (0 = GOMAXPROCS)")
@@ -355,7 +355,6 @@ func sweep(args []string) (err error) {
 	jsonOut := fs.Bool("json", false, "emit the versioned JSON export instead of tables")
 	tracePath := fs.String("trace", "", "write a Chrome trace_event JSON file of the sweep")
 	progress := fs.Bool("progress", false, "live progress line on stderr")
-	failFast := fs.Bool("failfast", false, "stop dispatching cells after the first failure (default: contain failures per cell)")
 	cellTimeout := fs.Duration("celltimeout", 0, "per-cell watchdog: abandon any cell that takes longer (0 = off)")
 	cacheDir := fs.String("cachedir", "", "persistent per-cell result cache directory (created if missing)")
 	backendName := fs.String("backend", "", "measurement backend for the cells (sim, trace, or a registered name; default sim)")
@@ -411,7 +410,6 @@ func sweep(args []string) (err error) {
 
 	opts := core.SweepOptions{
 		Workers:     *j,
-		FailFast:    *failFast,
 		CellTimeout: *cellTimeout,
 		Context:     ctx,
 		Backend:     be,

@@ -51,9 +51,9 @@ type (
 	// Estimate is the analytic cost-model output.
 	Estimate = mcu.Estimate
 	// SweepOptions configures a characterization sweep: worker count,
-	// progress hook, fail-fast vs contained failures, the per-cell
-	// watchdog timeout, a cancellation context (DESIGN.md §12), a
-	// persistent cell cache, and a measurement backend.
+	// progress hook, the per-cell watchdog timeout, a cancellation
+	// context (DESIGN.md §12), a persistent cell cache, and a
+	// measurement backend. Failures are always contained per cell.
 	SweepOptions = core.SweepOptions
 	// CellCache serves and persists per-cell sweep results; plug one
 	// into SweepOptions.CellCache so overlapping sweeps compute only
@@ -236,10 +236,10 @@ type Characterization = report.Characterization
 // The memo key leaves out opts.CellCache: a call answered from the memo
 // writes no cells to the cell cache it was passed.
 //
-// opts carries the worker count, progress reporting, FailFast, the
-// per-cell watchdog, a cancellation context, a persistent cell cache,
-// and a measurement backend. With the default options a registered
-// kernel that panics or errors costs exactly its own cells — the sweep
+// opts carries the worker count, progress reporting, the per-cell
+// watchdog, a cancellation context, a persistent cell cache, and a
+// measurement backend. A registered kernel that panics or errors
+// costs exactly its own cells — the sweep
 // completes, healthy records are intact, and the error aggregates one
 // CellError per failed cell (extract them with CellErrors). A partial
 // result is returned to its caller but never retained in the cache;

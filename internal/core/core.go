@@ -87,8 +87,8 @@ const (
 	// CellTimedOut: the per-cell watchdog (SweepOptions.CellTimeout)
 	// fired before the job produced a result.
 	CellTimedOut
-	// CellSkipped: the job never ran — an earlier failure tripped
-	// FailFast, or the sweep context was canceled first.
+	// CellSkipped: the sweep context was canceled before the job ran or
+	// while it ran; the cell's Err is the context's error.
 	CellSkipped
 )
 

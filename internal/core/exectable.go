@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -161,11 +160,7 @@ func (t *ExecTable) prepare(ctx context.Context, spec Spec, archs []mcu.Arch, cc
 			// carries whatever salt the cell earns this sweep.
 			salt := resolveCellBackend(be, spec.Name, a.Name, true).salt
 			if mr, ok := cc.LoadCell(spec, a, true, salt); ok && mr.Name != "" {
-				var validE error
-				if mr.ValidErr != "" {
-					validE = errors.New(mr.ValidErr)
-				}
-				return execValue{prep: harness.RehydratePrepared(mr.Name, mr.Counts, mr.Valid, validE)}, nil
+				return execValue{prep: harness.RehydratePrepared(mr.Name, mr.Counts, mr.Valid, validErr(mr.ValidErr))}, nil
 			}
 		}
 		cfg := harness.DefaultConfig()

@@ -45,12 +45,11 @@ import (
 // the stack captured (PanicError), the cell is marked with a CellStatus
 // and its error, and the sweep keeps going; the aggregate error is a
 // deterministic serial-order errors.Join of one CellError per failed
-// job. SweepOptions.FailFast restores the historical
-// stop-at-first-failure behavior, with abandoned jobs explicitly marked
-// CellSkipped instead of left as zero-valued cells. A context
-// (SweepOptions.Context) cancels the sweep between jobs and mid-job, so
-// the engine returns promptly when it ends — which is how the CLIs turn
-// SIGINT into a flushed partial result.
+// job, built from the committed records (Failures). A context
+// (SweepOptions.Context) cancels the sweep between jobs and mid-job,
+// marking the jobs it abandons CellSkipped, so the engine returns
+// promptly when it ends — which is how the CLIs turn SIGINT into a
+// flushed partial result.
 //
 // Determinism: every job writes into a pre-assigned slot of the
 // pre-sized records slice, so the assembled output is identical — byte
@@ -181,7 +180,14 @@ type job struct {
 	cell  int // index into Records[spec].Cells, or jobStatic
 	arch  mcu.Arch
 	cache bool
-	err   error // a *CellError after a failed run, nil otherwise
+}
+
+// jobOut is a job's outcome in the cell-cache payload form, from
+// computation through the cell cache to commit: static for the
+// static-proxy job, cell for a measurement cell.
+type jobOut struct {
+	static StaticCellResult
+	cell   MeasuredCellResult
 }
 
 // SweepOptions configures a characterization sweep beyond the specs and
@@ -197,13 +203,6 @@ type SweepOptions struct {
 	// drains. It is invoked concurrently from pool workers and must be
 	// goroutine-safe ((*obs.Progress).Update qualifies).
 	Progress func(done, skipped, total int)
-	// FailFast stops dispatching after the first failed job, the
-	// historical behavior. Jobs already running finish; jobs not yet
-	// started are marked CellSkipped (and reported as skipped to
-	// Progress, not silently counted as done). The default — FailFast
-	// false — contains each failure to its own cell and runs the sweep
-	// to completion.
-	FailFast bool
 	// CellTimeout, when positive, arms a per-job watchdog: a job that
 	// produces no result within the window is abandoned and its cell
 	// marked CellTimedOut, so a hung Solve loses its cell, not the
@@ -324,8 +323,8 @@ func CharacterizeSuiteOpts(specs []Spec, archs []mcu.Arch, opts SweepOptions) ([
 //
 // Failures are contained per cell: every healthy record is returned in
 // full, failed cells carry their CellStatus, and the error aggregates
-// one CellError per failed job in serial order (opts.FailFast and
-// opts.CellTimeout select fail-fast and watchdog variants).
+// one CellError per failed job in serial order (opts.CellTimeout arms
+// the watchdog).
 //
 // Each call executes its kernels against t, sharing every execution
 // another sweep on t holds or has in flight, and records into the
@@ -379,7 +378,6 @@ func (t *ExecTable) Characterize(specs []Spec, archs []mcu.Arch, opts SweepOptio
 		workers = groups
 	}
 
-	var failed atomic.Bool
 	var done, skipped atomic.Int64
 	total := len(jobs)
 	progress := func() {
@@ -390,8 +388,8 @@ func (t *ExecTable) Characterize(specs []Spec, archs []mcu.Arch, opts SweepOptio
 	// run executes serial job j on the given worker lane; every job of
 	// a group is classified, cached, watched and reported on its own.
 	run := func(j, lane int) {
-		if (opts.FailFast && failed.Load()) || ctx.Err() != nil {
-			commitSkip(records, &jobs[j], ctx.Err())
+		if ctx.Err() != nil {
+			commit(records, &jobs[j], cellBackend{}, jobOut{}, CellSkipped, ctx.Err())
 			skipped.Add(1)
 			progress()
 			return
@@ -402,8 +400,8 @@ func (t *ExecTable) Characterize(specs []Spec, archs []mcu.Arch, opts SweepOptio
 			cb = resolveCellBackend(opts.Backend, spec.Name, jobs[j].arch.Name, jobs[j].cache)
 		}
 		if opts.CellCache != nil {
-			if res, hit := loadCachedJob(opts.CellCache, spec, &jobs[j], cb); hit {
-				commit(records, &jobs[j], res, CellOK, nil)
+			if res, hit := loadCachedJob(opts.CellCache, spec, &jobs[j], cb.salt); hit {
+				commit(records, &jobs[j], cb, res, CellOK, nil)
 				rec.Inc(ctrCellsCached)
 				done.Add(1)
 				progress()
@@ -411,7 +409,7 @@ func (t *ExecTable) Characterize(specs []Spec, archs []mcu.Arch, opts SweepOptio
 			}
 		}
 		start := time.Now()
-		res, status, err := executeJob(ctx, t, spec, archs, &jobs[j], opts)
+		res, status, err := executeJob(ctx, t, spec, archs, &jobs[j], cb.be, opts)
 		if rec != nil {
 			recordJobSpan(rec, &jobs[j], records, start, sweepStart, lane, status)
 		}
@@ -425,9 +423,9 @@ func (t *ExecTable) Characterize(specs []Spec, archs []mcu.Arch, opts SweepOptio
 			rec.Inc(ctrCellsComputed)
 		}
 		if status == CellOK && opts.CellCache != nil {
-			storeCachedJob(opts.CellCache, spec, &jobs[j], cb, res)
+			storeCachedJob(opts.CellCache, spec, &jobs[j], cb.salt, res)
 		}
-		commit(records, &jobs[j], res, status, err)
+		commit(records, &jobs[j], cb, res, status, err)
 		if status == CellSkipped {
 			// Canceled mid-job: the result (if any ever comes) is
 			// discarded; account it with the other skips.
@@ -436,9 +434,7 @@ func (t *ExecTable) Characterize(specs []Spec, archs []mcu.Arch, opts SweepOptio
 			return
 		}
 		if err != nil {
-			jobs[j].err = cellError(spec, &jobs[j], status, err)
 			rec.Inc(ctrCellsFailed)
-			failed.Store(true)
 		}
 		done.Add(1)
 		progress()
@@ -462,14 +458,15 @@ func (t *ExecTable) Characterize(specs []Spec, archs []mcu.Arch, opts SweepOptio
 	close(idx)
 	wg.Wait()
 
-	// Aggregate every distinct failure once, in serial job order, so the
-	// error a caller sees does not depend on worker scheduling; a
-	// canceled sweep also carries ctx.Err() so errors.Is(err,
+	// Aggregate every failure once, in serial job order, so the error a
+	// caller sees does not depend on worker scheduling; skips are not
+	// failures, but a canceled sweep carries ctx.Err() so errors.Is(err,
 	// context.Canceled) holds.
 	var errs []error
-	for _, j := range jobs {
-		if j.err != nil {
-			errs = append(errs, j.err)
+	failures := Failures(records)
+	for i := range failures {
+		if failures[i].Status != CellSkipped {
+			errs = append(errs, &failures[i])
 		}
 	}
 	if rec != nil {
@@ -486,45 +483,42 @@ func (t *ExecTable) Characterize(specs []Spec, archs []mcu.Arch, opts SweepOptio
 	return records, errors.Join(errs...)
 }
 
-// cellError wraps a job failure with its full provenance.
-func cellError(spec Spec, j *job, status CellStatus, err error) *CellError {
-	ce := &CellError{Kernel: spec.Name, Stage: StageCell, Status: status, Err: err}
-	if j.cell == jobStatic {
-		ce.Stage = StageStatic
-	} else {
-		ce.Arch = j.arch.Name
-		ce.Cache = j.cache
+// Failures lists every job of a sweep's records that did not complete —
+// failed, panicked, timed out or skipped — in serial sweep order
+// (records order; static before cells), with full provenance: the
+// source of the sweep's aggregate error, the JSON failures block and
+// the CLI failure summary.
+func Failures(records []Record) []CellError {
+	var out []CellError
+	for _, r := range records {
+		if r.StaticStatus != CellOK {
+			out = append(out, CellError{Kernel: r.Spec.Name, Stage: StageStatic, Status: r.StaticStatus, Err: r.StaticErr})
+		}
+		for _, cell := range r.Cells {
+			if cell.Status != CellOK {
+				out = append(out, CellError{Kernel: r.Spec.Name, Arch: cell.Arch.Name, Cache: cell.CacheOn,
+					Stage: StageCell, Status: cell.Status, Err: cell.Err})
+			}
+		}
 	}
-	return ce
-}
-
-// jobResult is the computed output of one job, built entirely on the
-// goroutine that ran the kernel and committed to the records slice only
-// by the worker that owns the job — never by a (possibly abandoned)
-// watchdog child — so a timed-out computation cannot race the assembly.
-type jobResult struct {
-	static   profile.Counts
-	flash    int
-	run      ArchRun
-	counts   profile.Counts // reference-cell dynamic mix
-	valid    bool
-	validE   error
-	prepName string // the prepared problem's name (trace-synthesis seed)
+	return out
 }
 
 // executeJob runs one job with panic isolation. A job whose context can
 // end, or that has a watchdog (opts.CellTimeout), computes on a child
 // goroutine while the worker waits for its result, the deadline, or
 // cancellation — whichever is first — so the sweep returns promptly
-// even when a kernel does not. The returned status classifies the
+// even when a kernel does not; only the worker commits, so an abandoned
+// computation cannot race the assembly. be is the cell's resolved
+// backend (nil = the simulator). The returned status classifies the
 // outcome; err is nil exactly when status is CellOK.
-func executeJob(ctx context.Context, tbl *ExecTable, spec Spec, archs []mcu.Arch, j *job, opts SweepOptions) (jobResult, CellStatus, error) {
+func executeJob(ctx context.Context, tbl *ExecTable, spec Spec, archs []mcu.Arch, j *job, be harness.Backend, opts SweepOptions) (jobOut, CellStatus, error) {
 	if opts.CellTimeout <= 0 && ctx.Done() == nil {
-		res, err := computeJob(ctx, tbl, spec, archs, j, opts)
+		res, err := computeJob(ctx, tbl, spec, archs, j, be, opts)
 		return classify(ctx, res, err)
 	}
 	type outcome struct {
-		res jobResult
+		res jobOut
 		err error
 	}
 	// Buffered so an abandoned computation's send never blocks: the
@@ -532,7 +526,7 @@ func executeJob(ctx context.Context, tbl *ExecTable, spec Spec, archs []mcu.Arch
 	// channel, and its late result is garbage-collected with it.
 	ch := make(chan outcome, 1)
 	go func() {
-		res, err := computeJob(ctx, tbl, spec, archs, j, opts)
+		res, err := computeJob(ctx, tbl, spec, archs, j, be, opts)
 		ch <- outcome{res, err}
 	}()
 	var expired <-chan time.Time
@@ -545,9 +539,9 @@ func executeJob(ctx context.Context, tbl *ExecTable, spec Spec, archs []mcu.Arch
 	case o := <-ch:
 		return classify(ctx, o.res, o.err)
 	case <-expired:
-		return jobResult{}, CellTimedOut, fmt.Errorf("core: watchdog: no result after %v", opts.CellTimeout)
+		return jobOut{}, CellTimedOut, fmt.Errorf("core: watchdog: no result after %v", opts.CellTimeout)
 	case <-ctx.Done():
-		return jobResult{}, CellSkipped, ctx.Err()
+		return jobOut{}, CellSkipped, ctx.Err()
 	}
 }
 
@@ -556,7 +550,7 @@ func executeJob(ctx context.Context, tbl *ExecTable, spec Spec, archs []mcu.Arch
 // not a kernel failure — but only when the context really is canceled,
 // so a kernel error that merely wraps context.Canceled still counts as
 // its own.
-func classify(ctx context.Context, res jobResult, err error) (jobResult, CellStatus, error) {
+func classify(ctx context.Context, res jobOut, err error) (jobOut, CellStatus, error) {
 	switch {
 	case err == nil:
 		return res, CellOK, nil
@@ -581,15 +575,14 @@ func isPanic(err error) bool {
 // (or inside the execution table) and converted into a PanicError
 // carrying the captured stack. Jobs take their kernel executions from
 // tbl; cell jobs only run the arch-specific modeling themselves.
-func computeJob(ctx context.Context, tbl *ExecTable, spec Spec, archs []mcu.Arch, j *job, opts SweepOptions) (res jobResult, err error) {
+func computeJob(ctx context.Context, tbl *ExecTable, spec Spec, archs []mcu.Arch, j *job, be harness.Backend, opts SweepOptions) (res jobOut, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
 	if j.cell == jobStatic {
-		sr, err := tbl.static(ctx, spec, archs, opts.CellCache, opts.Backend)
-		res.static, res.flash = sr.Static, sr.Flash
+		res.static, err = tbl.static(ctx, spec, archs, opts.CellCache, opts.Backend)
 		return res, err
 	}
 	pp, err := tbl.prepare(ctx, spec, archs, opts.CellCache, opts.Backend)
@@ -598,74 +591,61 @@ func computeJob(ctx context.Context, tbl *ExecTable, spec Spec, archs []mcu.Arch
 	}
 	cfg := harness.DefaultConfig()
 	cfg.CacheOn = j.cache
-	cb := resolveCellBackend(opts.Backend, spec.Name, j.arch.Name, j.cache)
-	r, err := pp.MeasureOnBackend(j.arch, spec.Prec, cfg, cb.be)
+	r, err := pp.MeasureOnBackend(j.arch, spec.Prec, cfg, be)
 	if err != nil {
 		return res, fmt.Errorf("core: run %s on %s: %w", spec.Name, j.arch.Name, err)
 	}
-	res.run = ArchRun{Arch: j.arch, CacheOn: j.cache, Model: r.Model, Meas: r.Measured,
-		Backend: cb.name, Source: cb.source}
-	res.counts, res.valid, res.validE = r.Counts, r.Valid, r.ValidErr
-	res.prepName = r.Kernel
+	res.cell = MeasuredCellResult{Model: r.Model, Meas: r.Measured, Counts: r.Counts, Name: r.Kernel, Valid: r.Valid}
+	if r.ValidErr != nil {
+		res.cell.ValidErr = r.ValidErr.Error()
+	}
 	return res, nil
 }
 
-// loadCachedJob consults the cell cache for one job and, on a hit,
-// rebuilds the exact jobResult the execution would have produced —
-// including the arch-independent dynamic mix and validation verdict, so
-// a cached reference cell still populates the record-level fields. The
-// provenance labels come from the cell's resolved backend, never from
-// the cached payload: a cell cached by a classic sweep and loaded by a
-// backend-aware one (or vice versa) re-derives the labels this sweep
-// would assign.
-func loadCachedJob(cc CellCache, spec Spec, j *job, cb cellBackend) (jobResult, bool) {
-	var res jobResult
+// validErr turns a cached or computed ValidErr back into the error a
+// record carries; the export only ever renders it.
+func validErr(s string) error {
+	if s == "" {
+		return nil
+	}
+	return errors.New(s)
+}
+
+// loadCachedJob consults the cell cache for one job under the cell's
+// backend salt.
+func loadCachedJob(cc CellCache, spec Spec, j *job, salt string) (res jobOut, ok bool) {
 	if j.cell == jobStatic {
-		sr, ok := cc.LoadStatic(spec)
-		if !ok {
-			return res, false
-		}
-		res.static, res.flash = sr.Static, sr.Flash
-		return res, true
+		res.static, ok = cc.LoadStatic(spec)
+	} else {
+		res.cell, ok = cc.LoadCell(spec, j.arch, j.cache, salt)
 	}
-	mr, ok := cc.LoadCell(spec, j.arch, j.cache, cb.salt)
-	if !ok {
-		return res, false
-	}
-	res.run = ArchRun{Arch: j.arch, CacheOn: j.cache, Model: mr.Model, Meas: mr.Meas,
-		Backend: cb.name, Source: cb.source}
-	res.counts, res.valid = mr.Counts, mr.Valid
-	if mr.ValidErr != "" {
-		res.validE = errors.New(mr.ValidErr)
-	}
-	return res, true
+	return res, ok
 }
 
 // storeCachedJob offers one healthy (CellOK) job result to the cell
 // cache under the cell's backend salt. Only healthy results reach here,
 // so the cache never learns a partial or failed cell.
-func storeCachedJob(cc CellCache, spec Spec, j *job, cb cellBackend, res jobResult) {
+func storeCachedJob(cc CellCache, spec Spec, j *job, salt string, res jobOut) {
 	if j.cell == jobStatic {
-		cc.StoreStatic(spec, StaticCellResult{Static: res.static, Flash: res.flash})
-		return
+		cc.StoreStatic(spec, res.static)
+	} else {
+		cc.StoreCell(spec, j.arch, j.cache, salt, res.cell)
 	}
-	mr := MeasuredCellResult{Model: res.run.Model, Meas: res.run.Meas, Counts: res.counts, Name: res.prepName, Valid: res.valid}
-	if res.validE != nil {
-		mr.ValidErr = res.validE.Error()
-	}
-	cc.StoreCell(spec, j.arch, j.cache, cb.salt, mr)
 }
 
 // commit writes a job's outcome into its pre-assigned record slot. Only
 // pool workers call it, one per job, so slots are written exactly once.
-func commit(records []Record, j *job, res jobResult, status CellStatus, err error) {
+// A job that did not complete keeps only its identity, status and err
+// (a skipped job's err is the context's). A healthy cell takes its
+// provenance labels from cb, never from the payload: a cell cached by
+// a classic sweep and loaded by a backend-aware one (or vice versa)
+// earns the labels this sweep assigns.
+func commit(records []Record, j *job, cb cellBackend, res jobOut, status CellStatus, err error) {
 	rec := &records[j.spec]
 	if j.cell == jobStatic {
-		rec.StaticStatus = status
+		rec.StaticStatus, rec.StaticErr = status, err
 		if status == CellOK {
-			rec.Static, rec.Flash = res.static, res.flash
-		} else {
-			rec.StaticErr = err
+			rec.Static, rec.Flash = res.static.Static, res.static.Flash
 		}
 		return
 	}
@@ -673,27 +653,17 @@ func commit(records []Record, j *job, res jobResult, status CellStatus, err erro
 		rec.Cells[j.cell] = ArchRun{Arch: j.arch, CacheOn: j.cache, Status: status, Err: err}
 		return
 	}
-	rec.Cells[j.cell] = res.run
+	mr := &res.cell
+	rec.Cells[j.cell] = ArchRun{Arch: j.arch, CacheOn: j.cache, Model: mr.Model, Meas: mr.Meas,
+		Backend: cb.name, Source: cb.source}
 	if j.cell == 0 {
 		// Reference cell: the first (arch, cache-on) run supplies the
 		// record-level dynamic mix and validation verdict. Counts and
 		// validity are arch-independent (the profiler counts the same
 		// deterministic Solve), so any cell would agree; designating one
 		// removes the historical last-write-wins ambiguity.
-		rec.Dynamic, rec.Valid, rec.ValidE = res.counts, res.valid, res.validE
+		rec.Dynamic, rec.Valid, rec.ValidE = mr.Counts, mr.Valid, validErr(mr.ValidErr)
 	}
-}
-
-// commitSkip marks a never-started job's slot as skipped; cause is the
-// context error when cancellation (rather than fail-fast) skipped it.
-func commitSkip(records []Record, j *job, cause error) {
-	rec := &records[j.spec]
-	if j.cell == jobStatic {
-		rec.StaticStatus = CellSkipped
-		rec.StaticErr = cause
-		return
-	}
-	rec.Cells[j.cell] = ArchRun{Arch: j.arch, CacheOn: j.cache, Status: CellSkipped, Err: cause}
 }
 
 // recordJobSpan records the sweep.static / sweep.cell span of one

@@ -163,51 +163,6 @@ func TestFaultInjectWatchdogTimeout(t *testing.T) {
 	}
 }
 
-// TestFaultInjectFailFastSkips: with FailFast and one worker, the first
-// failure stops dispatch and every remaining job is reported as skipped
-// — never silently counted as done — with its cell slot explicitly
-// marked.
-func TestFaultInjectFailFastSkips(t *testing.T) {
-	specs := []core.Spec{faultinject.PanickerSpec("fi-panic2"), faultinject.GoodSpec("fi-good4")}
-	var mu sync.Mutex
-	var lastDone, lastSkipped, total int
-	recs, err := core.CharacterizeSuiteOpts(specs, m4(), core.SweepOptions{
-		Workers:  1,
-		FailFast: true,
-		Progress: func(done, skipped, tot int) {
-			mu.Lock()
-			lastDone, lastSkipped, total = done, skipped, tot
-			mu.Unlock()
-		},
-	})
-	if err == nil {
-		t.Fatal("fail-fast sweep produced no error")
-	}
-	// Serial order with one worker: the panicker's static job fails
-	// first; the remaining 5 jobs (its 2 cells + the good kernel's 3
-	// jobs) are all skipped.
-	if lastDone != 1 || lastSkipped != 5 || total != 6 {
-		t.Fatalf("progress = %d done, %d skipped of %d; want 1, 5, 6", lastDone, lastSkipped, total)
-	}
-	cells := core.CellErrors(err)
-	if len(cells) != 1 || cells[0].Status != core.CellPanicked {
-		t.Fatalf("fail-fast aggregate = %v, want the single trigger failure", cells)
-	}
-	for i, cell := range recs[0].Cells {
-		if cell.Status != core.CellSkipped {
-			t.Fatalf("panicker cell %d = %v, want skipped", i, cell.Status)
-		}
-	}
-	if recs[1].StaticStatus != core.CellSkipped {
-		t.Fatalf("good static = %v, want skipped", recs[1].StaticStatus)
-	}
-	for i, cell := range recs[1].Cells {
-		if cell.Status != core.CellSkipped {
-			t.Fatalf("good cell %d = %v, want skipped", i, cell.Status)
-		}
-	}
-}
-
 // TestFaultInjectDeterminism: a sweep containing failing and panicking
 // cells still renders byte-identical JSON — and an identical aggregate
 // error — at every worker count (satellite of the determinism

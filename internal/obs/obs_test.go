@@ -228,7 +228,7 @@ func TestProgressLine(t *testing.T) {
 	}
 }
 
-// A sweep with skipped cells (fail-fast or cancellation) must say so:
+// A sweep with skipped cells (cancellation) must say so:
 // the percentage counts only executed cells and the skip count renders
 // explicitly, so 1 done + 3 skipped never reads as a finished sweep.
 func TestProgressLineRendersSkips(t *testing.T) {

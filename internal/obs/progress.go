@@ -37,7 +37,7 @@ func NewProgress(w io.Writer, label string) *Progress {
 }
 
 // Update reports that done of total work units have executed and
-// skipped more were abandoned (fail-fast or cancellation) without
+// skipped more were abandoned (by cancellation) without
 // running. Its signature matches core.SweepOptions.Progress so a
 // *Progress can be wired straight into the sweep engine. The percentage
 // counts only executed work — skipped cells never masquerade as done —

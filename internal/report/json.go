@@ -74,8 +74,8 @@ type JSONBackend struct {
 
 // JSONFailure is one sweep job that produced no measurement: which
 // kernel, where (arch/cache_on are omitted for the static-proxy job),
-// how it ended (failed, panicked, timed_out, skipped), and the error.
-// Skipped jobs may carry no error (fail-fast abandonment).
+// how it ended (failed, panicked, timed_out, skipped), and the error;
+// a skipped job's is the cancellation's context error.
 type JSONFailure struct {
 	Kernel  string `json:"kernel"`
 	Stage   string `json:"stage"`

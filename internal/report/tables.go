@@ -58,26 +58,7 @@ func (c Characterization) Partial() bool {
 // Failures lists every job that did not complete, in serial sweep order
 // (records order; static before cells), with full provenance — the
 // source of both the JSON failures block and the CLI failure summary.
-func (c Characterization) Failures() []core.CellError {
-	var out []core.CellError
-	for _, r := range c.Records {
-		if r.StaticStatus != core.CellOK {
-			out = append(out, core.CellError{
-				Kernel: r.Spec.Name, Stage: core.StageStatic,
-				Status: r.StaticStatus, Err: r.StaticErr,
-			})
-		}
-		for _, cell := range r.Cells {
-			if cell.Status != core.CellOK {
-				out = append(out, core.CellError{
-					Kernel: r.Spec.Name, Arch: cell.Arch.Name, Cache: cell.CacheOn,
-					Stage: core.StageCell, Status: cell.Status, Err: cell.Err,
-				})
-			}
-		}
-	}
-	return out
-}
+func (c Characterization) Failures() []core.CellError { return core.Failures(c.Records) }
 
 // cellArchs lists the distinct cores appearing in the records' cells in
 // first-appearance order — the column set of Tables III and IV. A
