@@ -3,12 +3,20 @@ package main
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/mcu"
 )
 
 const exampleBoardFile = "../../examples/custom-board/m85.json"
+
+// loadExample loads the example board file once per process through the
+// -boards path: the registry is process-global, so a second load of the
+// same file collides, and the tests must pass again under -count N.
+var loadExample = sync.OnceValues(func() ([]mcu.Arch, error) {
+	return resolveSweepArchs(exampleBoardFile, "")
+})
 
 // The -boards/-archs plumbing: files load through the registry and the
 // query resolves the sweep's board selection.
@@ -19,7 +27,7 @@ func TestResolveSweepArchs(t *testing.T) {
 		t.Fatalf("resolveSweepArchs(\"\",\"\") = %v, %v; want the Table IV set", names(archs), err)
 	}
 	// -boards alone: the customs ride alongside the Table IV set.
-	archs, err = resolveSweepArchs(exampleBoardFile, "")
+	archs, err = loadExample()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,10 +68,8 @@ func TestLoadBoardFilesList(t *testing.T) {
 	}
 	// Re-loading the same file collides on the board name — the registry
 	// is process-global, so the second load reports the duplicate.
-	if _, ok := mcu.ByName("M85"); !ok {
-		if _, err := mcu.LoadFiles(exampleBoardFile); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := loadExample(); err != nil {
+		t.Fatal(err)
 	}
 	_, err := mcu.LoadFiles(exampleBoardFile)
 	if err == nil || !strings.Contains(err.Error(), "already registered") {

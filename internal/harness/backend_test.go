@@ -1,12 +1,21 @@
 package harness_test
 
 import (
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/harness"
 	"repro/internal/mcu"
 )
+
+// nameSeq makes the names of registered test backends unique.
+var nameSeq atomic.Int64
+
+// uniqueName returns prefix with a process-unique suffix, so a test
+// that registers a backend passes again under -count N.
+func uniqueName(prefix string) string { return fmt.Sprintf("%s%d", prefix, nameSeq.Add(1)) }
 
 // fakeBackend is a minimal Backend for registry and salt tests.
 type fakeBackend struct {
@@ -50,19 +59,20 @@ func TestBackendRegistry(t *testing.T) {
 		t.Error("duplicate of the built-in sim registered")
 	}
 
-	if err := harness.RegisterBackend(fakeBackend{name: "Lab-Registry-Test", source: harness.SourceMeasured}); err != nil {
+	lab := uniqueName("lab-registry-test-")
+	if err := harness.RegisterBackend(fakeBackend{name: strings.ToUpper(lab), source: harness.SourceMeasured}); err != nil {
 		t.Fatalf("valid backend rejected: %v", err)
 	}
-	if _, ok := harness.BackendByName("lab-registry-test"); !ok {
+	if _, ok := harness.BackendByName(lab); !ok {
 		t.Error("registered backend not resolvable by lowercase name")
 	}
-	if err := harness.RegisterBackend(fakeBackend{name: "lab-registry-test", source: harness.SourceMeasured}); err == nil {
+	if err := harness.RegisterBackend(fakeBackend{name: lab, source: harness.SourceMeasured}); err == nil {
 		t.Error("duplicate registration accepted")
 	}
 	names := harness.BackendNames()
 	found := false
 	for i, n := range names {
-		if n == "lab-registry-test" {
+		if n == lab {
 			found = true
 		}
 		if i > 0 && names[i-1] > n {
@@ -137,7 +147,8 @@ func TestRegisterBackendErrorNamesTheProblem(t *testing.T) {
 // The -backend/-tracefile flag matrix every CLI resolves through
 // ResolveBackend: nil means the classic simulator path.
 func TestResolveBackend(t *testing.T) {
-	if err := harness.RegisterBackend(fakeBackend{name: "resolve-lab", source: harness.SourceMeasured}); err != nil {
+	lab := uniqueName("resolve-lab-")
+	if err := harness.RegisterBackend(fakeBackend{name: lab, source: harness.SourceMeasured}); err != nil {
 		t.Fatal(err)
 	}
 	const traceFile = "testdata/madgwick_m4_trace.csv"
@@ -149,11 +160,11 @@ func TestResolveBackend(t *testing.T) {
 		{name: "no-flags"},
 		{name: "sim", backend: "sim"},
 		{name: "sim-spelled-loosely", backend: " SIM "},
-		{name: "registered", backend: "Resolve-Lab", want: "resolve-lab"},
+		{name: "registered", backend: strings.ToUpper(lab), want: lab},
 		{name: "trace-without-file", backend: "trace", errHas: []string{"-tracefile"}},
 		{name: "tracefile-plus-sim", backend: "sim", traceFile: traceFile, errHas: []string{"cannot combine", "sim"}},
-		{name: "tracefile-plus-lab", backend: "resolve-lab", traceFile: traceFile, errHas: []string{"cannot combine", "resolve-lab"}},
-		{name: "unknown", backend: "warp9", errHas: []string{`"warp9"`, "sim", "resolve-lab"}},
+		{name: "tracefile-plus-lab", backend: lab, traceFile: traceFile, errHas: []string{"cannot combine", lab}},
+		{name: "unknown", backend: "warp9", errHas: []string{`"warp9"`, "sim", lab}},
 		{name: "tracefile", traceFile: traceFile, want: "trace"},
 		{name: "tracefile-explicit-trace", backend: "trace", traceFile: traceFile, want: "trace"},
 		{name: "missing-tracefile", traceFile: "testdata/no-such.csv", errHas: []string{"no-such.csv"}},

@@ -1,15 +1,25 @@
 package mcu_test
 
 import (
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/mcu"
 )
 
+// nameSeq makes the names of registered test boards unique.
+var nameSeq atomic.Int64
+
+// uniqueName returns prefix with a process-unique suffix, so a test
+// that registers passes again under -count N.
+func uniqueName(prefix string) string { return fmt.Sprintf("%s%d", prefix, nameSeq.Add(1)) }
+
 // testBoard returns a valid custom board definition. Each test must use
-// a unique name: the registry is process-global and has no reset, which
-// is exactly the production situation the tests should exercise.
+// a unique name (uniqueName): the registry is process-global and has no
+// reset, which is exactly the production situation the tests should
+// exercise.
 func testBoard(name string) mcu.Arch {
 	a, ok := mcu.ByName("M4")
 	if !ok {
@@ -49,10 +59,11 @@ func load(t *testing.T, doc string) ([]mcu.Arch, error) {
 }
 
 func TestRegisterAndByNameCaseInsensitive(t *testing.T) {
-	if err := mcu.Register(testBoard("RegCase1")); err != nil {
+	name := uniqueName("RegCase")
+	if err := mcu.Register(testBoard(name)); err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range []string{"RegCase1", "regcase1", "REGCASE1"} {
+	for _, q := range []string{name, strings.ToLower(name), strings.ToUpper(name)} {
 		a, ok := mcu.ByName(q)
 		if !ok {
 			t.Fatalf("ByName(%q) failed after Register", q)
@@ -64,11 +75,12 @@ func TestRegisterAndByNameCaseInsensitive(t *testing.T) {
 }
 
 func TestRegisterRejectsDuplicates(t *testing.T) {
-	if err := mcu.Register(testBoard("DupBoard")); err != nil {
+	dup := uniqueName("DupBoard")
+	if err := mcu.Register(testBoard(dup)); err != nil {
 		t.Fatal(err)
 	}
 	// Exact and case-folded collisions, including against a builtin.
-	for _, name := range []string{"DupBoard", "dupboard", "m4"} {
+	for _, name := range []string{dup, strings.ToLower(dup), "m4"} {
 		err := mcu.Register(testBoard(name))
 		if err == nil {
 			t.Fatalf("Register(%q) should collide", name)
@@ -202,30 +214,32 @@ func TestLoadIsAtomic(t *testing.T) {
 }
 
 func TestLoadRegistersBoardsAndSets(t *testing.T) {
+	a, b, set := uniqueName("SetBoardA"), uniqueName("SetBoardB"), uniqueName("pairset")
 	doc := `{"schema": "entobench.boards", "version": 1, "boards": [` +
-		validBoardLit("SetBoardA") + "," + validBoardLit("SetBoardB") +
-		`], "sets": {"pairset": ["SetBoardA", "m7", "setboardb"]}}`
+		validBoardLit(a) + "," + validBoardLit(b) +
+		`], "sets": {"` + set + `": ["` + a + `", "m7", "` + strings.ToLower(b) + `"]}}`
 	got, err := load(t, doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].Name != "SetBoardA" || got[1].Name != "SetBoardB" {
+	if len(got) != 2 || got[0].Name != a || got[1].Name != b {
 		t.Fatalf("Load returned %v, want the two file boards in order", got)
 	}
 	if got[0].Source != "test" {
 		t.Errorf("loaded board source = %q, want the load source label", got[0].Source)
 	}
-	set, ok := mcu.Set("PAIRSET") // set lookup is case-insensitive too
+	boards, ok := mcu.Set(strings.ToUpper(set)) // set lookup is case-insensitive too
 	if !ok {
 		t.Fatal("file-declared set did not register")
 	}
-	if len(set) != 3 || set[0].Name != "SetBoardA" || set[1].Name != "M7" || set[2].Name != "SetBoardB" {
-		t.Errorf("set resolved to %v, want [SetBoardA M7 SetBoardB]", set)
+	if len(boards) != 3 || boards[0].Name != a || boards[1].Name != "M7" || boards[2].Name != b {
+		t.Errorf("set resolved to %v, want [%s M7 %s]", boards, a, b)
 	}
 }
 
 func TestResolveArchs(t *testing.T) {
-	if err := mcu.Register(testBoard("QueryBoard")); err != nil {
+	qb := uniqueName("QueryBoard")
+	if err := mcu.Register(testBoard(qb)); err != nil {
 		t.Fatal(err)
 	}
 	// Empty query: the default characterization set.
@@ -239,21 +253,21 @@ func TestResolveArchs(t *testing.T) {
 		t.Fatalf("ResolveArchs(cs2) = %v, %v", cs2, err)
 	}
 	// Comma-separated board names, case-insensitive, customs included.
-	mix, err := mcu.ResolveArchs("m7, queryboard")
+	mix, err := mcu.ResolveArchs("m7, " + strings.ToLower(qb))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mix) != 2 || mix[0].Name != "M7" || mix[1].Name != "QueryBoard" {
-		t.Errorf("ResolveArchs(m7, queryboard) = %v", mix)
+	if len(mix) != 2 || mix[0].Name != "M7" || mix[1].Name != qb {
+		t.Errorf("ResolveArchs(m7, %s) = %v", strings.ToLower(qb), mix)
 	}
 	// Mixed set + board tokens: the set expands in place and repeats
 	// collapse onto their first position.
-	ext, err := mcu.ResolveArchs("tableiv,QueryBoard,m7")
+	ext, err := mcu.ResolveArchs("tableiv," + qb + ",m7")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ext) != 4 || ext[0].Name != "M4" || ext[2].Name != "M7" || ext[3].Name != "QueryBoard" {
-		t.Errorf("ResolveArchs(tableiv,QueryBoard,m7) = %v, want Table IV then the custom, M7 not duplicated", ext)
+	if len(ext) != 4 || ext[0].Name != "M4" || ext[2].Name != "M7" || ext[3].Name != qb {
+		t.Errorf("ResolveArchs(tableiv,%s,m7) = %v, want Table IV then the custom, M7 not duplicated", qb, ext)
 	}
 	// Unknown tokens report the available vocabulary.
 	_, err = mcu.ResolveArchs("nonesuch")
@@ -275,14 +289,15 @@ func TestAllSetIsDynamic(t *testing.T) {
 	if !ok {
 		t.Fatal("the all set must exist")
 	}
-	if err := mcu.Register(testBoard("DynAllBoard")); err != nil {
+	dyn := uniqueName("DynAllBoard")
+	if err := mcu.Register(testBoard(dyn)); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := mcu.Set("all")
 	if len(after) != len(before)+1 {
 		t.Errorf("all grew %d -> %d, want +1", len(before), len(after))
 	}
-	if after[len(after)-1].Name != "DynAllBoard" {
+	if after[len(after)-1].Name != dyn {
 		t.Errorf("all should end with the newest board, got %s", after[len(after)-1].Name)
 	}
 }
@@ -309,11 +324,11 @@ func TestFPUKindRoundTrip(t *testing.T) {
 // A custom board behaves like a reference core across the model: the
 // registry admits it and Estimate produces physical numbers.
 func TestCustomBoardEstimates(t *testing.T) {
-	a := testBoard("EstBoard")
+	a := testBoard(uniqueName("EstBoard"))
 	if err := mcu.Register(a); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := mcu.ByName("estboard")
+	got, _ := mcu.ByName(strings.ToLower(a.Name))
 	e := got.Estimate(mix, mcu.PrecF32, true)
 	ref, _ := mcu.ByName("M4")
 	want := ref.Estimate(mix, mcu.PrecF32, true)
