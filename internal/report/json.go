@@ -98,6 +98,13 @@ type JSONBoard struct {
 	Model    mcu.ModelParams `json:"model"`
 }
 
+// NewJSONBoard is a's model provenance in the export's shape, shared by
+// the export's boards block and the daemon's board listing.
+func NewJSONBoard(a mcu.Arch) JSONBoard {
+	return JSONBoard{Name: a.Name, Board: a.Board, ISA: a.ISA, ClockMHz: a.ClockHz / 1e6, FPU: a.FPU.String(),
+		SRAMKB: a.SRAMKB, HasCache: a.HasCache, Source: a.Source, Model: a.Model}
+}
+
 // JSONCounts is an F/I/M/B instruction-mix record.
 type JSONCounts struct {
 	F uint64 `json:"f"`
@@ -192,17 +199,7 @@ func (c Characterization) JSONExport() JSONReport {
 				continue
 			}
 			seen[a.Name] = true
-			rep.Boards = append(rep.Boards, JSONBoard{
-				Name:     a.Name,
-				Board:    a.Board,
-				ISA:      a.ISA,
-				ClockMHz: a.ClockHz / 1e6,
-				FPU:      a.FPU.String(),
-				SRAMKB:   a.SRAMKB,
-				HasCache: a.HasCache,
-				Source:   a.Source,
-				Model:    a.Model,
-			})
+			rep.Boards = append(rep.Boards, NewJSONBoard(a))
 		}
 	}
 	// The backends block mirrors the boards block: one entry per

@@ -321,9 +321,6 @@ func resolveSweep(req SweepRequest) ([]core.Spec, []mcu.Arch, error) {
 			}
 		}
 	}
-	if req.Archs == "" {
-		return specs, mcu.TableIVSet(), nil
-	}
 	archs, err := mcu.ResolveArchs(req.Archs)
 	if err != nil {
 		return nil, nil, err

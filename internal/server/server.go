@@ -293,17 +293,7 @@ func (s *Server) handleBoards(w http.ResponseWriter, _ *http.Request) {
 		Boards []report.JSONBoard `json:"boards"`
 	}{Boards: make([]report.JSONBoard, 0, len(boards))}
 	for _, a := range boards {
-		out.Boards = append(out.Boards, report.JSONBoard{
-			Name:     a.Name,
-			Board:    a.Board,
-			ISA:      a.ISA,
-			ClockMHz: a.ClockHz / 1e6,
-			FPU:      a.FPU.String(),
-			SRAMKB:   a.SRAMKB,
-			HasCache: a.HasCache,
-			Source:   a.Source,
-			Model:    a.Model,
-		})
+		out.Boards = append(out.Boards, report.NewJSONBoard(a))
 	}
 	writeJSON(w, http.StatusOK, out)
 }
