@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/core"
-	"repro/internal/harness"
 	"repro/internal/mcu"
 )
 
@@ -25,39 +24,43 @@ type CS3Result struct {
 }
 
 // RunCS3 measures the sensor-fusion and optimal-control kernels whose
-// feasibility the literature justified with FLOP counts. Each kernel
-// executes once and is measured on every Table IV board.
+// feasibility the literature justified with FLOP counts: it reads each
+// kernel's cache-on cells of the Table IV sweep through the default
+// engine, so a kernel another sweep already executed is not run again.
 func RunCS3() (CS3Result, error) {
 	kernels := []string{"fly-ekf (seq)", "fly-ekf (trunc)", "bee-ceekf", "fly-lqr", "fly-tiny-mpc"}
-	var out CS3Result
-	for _, name := range kernels {
+	specs := make([]core.Spec, len(kernels))
+	for i, name := range kernels {
 		spec, ok := core.ByName(name)
 		if !ok {
-			return out, fmt.Errorf("report: unknown kernel %s", name)
+			return CS3Result{}, fmt.Errorf("report: unknown kernel %s", name)
 		}
+		specs[i] = spec
+	}
+	c, err := RunSweepQuery(specs, mcu.TableIVSet(), core.SweepOptions{})
+	if err != nil {
+		return CS3Result{}, err
+	}
+	var out CS3Result
+	for _, r := range c.Records {
 		row := CS3Row{
-			Kernel: name, FLOPs: spec.FLOPs,
+			Kernel: r.Spec.Name, FLOPs: r.Spec.FLOPs,
 			CyclesK:    map[string]float64{},
 			EstEnergy:  map[string]float64{},
 			MeasEnergy: map[string]float64{},
 		}
-		cfg := harness.DefaultConfig()
-		pp, err := harness.Prepare(spec.Factory(), cfg)
-		if err != nil {
-			return out, err
-		}
-		for _, arch := range mcu.TableIVSet() {
-			res, err := pp.MeasureOn(arch, spec.Prec, cfg)
-			if err != nil {
-				return out, err
+		for _, cell := range r.Cells {
+			if !cell.CacheOn {
+				continue
 			}
-			row.CyclesK[arch.Name] = res.Model.Cycles / 1e3
-			row.MeasEnergy[arch.Name] = res.Measured.EnergyJ * 1e6
+			arch := cell.Arch
+			row.CyclesK[arch.Name] = cell.Model.Cycles / 1e3
+			row.MeasEnergy[arch.Name] = cell.Meas.EnergyJ * 1e6
 			// The FLOP-based estimate assumes one FLOP per cycle at the
 			// datasheet's nominal active power — the idealized model the
 			// case study interrogates. No memory traffic, no control
 			// flow, no workload-dependent power.
-			row.EstEnergy[arch.Name] = float64(spec.FLOPs) / arch.ClockHz * arch.NominalPowerW() * 1e6
+			row.EstEnergy[arch.Name] = float64(r.Spec.FLOPs) / arch.ClockHz * arch.NominalPowerW() * 1e6
 		}
 		out.Rows = append(out.Rows, row)
 	}
