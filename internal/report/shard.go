@@ -20,16 +20,18 @@ import (
 // single-process sweep. A kernel's record depends on its own execution
 // only, so a shard is a plain sweep over a subset of the kernels and a
 // set executes each kernel once. A bundle carries its kernels' whole
-// records, board definitions included, so the merger needs no registry
-// state. Only healthy shards write bundles, and the merge checks the
+// records and a table of the boards its cells name, each definition
+// once, so the merger needs no registry state. Only healthy shards write bundles, and the merge checks the
 // sweep key, the partition and each bundle's digest, so a stale,
 // duplicated, missing or corrupted shard is an error, never a report.
 
 // ShardSchema and ShardVersion identify the shard bundle format.
-// Version 2 partitions by kernel and carries a digest.
+// Version 2 partitioned by kernel and carried a digest; version 3
+// writes each board once, in the bundle's board table, and its cells
+// name their board.
 const (
 	ShardSchema  = "entobench.shard"
-	ShardVersion = 2
+	ShardVersion = 3
 )
 
 // ShardReport is one shard's bundle: the kernels it owns.
@@ -48,8 +50,12 @@ type ShardReport struct {
 	// bundle of a set declares the same.
 	TotalKernels int `json:"total_kernels"`
 	// Digest is the hex SHA-256 of the bundle's JSON with Digest
-	// empty: it binds the kernels to the sweep key and the slot.
+	// empty: it binds the board table and the kernels to the sweep key
+	// and the slot.
 	Digest string `json:"digest"`
+	// Boards are the boards the cells name, once each, in
+	// first-appearance order.
+	Boards []ShardBoard `json:"boards"`
 	// Kernels are the owned kernels in query order (none when Of
 	// exceeds the query's kernel count).
 	Kernels []ShardKernel `json:"kernels"`
@@ -76,16 +82,22 @@ type ShardKernel struct {
 	Cells []ShardCell `json:"cells"`
 }
 
-// ShardCell is one measurement cell, self-contained: the full board
-// definition rides along (with its provenance Source, which Arch's own
-// JSON encoding deliberately omits) so the merger rebuilds the exact
-// ArchRun without any registry lookups.
+// ShardBoard is one board of a bundle's table: the full definition with
+// its provenance Source, which Arch's own JSON encoding deliberately
+// omits, so the merger rebuilds the exact ArchRun without any registry
+// lookups.
+type ShardBoard struct {
+	Arch   mcu.Arch `json:"arch"`
+	Source string   `json:"source,omitempty"`
+}
+
+// ShardCell is one measurement cell; Board names its board in the
+// bundle's board table.
 type ShardCell struct {
-	CacheOn bool     `json:"cache_on"`
-	Arch    mcu.Arch `json:"arch"`
-	Source  string   `json:"source,omitempty"`
-	// Backend/MeasSource are core.ArchRun's Backend/Source; `source`
-	// is taken by the board's provenance, hence `meas_source`.
+	CacheOn bool   `json:"cache_on"`
+	Board   string `json:"board"`
+	// Backend/MeasSource are core.ArchRun's Backend/Source; `meas_source`
+	// keeps them apart from the board's provenance.
 	Backend    string              `json:"backend,omitempty"`
 	MeasSource string              `json:"meas_source,omitempty"`
 	Model      mcu.Estimate        `json:"model"`
@@ -130,6 +142,7 @@ func RunShard(specs []core.Spec, archs []mcu.Arch, shard, of int, opts core.Swee
 		TotalKernels: len(specs),
 		Kernels:      make([]ShardKernel, 0, len(recs)),
 	}
+	inTable := map[string]bool{}
 	for i, r := range recs {
 		k := ShardKernel{
 			Index:     shard - 1 + i*of,
@@ -150,10 +163,13 @@ func RunShard(specs []core.Spec, archs []mcu.Arch, shard, of int, opts core.Swee
 			k.ValidErr = r.ValidE.Error()
 		}
 		for c, cell := range r.Cells {
+			if !inTable[cell.Arch.Name] {
+				inTable[cell.Arch.Name] = true
+				sr.Boards = append(sr.Boards, ShardBoard{Arch: cell.Arch, Source: cell.Arch.Source})
+			}
 			k.Cells[c] = ShardCell{
 				CacheOn:    cell.CacheOn,
-				Arch:       cell.Arch,
-				Source:     cell.Arch.Source,
+				Board:      cell.Arch.Name,
 				Backend:    cell.Backend,
 				MeasSource: cell.Source,
 				Model:      cell.Model,
@@ -193,8 +209,9 @@ func ReadShardReport(r io.Reader) (ShardReport, error) {
 
 // MergeShards joins a complete shard set back into one
 // Characterization. It verifies one sweep key, exactly shards 1..N of
-// N, each bundle's digest, one declared kernel count, and that the
-// bundles own each kernel index exactly once. The records render the
+// N, each bundle's digest, one declared kernel count, that the bundles
+// own each kernel index exactly once, and that every cell names a board
+// of its bundle's table. The records render the
 // v1 JSON bytes of a single-process sweep (their specs carry no
 // factories, which the export never uses).
 func MergeShards(shards []ShardReport) (Characterization, error) {
@@ -243,6 +260,15 @@ func MergeShards(shards []ShardReport) (Characterization, error) {
 	recs := make([]core.Record, total)
 	placed := make([]bool, total)
 	for _, s := range shards {
+		boards := make(map[string]mcu.Arch, len(s.Boards))
+		for _, b := range s.Boards {
+			if _, dup := boards[b.Arch.Name]; dup {
+				return Characterization{}, fmt.Errorf("report: merge: shard %d board %q appears twice in its board table", s.Shard, b.Arch.Name)
+			}
+			arch := b.Arch
+			arch.Source = b.Source
+			boards[arch.Name] = arch
+		}
 		for _, k := range s.Kernels {
 			if k.Index < 0 || k.Index >= total {
 				return Characterization{}, fmt.Errorf("report: merge: shard %d kernel %s: index %d out of range 0..%d", s.Shard, k.Name, k.Index, total-1)
@@ -272,8 +298,10 @@ func MergeShards(shards []ShardReport) (Characterization, error) {
 				rec.ValidE = errors.New(k.ValidErr)
 			}
 			for c, cell := range k.Cells {
-				arch := cell.Arch
-				arch.Source = cell.Source
+				arch, ok := boards[cell.Board]
+				if !ok {
+					return Characterization{}, fmt.Errorf("report: merge: shard %d kernel %s cell %d names board %q missing from its board table", s.Shard, k.Name, c, cell.Board)
+				}
 				rec.Cells[c] = core.ArchRun{
 					Arch:    arch,
 					CacheOn: cell.CacheOn,

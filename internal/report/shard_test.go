@@ -192,6 +192,17 @@ func TestMergeShardsValidation(t *testing.T) {
 			bad.Version = 1
 			return []report.ShardReport{shards[0], bad}
 		}, "version 1"},
+		{"version 2 bundle", func() []report.ShardReport {
+			bad := shards[1]
+			bad.Version = 2
+			return []report.ShardReport{shards[0], bad}
+		}, "version 2"},
+		{"cell names a board missing from its table", func() []report.ShardReport {
+			bad := shards[1]
+			bad.Boards = bad.Boards[1:]
+			report.ResealShard(&bad)
+			return []report.ShardReport{shards[0], bad}
+		}, "missing from its board table"},
 		{"kernel count mismatch", func() []report.ShardReport {
 			bad := shards[1]
 			bad.TotalKernels = 3
@@ -319,6 +330,15 @@ func FuzzMergeShards(f *testing.F) {
 	hostile := hostileCount(f, shards, -1)
 	f.Add(hostile[0], hostile[1])
 	f.Add(hostile[0], seed[1])
+	// A resealed bundle whose board table lost the board its cells name.
+	noBoards := shards[1]
+	noBoards.Boards = nil
+	report.ResealShard(&noBoards)
+	var buf bytes.Buffer
+	if err := report.WriteShardReport(&buf, noBoards); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed[0], buf.Bytes())
 
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		var set []report.ShardReport
