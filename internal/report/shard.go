@@ -21,9 +21,10 @@ import (
 // only, so a shard is a plain sweep over a subset of the kernels and a
 // set executes each kernel once. A bundle carries its kernels' whole
 // records and a table of the boards its cells name, each definition
-// once, so the merger needs no registry state. Only healthy shards write bundles, and the merge checks the
-// sweep key, the partition and each bundle's digest, so a stale,
-// duplicated, missing or corrupted shard is an error, never a report.
+// once, so the merger needs no registry state. Only healthy shards
+// write bundles, and the merge checks the sweep key, the partition and
+// each bundle's digest, so a stale, duplicated, missing or corrupted
+// shard is an error, never a report.
 
 // ShardSchema and ShardVersion identify the shard bundle format.
 // Version 2 partitioned by kernel and carried a digest; version 3
@@ -211,9 +212,9 @@ func ReadShardReport(r io.Reader) (ShardReport, error) {
 // Characterization. It verifies one sweep key, exactly shards 1..N of
 // N, each bundle's digest, one declared kernel count, that the bundles
 // own each kernel index exactly once, and that every cell names a board
-// of its bundle's table. The records render the
-// v1 JSON bytes of a single-process sweep (their specs carry no
-// factories, which the export never uses).
+// of its bundle's table, listed once. The records render the v1 JSON
+// bytes of a single-process sweep (their specs carry no factories,
+// which the export never uses).
 func MergeShards(shards []ShardReport) (Characterization, error) {
 	if len(shards) == 0 {
 		return Characterization{}, errors.New("report: merge: no shard bundles")

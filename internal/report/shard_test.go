@@ -203,6 +203,12 @@ func TestMergeShardsValidation(t *testing.T) {
 			report.ResealShard(&bad)
 			return []report.ShardReport{shards[0], bad}
 		}, "missing from its board table"},
+		{"board listed twice in its table", func() []report.ShardReport {
+			bad := shards[1]
+			bad.Boards = append([]report.ShardBoard{bad.Boards[0]}, bad.Boards...)
+			report.ResealShard(&bad)
+			return []report.ShardReport{shards[0], bad}
+		}, "appears twice in its board table"},
 		{"kernel count mismatch", func() []report.ShardReport {
 			bad := shards[1]
 			bad.TotalKernels = 3
