@@ -37,6 +37,11 @@ const (
 	// least recently hit first, by an engine's capacity bound
 	// (server.Options.MemoCapacity, entobenchd -cachecap).
 	CounterSweepCacheEvicted = "sweep.cache.evicted"
+	// CounterSweepCacheRendered counts v1 exports rendered
+	// (report.Characterization.V1): once per memo entry however many
+	// hits read it, and once per call for a characterization off the
+	// memo (a partial sweep, merged shards).
+	CounterSweepCacheRendered = "sweep.cache.rendered"
 	// CounterServerRequests counts HTTP requests the entobenchd handler
 	// served, across all routes.
 	CounterServerRequests = "server.requests"
@@ -108,6 +113,7 @@ var AllCounters = []string{
 	CounterSweepCacheMiss,
 	CounterSweepCacheCoalesced,
 	CounterSweepCacheEvicted,
+	CounterSweepCacheRendered,
 	CounterSweepCellsFailed,
 	CounterSweepPanicsRecovered,
 	CounterSweepCellsTimedOut,

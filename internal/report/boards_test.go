@@ -132,7 +132,7 @@ func TestCustomBoardSweepDeterminism(t *testing.T) {
 	// Each render sweeps on a fresh engine: a shared memo would answer
 	// the second render with the first one's result.
 	render := func(workers int) []byte {
-		c, err := report.NewEngine(0).Sweep(core.Suite(), archs, core.SweepOptions{Workers: workers})
+		c, err := report.NewEngine(0).Sweep(report.NewQuery(core.Suite(), archs, nil), core.SweepOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,11 @@
 package report
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/mcu"
@@ -268,11 +270,45 @@ func (c Characterization) JSONExport() JSONReport {
 	return rep
 }
 
-// WriteJSON writes the versioned characterization export, indented,
-// with a trailing newline. The bytes are identical for any sweep worker
-// count and re-marshaling a parsed report reproduces them exactly.
+// v1Bytes is a memo entry's v1 export, rendered by the first V1 call
+// on any characterization the entry handed out.
+type v1Bytes struct {
+	once sync.Once
+	body []byte
+	err  error
+}
+
+// V1 returns the versioned characterization export, indented, with a
+// trailing newline. A characterization from an Engine's memo renders
+// once per memo entry, and every later call returns the same slice,
+// which callers must not modify; any other renders afresh.
+func (c Characterization) V1() ([]byte, error) {
+	if c.v1 == nil {
+		return c.renderV1()
+	}
+	c.v1.once.Do(func() { c.v1.body, c.v1.err = c.renderV1() })
+	return c.v1.body, c.v1.err
+}
+
+// renderV1 encodes the export through WriteJSONReport, counting the
+// render.
+func (c Characterization) renderV1() ([]byte, error) {
+	ctrRendered.Inc()
+	var buf bytes.Buffer
+	err := WriteJSONReport(&buf, c.JSONExport())
+	return buf.Bytes(), err
+}
+
+// WriteJSON writes the export V1 returns. The bytes are identical for
+// any sweep worker count and re-marshaling a parsed report reproduces
+// them exactly.
 func (c Characterization) WriteJSON(w io.Writer) error {
-	return WriteJSONReport(w, c.JSONExport())
+	b, err := c.V1()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
 }
 
 // WriteJSONReport renders an already-built report — the single encoder

@@ -9,9 +9,12 @@ import (
 )
 
 // Characterization is the full Table III + IV dataset: one record per
-// kernel, each holding all (arch, cache) cells.
+// kernel, each holding all (arch, cache) cells. One an Engine returned
+// from its memo also carries that entry's v1 bytes, rendered once
+// (V1).
 type Characterization struct {
 	Records []core.Record
+	v1      *v1Bytes
 }
 
 // The "more than 400 measured datapoints" sweep — every kernel × {M4,

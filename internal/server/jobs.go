@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -15,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/mcu"
+	"repro/internal/report"
 )
 
 // Sweep submission and retrieval. Every POST /v1/sweep creates a job —
@@ -224,8 +224,9 @@ type jobTable struct {
 
 // DefaultMaxFinishedJobs is the default bound on completed job handles
 // the table keeps (entobenchd -maxjobs). The handles hold rendered
-// reports, so this bound (together with the sweep cache capacity) is
-// what keeps a long-running server's memory flat.
+// reports (a memo hit's is its entry's shared bytes, a partial
+// sweep's its own), so this bound (together with the sweep cache
+// capacity) is what keeps a long-running server's memory flat.
 const DefaultMaxFinishedJobs = 128
 
 func (t *jobTable) init(maxFinished int) {
@@ -378,29 +379,31 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	opts := core.SweepOptions{Workers: s.opts.Workers, CellTimeout: s.opts.CellTimeout, CellCache: s.opts.CellCache, Backend: s.opts.Backend}
+	opts := core.SweepOptions{Workers: s.opts.Workers, CellTimeout: s.opts.CellTimeout, CellCache: s.opts.CellCache}
 	if req.Workers > 0 {
 		opts.Workers = req.Workers
 	}
 	if req.CellTimeoutMS > 0 {
 		opts.CellTimeout = time.Duration(req.CellTimeoutMS) * time.Millisecond
 	}
+	be := s.opts.Backend
 	if req.Backend != "" {
-		be, ok := harness.BackendByName(req.Backend)
+		named, ok := harness.BackendByName(req.Backend)
 		if !ok {
 			writeError(w, http.StatusBadRequest, "unknown backend %q (registered: %s)",
 				req.Backend, strings.Join(harness.BackendNames(), ", "))
 			return
 		}
-		opts.Backend = be
+		be = named
 	}
+	q := report.NewQuery(specs, archs, be)
 	deadline := s.sweepDeadline(req)
 	// The weight is advisory: an entry evicted between weighing and
 	// running just makes this one an unadmitted sweep.
-	weight := s.engine.Weight(specs, archs, opts.Backend)
+	weight := s.engine.Weight(q)
 
 	if req.Async {
-		s.handleSweepAsync(w, specs, archs, opts, deadline, weight)
+		s.handleSweepAsync(w, q, opts, deadline, weight)
 		return
 	}
 	if !s.adm.tryAcquire(weight) {
@@ -414,7 +417,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// executions it led are retried by any other sweep waiting on them.
 	// The resolved deadline bounds the whole request.
 	j := s.jobs.create(StateRunning)
-	s.runJob(r.Context(), j, specs, archs, opts, deadline, weight)
+	s.runJob(r.Context(), j, q, opts, deadline, weight)
 	st := j.status()
 	if st.State == StateFailed {
 		if j.wasDeadline() {
@@ -438,18 +441,18 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // dispatched they run on a background context (bounded only by the
 // resolved deadline) and complete whether or not the submitter sticks
 // around to watch.
-func (s *Server) handleSweepAsync(w http.ResponseWriter, specs []core.Spec, archs []mcu.Arch, opts core.SweepOptions, deadline time.Duration, weight int) {
+func (s *Server) handleSweepAsync(w http.ResponseWriter, q report.Query, opts core.SweepOptions, deadline time.Duration, weight int) {
 	j := s.jobs.create(StateQueued)
 	startJob := func() {
 		j.setState(StateRunning)
-		s.runJob(context.Background(), j, specs, archs, opts, deadline, weight)
+		s.runJob(context.Background(), j, q, opts, deadline, weight)
 	}
 	accepted := SweepAccepted{
 		ID:     j.id,
 		Result: "/v1/sweep/" + j.id,
 		Events: "/v1/sweep/" + j.id + "/events",
 	}
-	q := &queuedSweep{
+	queued := &queuedSweep{
 		weight: weight,
 		start:  startJob,
 		shed: func() {
@@ -459,7 +462,7 @@ func (s *Server) handleSweepAsync(w http.ResponseWriter, specs []core.Spec, arch
 			s.logf("sweep %s: shed (evicted from admission queue)", j.id)
 		},
 	}
-	if !s.adm.submitAsync(q) {
+	if !s.adm.submitAsync(queued) {
 		// No queue configured and no capacity: refuse outright. The job
 		// id was never disclosed, so drop the handle entirely.
 		s.jobs.drop(j.id)
@@ -476,8 +479,9 @@ func (s *Server) handleSweepAsync(w http.ResponseWriter, specs []core.Spec, arch
 // weight. A partial sweep — contained kernel failures, watchdog
 // timeouts — still renders: the report carries the failures block and
 // the job completes as done (HTTP 200), because a characterization
-// with explicit gaps is a result, not a server error.
-func (s *Server) runJob(ctx context.Context, j *job, specs []core.Spec, archs []mcu.Arch, opts core.SweepOptions, deadline time.Duration, weight int) {
+// with explicit gaps is a result, not a server error. A memo hit's
+// body is its entry's v1 bytes, shared with every job that read it.
+func (s *Server) runJob(ctx context.Context, j *job, q report.Query, opts core.SweepOptions, deadline time.Duration, weight int) {
 	if deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, deadline)
@@ -487,7 +491,7 @@ func (s *Server) runJob(ctx context.Context, j *job, specs []core.Spec, archs []
 	defer func() { s.adm.release(weight, time.Since(start)) }()
 	opts.Context = ctx
 	opts.Progress = j.update
-	c, err := s.engine.Sweep(specs, archs, opts)
+	c, err := s.engine.Sweep(q, opts)
 	// A sweep whose context ended before any job completed has nothing
 	// to report; the request context tells a deadline death apart from
 	// a disconnect.
@@ -502,15 +506,15 @@ func (s *Server) runJob(ctx context.Context, j *job, specs []core.Spec, archs []
 		s.jobs.retire(j.id)
 		return
 	}
-	var buf bytes.Buffer
-	if werr := c.WriteJSON(&buf); werr != nil {
-		j.finish(nil, 0, false, werr.Error())
+	body, err := c.V1()
+	if err != nil {
+		j.finish(nil, 0, false, err.Error())
 		s.jobs.retire(j.id)
 		return
 	}
 	s.logf("sweep %s: %d datapoints in %v (partial=%v)",
 		j.id, c.Datapoints(), time.Since(start).Round(time.Millisecond), c.Partial())
-	j.finish(buf.Bytes(), c.Datapoints(), c.Partial(), "")
+	j.finish(body, c.Datapoints(), c.Partial(), "")
 	s.jobs.retire(j.id)
 }
 

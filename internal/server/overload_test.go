@@ -99,11 +99,11 @@ func TestSweepWeight(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := []core.Spec{sp}
-	weight := func(archs []mcu.Arch) int { return eng.Weight(specs, archs, nil) }
+	weight := func(archs []mcu.Arch) int { return eng.Weight(report.NewQuery(specs, archs, nil)) }
 	if got := weight(m4); got != 3 {
 		t.Fatalf("cold weight = %d, want 3 (1 static + 2 cells)", got)
 	}
-	if _, err := eng.Sweep(specs, m4, core.SweepOptions{Workers: 1}); err != nil {
+	if _, err := eng.Sweep(report.NewQuery(specs, m4, nil), core.SweepOptions{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if got := weight(m4); got != 0 {
@@ -116,7 +116,7 @@ func TestSweepWeight(t *testing.T) {
 			t.Fatalf("held-execution weight on %s first = %d, want 0", archs[0].Name, got)
 		}
 	}
-	if got := eng.Weight(nil, nil, nil); got != 0 {
+	if got := eng.Weight(report.NewQuery(nil, nil, nil)); got != 0 {
 		t.Fatalf("empty weight = %d, want 0", got)
 	}
 }

@@ -118,6 +118,7 @@ func TestMetrics(t *testing.T) {
 		"entobench_server_requests",
 		"entobench_sweep_cache_hit",
 		"entobench_sweep_cache_coalesced",
+		"entobench_sweep_cache_rendered",
 	} {
 		if !strings.Contains(body, "# TYPE "+name+" counter\n") {
 			t.Errorf("metrics missing %s", name)
@@ -403,6 +404,40 @@ func TestSweepAsyncAndSSE(t *testing.T) {
 	es2.Body.Close()
 	if len(late) != 2 || late[0].name != server.SSEEventProgress || late[1].name != server.SSEEventDone {
 		t.Fatalf("late attach events = %+v, want final progress snapshot + done frame", late)
+	}
+}
+
+// TestHotQuerySharesStoredBytes: jobs for a hot query write the memo
+// entry's stored v1 bytes. Two synchronous requests and an async job
+// read back through GET /v1/sweep/{id} return the bytes the priming
+// request got, so no job wrote into the slice they share.
+func TestHotQuerySharesStoredBytes(t *testing.T) {
+	h := newTestServer()
+	send := func(method, path, body string, want int) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		if rec.Code != want {
+			t.Fatalf("%s %s: status = %d, want %d: %s", method, path, rec.Code, want, rec.Body.String())
+		}
+		return rec.Body.Bytes()
+	}
+	prime := send("POST", "/v1/sweep", smallSweepBody, http.StatusOK)
+
+	bodies := [][]byte{
+		send("POST", "/v1/sweep", smallSweepBody, http.StatusOK),
+		send("POST", "/v1/sweep", smallSweepBody, http.StatusOK),
+	}
+	var acc server.SweepAccepted
+	if err := json.Unmarshal(send("POST", "/v1/sweep", `{"kernels":["madgwick"],"archs":"M4","async":true}`, http.StatusAccepted), &acc); err != nil {
+		t.Fatal(err)
+	}
+	send("GET", acc.Events, "", http.StatusOK) // returns once the job is done
+	bodies = append(bodies, send("GET", acc.Result, "", http.StatusOK))
+	for i, b := range bodies {
+		if !bytes.Equal(b, prime) {
+			t.Fatalf("job %d of the hot query returned different bytes (%d vs %d)", i, len(b), len(prime))
+		}
 	}
 }
 
